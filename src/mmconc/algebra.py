@@ -1,10 +1,16 @@
 """Scalar and matrix arithmetic over the real, complex and quaternion fields.
 
-Every quantity is stored componentwise: a scalar is four reals
-(z0, z1, z2, z3) with z = z0 + z1*i + z2*j + z3*k and the unused
-components pinned at zero for R and C.  Matrices carry their entries in a
-float64 array of shape (N, n, 4); batched helpers accept extra leading
-axes so hot loops can stay vectorized.
+The interchange layout, which FMatrix exposes as `.comps` and the sample
+CSVs store, is componentwise: a scalar is four reals (z0, z1, z2, z3)
+with z = z0 + z1*i + z2*j + z3*k and the unused components pinned at
+zero for R and C, and a matrix is a float64 array (N, n, 4).
+
+Arithmetic runs on the native arrays of that layout, which only this
+module converts to and from: R float64 (N, n), C complex128 (N, n), and
+for H = Z1 + Z2 j the first block column [Z1; -conj Z2] (2N, n) of the
+complex adjoint [[Z1, Z2], [-conj Z2, conj Z1]] (F. Zhang, Linear
+Algebra Appl. 251, 1997).  Every helper accepts extra leading batch
+axes so hot loops stay vectorized.
 """
 
 from __future__ import annotations
@@ -156,6 +162,55 @@ def comp_adjoint(a):
     return comp_conj(np.swapaxes(a, -3, -2))
 
 
+def _to_native(comps, field):
+    """Native array of a component array (..., N, n, 4).
+
+    R gives the real (..., N, n) matrix and C the complex one.  H gives
+    the first block column [Z1; -conj Z2] (..., 2N, n) of the complex
+    adjoint [[Z1, Z2], [-conj Z2, conj Z1]] of Z = Z1 + Z2 j.
+    """
+    if field == "R":
+        return comps[..., 0]
+    z1 = comps[..., 0] + 1j * comps[..., 1]
+    if field == "C":
+        return z1
+    return np.concatenate([z1, -np.conj(comps[..., 2] + 1j * comps[..., 3])], axis=-2)
+
+
+def _from_native(X, field):
+    """Inverse of _to_native: column a - conj(b) j from [a; b] over H."""
+    if field == "H":
+        N = X.shape[-2] // 2
+        a, b = X[..., :N, :], -np.conj(X[..., N:, :])
+        return np.stack([a.real, a.imag, b.real, b.imag], axis=-1)
+    out = np.zeros(X.shape + (4,))
+    out[..., 0] = X.real
+    if field == "C":
+        out[..., 1] = X.imag
+    return out
+
+
+def _partner(X):
+    """Partner columns [-conj x2; conj x1] of complex-adjoint columns.
+
+    The partner is the second column of the complex adjoint of the same
+    quaternion column, i.e. up to sign its right multiple by j.
+    """
+    N = X.shape[-2] // 2
+    return np.concatenate([-np.conj(X[..., N:, :]), np.conj(X[..., :N, :])], axis=-2)
+
+
+def _lift(X, field):
+    """The matrix a native array stands for in products.
+
+    R and C arrays are their own matrices; over H the lift is the whole
+    complex adjoint [X, JX], so lift(A) @ native(B) is native(A B).
+    """
+    if field == "H":
+        return np.concatenate([X, _partner(X)], axis=-1)
+    return X
+
+
 @dataclass(frozen=True)
 class FMatrix:
     """A dense N x n matrix over R, C or H, stored componentwise."""
@@ -232,19 +287,9 @@ class FMatrix:
             raise ShapeMismatchError(
                 "inner dimensions %d and %d differ" % (self.n, other.N)
             )
-        if self.field == "H":
-            return FMatrix("H", comp_matmul(self.comps, other.comps))
-        # R and C fill only their own components: one real product for
-        # R, four for C, summed in the order comp_matmul uses.
-        a0, a1 = self.comps[..., 0], self.comps[..., 1]
-        b0, b1 = other.comps[..., 0], other.comps[..., 1]
-        out = np.zeros((self.N, other.n, 4))
-        if self.field == "R":
-            out[..., 0] = a0 @ b0
-        else:
-            out[..., 0] = a0 @ b0 - a1 @ b1
-            out[..., 1] = a0 @ b1 + a1 @ b0
-        return FMatrix(self.field, out)
+        f = self.field
+        prod = _lift(_to_native(self.comps, f), f) @ _to_native(other.comps, f)
+        return FMatrix(f, _from_native(prod, f))
 
     def __add__(self, other):
         self._check_like(other)
@@ -330,21 +375,6 @@ def derealify_comps(mat, field, N, n):
     comps = np.zeros(mat.shape[:-2] + (N, n, 4))
     for c in range(d):
         comps[..., c] = mat[..., c * N : (c + 1) * N, :n]
-    return comps
-
-
-def realify_vector(vec, field, N):
-    """Stack the components of a column, (..., N, 4) -> (..., d*N)."""
-    d = field_dim(field)
-    return np.concatenate([vec[..., c] for c in range(d)], axis=-1)
-
-
-def derealify_vector(flat, field, N):
-    """Unstack a realified column back to (..., N, 4)."""
-    d = field_dim(field)
-    comps = np.zeros(flat.shape[:-1] + (N, 4))
-    for c in range(d):
-        comps[..., c] = flat[..., c * N : (c + 1) * N]
     return comps
 
 

@@ -92,22 +92,6 @@ class Schedule:
             )
         return 1.0 / (1.0 - self.L_bound)
 
-    def theta_floor_sq(self, field_dimension=1):
-        """Diagnostic: the necessary lower bound on theta_N^2.
-
-        Largest over l of l T^2 / (l T^2 + (1 - eps_l)^2 ((N-l)^F - 1));
-        any admissible angle has to exceed this, reported for context
-        only and never substituted for theta_N.
-        """
-        out = 0.0
-        for l in range(1, self.n_N):
-            T2 = self.T_l[l - 1] ** 2
-            e = self.eps_l[l - 1]
-            denom = l * T2 + (1.0 - e) ** 2 * ((self.N - l) * field_dimension - 1.0)
-            if denom > 0.0:
-                out = max(out, l * T2 / denom)
-        return out
-
     def to_json(self):
         return {
             "N": self.N,

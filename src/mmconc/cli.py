@@ -1,6 +1,7 @@
 """Command line driver: `mmconc run`, `mmconc validate`, `mmconc sample`.
 
-Exit codes: 0 success, 2 configuration error, 3 infeasible experiment.
+Exit codes: 0 success, 1 other input error, 2 configuration error, 3
+infeasible experiment.
 The environment variable MMCONC_SEED overrides any configured seed.
 """
 
@@ -66,7 +67,13 @@ def build_config(args, experiment=None):
         workers=args.workers,
         out=args.out,
     )
-    bounds.parse_rule(cfg.n_rule)  # fail early on a malformed rule
+    n_of = bounds.parse_rule(cfg.n_rule)  # fail early on a malformed rule
+    for N in cfg.N_list:
+        n = n_of(N)
+        if not 1 <= n <= N:
+            raise ConfigError(
+                "rule %s gives n = %d at N = %d; need 1 <= n <= N" % (cfg.n_rule, n, N)
+            )
     cfg.condition_obj()
     if cfg.samples < 1:
         raise ConfigError("samples must be >= 1")

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import bounds, sampling, stats
 from .algebra import FMatrix, comp_adjoint, comp_matmul, comp_norm, field_dim
-from .decomp import polar, polar_q_batched, singular_values_batched
+from .decomp import polar_q_batched, singular_values_batched
 from .errors import DomainError, MembershipError, PreconditionError
 
 
@@ -141,9 +141,31 @@ def phi_project(Z, params, require_certificate=False):
                 "no Lipschitz certificate: infimum bound %.6g >= 1" % L
             )
     if isinstance(Z, FMatrix):
-        return polar(Z).q.scale(params.radius)
-    q, _ = polar_q_batched(Z[None], params.field)
-    return q[0] * params.radius
+        return FMatrix(Z.field, phi_batched(Z.comps, Z.field))
+    return phi_batched(Z, params.field)
+
+
+def _frame_distances(comps, field):
+    """Distance of each draw of a batch (..., N, n, 4) to the frames
+    scaled by sqrt(N^F - 1): | |z| - r | for one column, otherwise from
+    the singular values."""
+    N, n = comps.shape[-3], comps.shape[-2]
+    r = math.sqrt(N * field_dim(field) - 1.0)
+    if n == 1:
+        return np.abs(column_norms(comps)[..., 0] - r)
+    lam = singular_values_batched(comps, field)
+    return np.sqrt(np.sum(np.square(lam - r), axis=-1))
+
+
+def _dp_lower(d):
+    """Smallest eps with a (1 - eps) fraction of the distances d strictly
+    below it.  That is the Ky Fan level, except where the level is itself
+    a distance: the strict fraction then falls one draw short, and the
+    answer is the next float up."""
+    eps = stats.ky_fan(d)
+    if np.count_nonzero(d < eps) / d.size < 1.0 - eps:
+        eps = float(np.nextafter(eps, np.inf))
+    return eps
 
 
 def phi_batched(comps, field):
@@ -302,38 +324,12 @@ def prok_experiment(N, n, field, sample_size=100000, seed=0):
     Prohorov gap between the Gaussian law and its projection from below.
     """
     cfg = sampling.SamplerConfig(field, N, n, seed=seed, count=sample_size)
-    r = cfg.radius
-    dists = []
-    for _, comps in sampling.iter_gaussian_chunks(cfg):
-        if n == 1:
-            norms = column_norms(comps)[..., 0]
-            dists.append(np.abs(norms - r))
-        else:
-            lam = singular_values_batched(comps, field)
-            dists.append(np.sqrt(np.sum(np.square(lam - r), axis=-1)))
-    d = np.sort(np.concatenate(dists))
+    chunks = sampling.iter_gaussian_chunks(cfg)
+    d = np.sort(np.concatenate([_frame_distances(c, field) for _, c in chunks]))
     S = d.size
-
-    def feasible(eps):
-        return np.searchsorted(d, eps, side="left") / S >= 1.0 - eps
-
-    # Coarse scan for a bracket, then bisection.
-    grid = np.linspace(1e-3, 2.0, 200)
-    hi = float(max(2.0, d[-1] + 1.0))
-    for g in grid:
-        if feasible(g):
-            hi = float(g)
-            break
-    lo = 0.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
     qs = {p: float(np.quantile(d, p / 100.0)) for p in (5, 25, 50, 75, 95)}
     return ProkReport(
-        dP_lower=hi,
+        dP_lower=_dp_lower(d),
         quantiles=qs,
         sample_size=S,
         mean_distance=float(np.mean(d)),

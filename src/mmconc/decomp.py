@@ -4,12 +4,13 @@ Hermitian eigendecomposition, SVD and polar factors, plus the distances
 built on them: distance to a scaled frame manifold, and the two quotient
 distances (right-unitary and unit-scalar orbits).
 
-The real and complex cases run on numpy's symmetric eigensolver
-directly; the quaternionic case runs on the 2N x 2N complex adjoint
-[[Z1, Z2], [-conj Z2, conj Z1]] of Z = Z1 + Z2 j (F. Zhang, Linear
-Algebra Appl. 251, 1997) and reads quaternionic eigenvectors off its
-column pairs.  Batched component-array variants of the hot kernels are
-provided for samplers.
+Inputs and outputs use the componentwise (..., N, n, 4) interchange
+layout; the arithmetic runs on the native arrays of `algebra`.  One
+kernel, `_gram_eig`, lifts a native batch (over H to the complex adjoint
+of F. Zhang, Linear Algebra Appl. 251, 1997), forms and solves its Gram
+matrix, and serves the per-matrix FMatrix functions as a batch of one as
+well as the batched sampler functions.  Over H every eigenvalue of a
+lifted matrix comes twice, on the pair {x, Jx}.
 """
 
 from __future__ import annotations
@@ -20,12 +21,13 @@ import numpy as np
 
 from .algebra import (
     FMatrix,
-    comp_adjoint,
+    _from_native,
+    _lift,
+    _partner,
+    _to_native,
     comp_conj,
-    comp_matmul,
     comp_mul,
     comp_norm,
-    realify_comps,
 )
 from .errors import NotHermitianError, ShapeMismatchError
 
@@ -43,51 +45,49 @@ class SingularTriple:
     v: FMatrix
 
 
-def _diag_matrix(field, vals, N=None):
-    n = len(vals)
-    if N is None:
-        N = n
-    comps = np.zeros((N, n, 4))
-    comps[np.arange(n), np.arange(n), 0] = vals
-    return FMatrix(field, comps)
+def _gram_eig(X, field, vectors=True):
+    """Eigensolve the Gram matrix Z* Z of a native batch X (..., rows, n).
 
-
-def _to_native(comps, field):
-    """Native array of a component array (N, n, 4).
-
-    R gives the real (N, n) matrix and C the complex one.  H gives the
-    first block column [Z1; -conj Z2] (2N, n) of the complex adjoint
-    [[Z1, Z2], [-conj Z2, conj Z1]] of Z = Z1 + Z2 j.
+    X is lifted to L, L* L is symmetrized against round-off skew and
+    solved.  Returns (L, lam2, w, V): lam2 holds the ascending
+    eigenvalues of Z* Z, one per eigenvalue over F, while w and V are
+    all eigenpairs of L* L (V is None without vectors), so over H w
+    holds every entry of lam2 twice.
     """
-    if field == "R":
-        return comps[..., 0]
-    z1 = comps[..., 0] + 1j * comps[..., 1]
-    if field == "C":
-        return z1
-    return np.concatenate([z1, -np.conj(comps[..., 2] + 1j * comps[..., 3])])
+    L = _lift(X, field)
+    G = np.swapaxes(L, -1, -2).conj() @ L
+    G = 0.5 * (G + np.swapaxes(G, -1, -2).conj())
+    if vectors:
+        w, V = np.linalg.eigh(G)
+    else:
+        w, V = np.linalg.eigvalsh(G), None
+    # Only the H lift is wider than X; it doubles every eigenvalue.
+    return L, w[..., :: 1 + (L.shape[-1] > X.shape[-1])], w, V
 
 
-def _from_native(X, field):
-    """Inverse of _to_native: column a - conj(b) j from [a; b] over H."""
+def _spectral(V, vals):
+    """V diag(vals) V* over a batch of eigenvector matrices."""
+    return np.einsum("...ik,...k,...jk->...ij", V, vals, np.conj(V))
+
+
+def _polar_frame(L, w, V, n):
+    """Native polar frame L (L* L)^(-1/2) of a full-rank lifted batch."""
+    return L @ _spectral(V, 1.0 / np.sqrt(np.clip(w, 1e-300, None)))[..., :n]
+
+
+def _eig_desc(w, V, field):
+    """Native eigenvectors over F and their eigenvalues, non-increasing.
+
+    Over H, eigh returns an arbitrary basis of each eigenspace of the
+    lifted matrix, so pick one column per pair and keep the picks
+    orthonormal over H, which matters within a repeated eigenvalue.
+    """
+    order = np.argsort(-w)
     if field == "H":
-        N = X.shape[0] // 2
-        a, b = X[:N], -np.conj(X[N:])
-        return np.stack([a.real, a.imag, b.real, b.imag], axis=-1)
-    out = np.zeros(X.shape + (4,))
-    out[..., 0] = X.real
-    if field == "C":
-        out[..., 1] = X.imag
-    return out
-
-
-def _partner(X):
-    """Partner columns [-conj x2; conj x1] of complex-adjoint columns.
-
-    The partner is the second column of the complex adjoint of the same
-    quaternion column, i.e. up to sign its right multiple by j.
-    """
-    N = X.shape[0] // 2
-    return np.concatenate([-np.conj(X[N:]), np.conj(X[:N])])
+        N = V.shape[0] // 2
+        B = _pick_pairs(V[:, :0], V[:, order], N, ordered=True)
+        return B[:, 0::2], w[order][0::2]
+    return V[:, order], w[order]
 
 
 def _with_partners(X):
@@ -110,12 +110,13 @@ def _project_off(B, X):
     return X
 
 
-def _gram_schmidt(field, B, X, reject_tol, need=None):
+def _gram_schmidt(field, B, X, reject_tol):
     """Extend the orthonormal native basis B by the columns of X in order.
 
     A column whose residual off span(B) is shorter than reject_tol is
     dropped; an accepted one is normalized and appended, over H together
-    with its partner.  Returns (B, accepted columns).
+    with its partner, so coefficients act from the right.  Returns (B,
+    accepted columns).
     """
     accepted = []
     for l in range(X.shape[1]):
@@ -126,8 +127,6 @@ def _gram_schmidt(field, B, X, reject_tol, need=None):
         r = r / norm
         accepted.append(r)
         B = np.concatenate([B, _with_partners(r) if field == "H" else r], axis=1)
-        if need is not None and len(accepted) == need:
-            break
     return B, accepted
 
 
@@ -150,33 +149,6 @@ def _pick_pairs(B, E, count, ordered):
     return B
 
 
-def _empty_basis(field, N):
-    rows = 2 * N if field == "H" else N
-    return np.zeros((rows, 0), dtype=float if field == "R" else complex)
-
-
-def orthonormalize(field, candidates, base=(), need=None, reject_tol=0.25):
-    """Right-module Gram-Schmidt over F.
-
-    candidates and base are sequences of column component arrays, each
-    of shape (N, 4); base must be orthonormal.  Candidates whose residual
-    after projection is shorter than reject_tol are dropped; accepted
-    columns are returned normalized, in order.
-    """
-    candidates = list(candidates)
-    if not candidates:
-        return []
-    N = candidates[0].shape[0]
-    B = _empty_basis(field, N)
-    if len(base):
-        B = _to_native(np.stack(base, axis=1), field)
-        if field == "H":
-            B = _with_partners(B)
-    X = _to_native(np.stack(candidates, axis=1), field)
-    _, accepted = _gram_schmidt(field, B, X, reject_tol, need)
-    return [_from_native(r, field)[:, 0] for r in accepted]
-
-
 def hermitian_eig(H, tol=1e-10):
     """Eigendecomposition of a Hermitian matrix over F.
 
@@ -188,48 +160,16 @@ def hermitian_eig(H, tol=1e-10):
     defect = (H - H.adjoint()).norm
     if defect > tol * max(1.0, H.norm):
         raise NotHermitianError("matrix is not Hermitian (defect %.3e)" % defect)
-    N = H.N
-    if H.field == "R":
-        w, vecs = np.linalg.eigh(H.comps[..., 0])
-        order = np.argsort(-w)
-        sigma = w[order]
-        comps = np.zeros((N, N, 4))
-        comps[..., 0] = vecs[:, order]
-        return FMatrix("R", comps), sigma
-    if H.field == "C":
-        cmat = H.comps[..., 0] + 1j * H.comps[..., 1]
-        w, vecs = np.linalg.eigh(cmat)
-        order = np.argsort(-w)
-        sigma = w[order]
-        vecs = vecs[:, order]
-        comps = np.zeros((N, N, 4))
-        comps[..., 0] = vecs.real
-        comps[..., 1] = vecs.imag
-        return FMatrix("C", comps), sigma
-    # Quaternions: every eigenvalue of the 2N complex adjoint comes twice,
-    # on the pair {x, Jx}.  eigh returns an arbitrary basis of each
-    # eigenspace, so pick one column per pair and keep the picks
-    # orthonormal over H, which matters within a repeated eigenvalue.
-    X = _to_native(H.comps, "H")
-    w, vecs = np.linalg.eigh(np.concatenate([X, _partner(X)], axis=1))
-    order = np.argsort(-w)
-    B = _pick_pairs(_empty_basis("H", N), vecs[:, order], N, ordered=True)
-    return FMatrix("H", _from_native(B[:, 0::2], "H")), w[order][0::2]
-
-
-def _gram(Z):
-    """Z* Z, symmetrized to kill round-off skew."""
-    G = Z.adjoint() @ Z
-    sym = 0.5 * (G.comps + comp_adjoint(G.comps))
-    return FMatrix(Z.field, sym)
+    w, V = np.linalg.eigh(_lift(_to_native(H.comps, H.field), H.field))
+    P, sigma = _eig_desc(w, V, H.field)
+    return FMatrix(H.field, _from_native(P, H.field)), sigma
 
 
 def singular_values(Z):
     """Non-increasing singular values, the root spectrum of Z* Z."""
     if Z.N < Z.n:
         raise ShapeMismatchError("need N >= n")
-    _, sig = hermitian_eig(_gram(Z))
-    return np.sqrt(np.clip(sig, 0.0, None))
+    return singular_values_batched(Z.comps, Z.field)
 
 
 def svd(Z):
@@ -237,44 +177,47 @@ def svd(Z):
     if Z.N < Z.n:
         raise ShapeMismatchError("need N >= n")
     N, n = Z.shape
-    V, sig = hermitian_eig(_gram(Z))
+    L, _, w, V = _gram_eig(_to_native(Z.comps, Z.field), Z.field)
+    P, sig = _eig_desc(w, V, Z.field)
     lam = np.sqrt(np.clip(sig, 0.0, None))
-    ZV = Z @ V
     cut = max(1.0, lam[0] if n else 1.0) * 1e-13
     keep = lam > cut
-    cands = _to_native(ZV.comps[:, keep, :] / lam[keep, None], Z.field)
+    cands = (L @ P)[:, keep] / lam[keep]
     # Columns of a numerically rank-deficient input collapse onto the
     # leading ones; Gram-Schmidt rejection filters them out and the
     # orthogonal complement completes the frame.
-    B, cols = _gram_schmidt(Z.field, _empty_basis(Z.field, N), cands, 0.5)
+    B, cols = _gram_schmidt(Z.field, cands[:, :0], cands, 0.5)
     if Z.field == "H":
         B = _pick_pairs(B, np.eye(2 * N), N - len(cols), ordered=False)
         U = B[:, 0::2]
     else:
         Q, _ = np.linalg.qr(B, mode="complete")
         U = np.concatenate([B, Q[:, len(cols) :]], axis=1)
-    U = FMatrix(Z.field, _from_native(U, Z.field))
-    return SingularTriple(u=U, lam=lam, v=V)
+    return SingularTriple(
+        u=FMatrix(Z.field, _from_native(U, Z.field)),
+        lam=lam,
+        v=FMatrix(Z.field, _from_native(P, Z.field)),
+    )
 
 
 def polar(Z, rank_tol=1e-6):
     """Z = Q H with Q an orthonormal frame and H Hermitian PSD.
 
     Full-rank inputs use H = (Z* Z)^(1/2) and Q = Z H^(-1); otherwise
-    the factors come from the SVD.
+    the frame comes from the SVD.
     """
     if Z.N < Z.n:
         raise ShapeMismatchError("need N >= n")
     n = Z.n
-    V, sig = hermitian_eig(_gram(Z))
-    lam = np.sqrt(np.clip(sig, 0.0, None))
-    H = V @ _diag_matrix(Z.field, lam) @ V.adjoint()
-    if n == 0 or lam[-1] > rank_tol * max(1.0, lam[0]):
-        Hinv = V @ _diag_matrix(Z.field, 1.0 / lam) @ V.adjoint()
-        return PolarFactors(q=Z @ Hinv, h=H)
+    L, lam2, w, V = _gram_eig(_to_native(Z.comps, Z.field), Z.field)
+    root = _spectral(V, np.sqrt(np.clip(w, 0.0, None)))[:, :n]
+    H = FMatrix(Z.field, _from_native(root, Z.field))
+    lam = np.sqrt(np.clip(lam2, 0.0, None))
+    if n == 0 or lam[0] > rank_tol * max(1.0, lam[-1]):
+        Q = FMatrix(Z.field, _from_native(_polar_frame(L, w, V, n), Z.field))
+        return PolarFactors(q=Q, h=H)
     t = svd(Z)
-    Qcomps = t.u.comps[:, :n, :]
-    Q = FMatrix(Z.field, Qcomps) @ t.v.adjoint()
+    Q = FMatrix(Z.field, t.u.comps[:, :n, :]) @ t.v.adjoint()
     return PolarFactors(q=Q, h=H)
 
 
@@ -304,35 +247,18 @@ def hopf_dist(Z, W):
 
 
 # ---------------------------------------------------------------------------
-# Batched component-array kernels (hot paths for the samplers).
-
-
-def _batched_gram(comps):
-    return comp_matmul(comp_adjoint(comps), comps)
+# Batched component-array functions (hot paths for the samplers).
 
 
 def gram_eigvals_batched(comps, field):
     """Ascending eigenvalues of Z* Z for a batch (..., N, n, 4)."""
-    G = _batched_gram(comps)
-    G = 0.5 * (G + comp_adjoint(G))
-    if field == "R":
-        return np.linalg.eigvalsh(G[..., 0])
-    if field == "C":
-        return np.linalg.eigvalsh(G[..., 0] + 1j * G[..., 1])
-    w = np.linalg.eigvalsh(realify_comps(G, "H"))
-    # Quadruple degeneracy: keep one representative per block.
-    return w[..., ::4]
+    return _gram_eig(_to_native(comps, field), field, vectors=False)[1]
 
 
 def singular_values_batched(comps, field):
     """Non-increasing singular values for a batch, shape (..., n)."""
     w = gram_eigvals_batched(comps, field)
     return np.sqrt(np.clip(w[..., ::-1], 0.0, None))
-
-
-def _inv_sqrt_psd(w, vecs):
-    inv = 1.0 / np.sqrt(np.clip(w, 1e-300, None))
-    return np.einsum("...ik,...k,...jk->...ij", vecs, inv, np.conj(vecs))
 
 
 def polar_q_batched(comps, field):
@@ -347,27 +273,6 @@ def polar_q_batched(comps, field):
         safe = np.where(total > 0.0, total, 1.0)
         q = comps / safe[..., None, None, None]
         return q, total
-    G = _batched_gram(comps)
-    G = 0.5 * (G + comp_adjoint(G))
-    if field == "R":
-        w, vecs = np.linalg.eigh(G[..., 0])
-        M = _inv_sqrt_psd(w, vecs)
-        Mc = np.zeros(M.shape + (4,))
-        Mc[..., 0] = M
-        lam_min = np.sqrt(np.clip(w[..., 0], 0.0, None))
-    elif field == "C":
-        w, vecs = np.linalg.eigh(G[..., 0] + 1j * G[..., 1])
-        M = _inv_sqrt_psd(w, vecs)
-        Mc = np.zeros(M.shape + (4,))
-        Mc[..., 0] = M.real
-        Mc[..., 1] = M.imag
-        lam_min = np.sqrt(np.clip(w[..., 0], 0.0, None))
-    else:
-        R = realify_comps(G, "H")
-        w, vecs = np.linalg.eigh(R)
-        M = _inv_sqrt_psd(w, vecs)
-        Mc = np.zeros(M.shape[:-2] + (n, n, 4))
-        for c in range(4):
-            Mc[..., c] = M[..., c * n : (c + 1) * n, :n]
-        lam_min = np.sqrt(np.clip(w[..., 0], 0.0, None))
-    return comp_matmul(comps, Mc), lam_min
+    L, lam2, w, V = _gram_eig(_to_native(comps, field), field)
+    q = _from_native(_polar_frame(L, w, V, n), field)
+    return q, np.sqrt(np.clip(lam2[..., 0], 0.0, None))

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bounds, concentration, gaussian, sampling, stats
 from .algebra import FMatrix, field_dim
-from .decomp import polar, singular_values, svd, dist_to_scaled_stiefel
+from .decomp import dist_to_scaled_stiefel, polar, singular_values
 from .errors import ConfigError
 
 TARGET_OBSDIAM = 1.3489795003921635  # twice the 0.75 normal quantile
@@ -160,39 +160,20 @@ def run_prok(cfg):
         for N in cfg.N_list:
             n = cfg.n_for(N)
             scfg = sampling.SamplerConfig(field, N, n, seed=cfg.seed, count=cfg.samples)
-            r = scfg.radius
 
-            def chunk_dist(i, scfg=scfg, r=r, n=n):
+            def chunk_dist(i, scfg=scfg):
                 comps = sampling.gaussian_chunk(scfg, i)
-                if n == 1:
-                    norms = concentration.column_norms(comps)[..., 0]
-                    return np.abs(norms - r)
-                from .decomp import singular_values_batched
+                return concentration._frame_distances(comps, scfg.field)
 
-                lam = singular_values_batched(comps, scfg.field)
-                return np.sqrt(np.sum(np.square(lam - r), axis=-1))
-
-            d = np.sort(
-                np.concatenate(
-                    _map_chunks(chunk_dist, _n_chunks(cfg.samples), cfg.workers)
-                )[: cfg.samples]
-            )
+            d = np.concatenate(
+                _map_chunks(chunk_dist, _n_chunks(cfg.samples), cfg.workers)
+            )[: cfg.samples]
             S = d.size
-
-            def feasible(eps):
-                return np.searchsorted(d, eps, side="left") / S >= 1.0 - eps
-
-            lo, hi = 0.0, float(max(2.0, d[-1] + 1.0))
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if feasible(mid):
-                    hi = mid
-                else:
-                    lo = mid
-            rows.append([N, n, field, S, "dP_lower", hi])
+            dP = concentration._dp_lower(d)
+            rows.append([N, n, field, S, "dP_lower", dP])
             for p in (5, 25, 50, 75, 95):
                 rows.append([N, n, field, S, "q%02d" % p, float(np.quantile(d, p / 100.0))])
-            summaries.append("prok field=%s N=%d n=%d dP_lower=%.4f" % (field, N, n, hi))
+            summaries.append("prok field=%s N=%d n=%d dP_lower=%.4f" % (field, N, n, dP))
     return ExperimentResult(
         "prok", ["N", "n", "field", "samples", "stat_name", "value"], rows, summaries
     )

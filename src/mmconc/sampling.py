@@ -24,6 +24,10 @@ log = logging.getLogger(__name__)
 
 CHUNK = 1024
 
+# Rank-deficient Gaussian draws have probability zero; a chunk that still
+# holds one after this many fresh draws points at a broken stream or kernel.
+MAX_RESAMPLES = 8
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -40,6 +44,11 @@ class SamplerConfig:
             raise ShapeMismatchError("need 1 <= n <= N")
         if self.count < 1:
             raise DomainError("count must be >= 1")
+        if self.scaled and self.N * field_dim(self.field) == 1:
+            raise DomainError(
+                "the scaled frame radius sqrt(N^F - 1) is 0 at N^F = 1; "
+                "need N^F >= 2 or unscaled frames"
+            )
 
     @property
     def radius(self):
@@ -99,13 +108,19 @@ def haar_chunk(cfg, chunk_index):
     The Gaussian law is invariant under left unitaries and the polar
     frame is equivariant, so the frame law inherits left invariance and
     is the Haar measure.  Rank-deficient draws (probability zero up to
-    floating point) are resampled from a derived stream and logged.
+    floating point) are resampled from a derived stream and logged, at
+    most MAX_RESAMPLES times before InfeasibleError.
     """
     comps = gaussian_chunk(cfg, chunk_index)
     q, lam_min = polar_q_batched(comps, cfg.field)
     bad = lam_min < 1e-8
     attempt = 1
     while np.any(bad):
+        if attempt > MAX_RESAMPLES:
+            raise InfeasibleError(
+                "%d draws in chunk %d stay rank-deficient after %d resamples"
+                % (int(bad.sum()), chunk_index, MAX_RESAMPLES)
+            )
         log.warning(
             "resampling %d rank-deficient draws in chunk %d",
             int(bad.sum()),

@@ -87,6 +87,25 @@ class TestRun:
         assert "MMCONC_SEED" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["run", "obsdiam", "--field", "r", "--N", "1", "--n", "const:1"], 1,
+         "error: the scaled frame radius sqrt(N^F - 1) is 0"),
+        (["run", "mbdist", "--field", "r", "--N", "1", "--n", "const:1"], 1,
+         "error: the scaled frame radius sqrt(N^F - 1) is 0"),
+        (["run", "mbdist", "--N", "3", "--n", "const:5"], 2,
+         "config error: rule const:5 gives n = 5 at N = 3"),
+        (["sample", "--N", "5", "--n", "9"], 2, "config error: need 1 <= n <= N"),
+    ],
+)
+def test_bad_shape_exit_codes(argv, code, message, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert run_cli(argv + ["--out", out]) == code
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 class TestValidate:
     def write(self, tmp_path, text):
         path = tmp_path / "cfg.ini"

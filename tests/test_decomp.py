@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mmconc.algebra import FMatrix, Scalar, realify_comps
+from mmconc.algebra import FMatrix, Scalar, comp_adjoint, comp_matmul, comp_mul, realify_comps
 from mmconc.decomp import (
     dist_to_scaled_stiefel,
     gram_eigvals_batched,
     grassmann_dist,
     hermitian_eig,
     hopf_dist,
-    orthonormalize,
     polar,
     polar_q_batched,
     singular_values,
@@ -115,10 +115,19 @@ class TestSvdPolar:
 
     def test_rank_deficient_polar_is_frame(self):
         rng = np.random.default_rng(5)
+        inputs = []
         for field, d in FIELDS:
             comps = np.zeros((8, 3, 4))
             comps[..., :d] = rng.standard_normal((8, 3, d))
             comps[:, 2, :] = comps[:, 0, :]  # exactly dependent columns
+            inputs.append((field, comps))
+        # Over H the span of a column is a right module: column 2 = column
+        # 0 * s for a non-real s is dependent only with coefficients on
+        # the right.
+        comps = comps.copy()
+        comps[:, 2, :] = comp_mul(comps[:, 0, :], np.array([0.3, -1.2, 0.5, 0.9]))
+        inputs.append(("H", comps))
+        for field, comps in inputs:
             Z = FMatrix(field, comps)
             p = polar(Z)
             dev = (p.q.adjoint() @ p.q - FMatrix.identity(field, 3)).norm
@@ -143,30 +152,6 @@ class TestSvdPolar:
     def test_wide_matrix_rejected(self):
         with pytest.raises(ShapeMismatchError):
             svd(FMatrix("R", np.zeros((2, 3, 4))))
-
-
-class TestOrthonormalize:
-    def test_right_module_linearity(self):
-        # Over H, Gram-Schmidt must put coefficients on the right: the
-        # span of {b} as a right module contains b*s for any scalar s.
-        rng = np.random.default_rng(6)
-        b = rng.standard_normal((5, 4))
-        b /= np.sqrt(np.sum(b**2))
-        from mmconc.algebra import comp_mul
-
-        s = np.array([0.3, -1.2, 0.5, 0.9])
-        cand = comp_mul(b, s)  # b * s, right multiple
-        got = orthonormalize("H", [cand], base=[b])
-        assert got == []  # fully rejected: no new direction
-
-    def test_completion(self):
-        rng = np.random.default_rng(7)
-        cols = [rng.standard_normal((6, 4)) for _ in range(2)]
-        out = orthonormalize("H", cols)
-        assert len(out) == 2
-        from mmconc.algebra import column_inner
-
-        assert np.abs(column_inner(out[0], out[1])).max() < 1e-12
 
 
 class TestDistances:
@@ -270,3 +255,46 @@ class TestBatchedKernels:
         w = gram_eigvals_batched(comps, "H")
         assert w.shape == (4, 3)
         assert np.all(np.diff(w, axis=-1) >= -1e-12)
+
+
+@st.composite
+def _gaussian_batches(draw):
+    field, d = draw(st.sampled_from(FIELDS))
+    N = draw(st.integers(1, 12))
+    n = draw(st.integers(1, min(N, 5)))
+    batch = draw(st.sampled_from(((), (3,))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    comps = np.zeros(batch + (N, n, 4))
+    comps[..., :d] = rng.standard_normal(batch + (N, n, d))
+    return field, d, comps
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_gaussian_batches())
+def test_kernels_match_componentwise_reference(sample):
+    # The componentwise products and the realified spectrum, with each
+    # singular value repeated d times, are the reference for every kernel.
+    field, d, comps = sample
+    n = comps.shape[-2]
+    eye = np.zeros((n, n, 4))
+    eye[np.arange(n), np.arange(n), 0] = 1.0
+    q_b, lam_min = polar_q_batched(comps, field)
+    lam_b = singular_values_batched(comps, field)
+    for idx in np.ndindex(comps.shape[:-3]):
+        Zc = comps[idx]
+        tol = 1e-10 * max(1.0, float(np.sqrt(np.sum(Zc**2))))
+        Z = FMatrix(field, Zc)
+        G = comp_matmul(comp_adjoint(Zc), Zc)
+        w = np.linalg.eigvalsh(realify_comps(G, field))[::-1]
+        ref = np.sqrt(np.clip(w, 0.0, None))
+        np.testing.assert_allclose(np.repeat(singular_values(Z), d), ref, rtol=0, atol=tol)
+        np.testing.assert_allclose(np.repeat(lam_b[idx], d), ref, rtol=0, atol=tol)
+        assert abs(lam_min[idx] - ref[-1]) <= tol
+        np.testing.assert_allclose((Z.adjoint() @ Z).comps, G, rtol=0, atol=tol)
+        p = polar(Z)
+        np.testing.assert_allclose((Z @ p.h).comps, comp_matmul(Zc, p.h.comps), rtol=0, atol=tol)
+        np.testing.assert_allclose(comp_matmul(p.q.comps, p.h.comps), Zc, rtol=0, atol=tol)
+        np.testing.assert_allclose(
+            comp_matmul(comp_adjoint(p.q.comps), p.q.comps), eye, rtol=0, atol=tol
+        )
+        np.testing.assert_allclose(q_b[idx], p.q.comps, rtol=0, atol=tol)

@@ -30,6 +30,9 @@ class TestConfig:
             SamplerConfig("R", 3, 1, count=0)
         with pytest.raises(DomainError):
             SamplerConfig("X", 3, 1)
+        with pytest.raises(DomainError):
+            SamplerConfig("R", 1, 1)  # scaled radius sqrt(1 - 1) = 0
+        assert SamplerConfig("R", 1, 1, scaled=False).N == 1
 
     def test_radius(self):
         assert SamplerConfig("R", 10, 1).radius == pytest.approx(3.0)
@@ -106,6 +109,16 @@ class TestHaar:
         cfg = SamplerConfig("C", 5, 1, scaled=False, seed=4, count=3)
         for Q in sample_haar_stiefel(cfg):
             assert Q.norm == pytest.approx(1.0, abs=1e-10)
+
+    def test_resampling_is_bounded(self, monkeypatch):
+        from mmconc import sampling
+
+        def rank_deficient(comps, field):
+            return comps, np.zeros(comps.shape[:-3])
+
+        monkeypatch.setattr(sampling, "polar_q_batched", rank_deficient)
+        with pytest.raises(InfeasibleError):
+            sampling.haar_chunk(SamplerConfig("R", 4, 2, seed=0), 0)
 
 
 class TestProjectPi:
