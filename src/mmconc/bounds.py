@@ -268,7 +268,13 @@ def parse_rule(text):
         return lambda N: max(1, int(math.floor(N**p)))
     if kind == "powerlog":
         p = _rule_float(arg)
-        return lambda N: max(1, int(math.floor((N / math.log(N)) ** p + 1.0)))
+
+        def powerlog(N):
+            if N < 2:  # N / log N has no value at N = 1
+                raise ConfigError("powerlog rule needs N >= 2, got N = %d" % N)
+            return max(1, int(math.floor((N / math.log(N)) ** p + 1.0)))
+
+        return powerlog
     if kind == "table":
         table = {}
         try:

@@ -128,6 +128,7 @@ def cmd_run(args):
             "a": cfg.a,
             "workers": cfg.workers,
         },
+        "stream": sampling.STREAM,
         "run_digest": digest,
         "outputs": {os.path.basename(csv_path): csv_digest},
         "started": started,

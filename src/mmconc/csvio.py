@@ -17,14 +17,23 @@ def format_value(x):
 
 
 def write_csv(path, header, rows):
-    """Write rows (sequences) under a header; returns the body digest."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
-    body = "\n".join(lines) + "\n"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(body)
-    return hashlib.sha256(body.encode()).hexdigest()
+    """Write rows (sequences) under a header; returns the body digest.
+
+    Each line is encoded once and goes to both the file and the hash, so
+    the body is never held in memory as a whole.
+    """
+    h = hashlib.sha256()
+    with open(path, "wb") as fh:
+
+        def emit(cells):
+            line = (",".join(cells) + "\n").encode()
+            fh.write(line)
+            h.update(line)
+
+        emit(header)
+        for row in rows:
+            emit(map(format_value, row))
+    return h.hexdigest()
 
 
 def write_json(path, payload):

@@ -53,6 +53,7 @@ class ExperimentConfig:
     def digest(self):
         """Content hash of everything that determines output bytes."""
         payload = {
+            "stream": sampling.STREAM,
             "experiment": self.experiment,
             "fields": list(self.fields),
             "N": list(self.N_list),

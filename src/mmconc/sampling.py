@@ -2,10 +2,19 @@
 row-truncation projections, and the rejection sampler for the Gaussian
 law conditioned on the approximation space.
 
-Determinism contract: the sample index space is split into fixed-size
-chunks of 1024; chunk c draws from a counter-based generator seeded by
-(seed, spawn_key=(c,)).  The stream therefore never depends on how many
-workers consume the chunks, and sample i is bit-identical across runs.
+Determinism contract: output bytes depend on the seed and on STREAM,
+never on the worker count or on how a chunk is sub-blocked.  The sample
+index space is split into fixed-size chunks of 1024; chunk c draws its
+standard normals, in C order, with `Generator.standard_normal` (the
+ziggurat method of Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000) from a
+Philox generator seeded by (seed, spawn_key=(c,)).  One draw of shape
+(1024, ...) equals, bit for bit, four consecutive (256, ...) draws from
+the same generator, and which worker consumes a chunk never changes it.
+
+STREAM names this construction.  It is folded into the run digest and
+written as "stream" to every manifest and sample sidecar, so output of
+one stream cannot pass as output of another; any change to the draws
+(including one inside numpy's standard_normal) must bump it.
 """
 
 from __future__ import annotations
@@ -15,7 +24,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import special
 from .algebra import FMatrix, field_dim
 from .decomp import polar_q_batched
 from .errors import DomainError, InfeasibleError, ShapeMismatchError
@@ -23,6 +31,7 @@ from .errors import DomainError, InfeasibleError, ShapeMismatchError
 log = logging.getLogger(__name__)
 
 CHUNK = 1024
+STREAM = "philox-ziggurat-1"
 
 # Rank-deficient Gaussian draws have probability zero; a chunk that still
 # holds one after this many fresh draws points at a broken stream or kernel.
@@ -62,20 +71,11 @@ def chunk_generator(seed, chunk_index, attempt=0):
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _uniforms(gen, shape):
-    """Uniforms in the open interval (0, 1) with 53-bit resolution."""
-    return (gen.integers(0, 1 << 53, size=shape) + 0.5) * (2.0**-53)
-
-
-def _normals(gen, shape):
-    return special.norm_quantile(_uniforms(gen, shape))
-
-
 def gaussian_chunk(cfg, chunk_index, attempt=0):
     """One full chunk of standard Gaussian component arrays."""
     gen = chunk_generator(cfg.seed, chunk_index, attempt)
     d = field_dim(cfg.field)
-    z = _normals(gen, (CHUNK, cfg.N, cfg.n, d))
+    z = gen.standard_normal((CHUNK, cfg.N, cfg.n, d))
     comps = np.zeros((CHUNK, cfg.N, cfg.n, 4))
     comps[..., :d] = z
     return comps
@@ -220,21 +220,24 @@ def write_samples_csv(path, cfg, comps):
 
     Component k belongs to entry (k // 4 // n, k // 4 % n), scalar slot
     k % 4; slots beyond the field dimension are left empty.  A JSON
-    sidecar records the config.
+    sidecar records the config and the stream.
     """
     from .csvio import write_csv, write_json
 
     d = field_dim(cfg.field)
     width = 4 * cfg.N * cfg.n
     header = ["idx", "field", "N", "n"] + ["comp_%d" % k for k in range(width)]
+    fmt = "%.17g".__mod__
 
     def rows():
+        cells = [""] * width
         for i, sample in enumerate(comps):
-            flat = sample.reshape(-1)
-            vals = [
-                "" if (k % 4) >= d else "%.17g" % flat[k] for k in range(width)
-            ]
-            yield [i, cfg.field, cfg.N, cfg.n] + vals
+            flat = sample.reshape(-1, 4)
+            for s in range(d):
+                cells[s::4] = map(fmt, flat[:, s].tolist())
+            # The component cells go out pre-joined: write_csv joins a
+            # row's cells with "," too, so the bytes are the same.
+            yield [i, cfg.field, cfg.N, cfg.n, ",".join(cells)]
 
     digest = write_csv(path, header, rows())
     write_json(
@@ -246,6 +249,7 @@ def write_samples_csv(path, cfg, comps):
             "scaled": cfg.scaled,
             "seed": cfg.seed,
             "count": cfg.count,
+            "stream": STREAM,
             "csv_sha256": digest,
         },
     )

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from mmconc import cli
+from mmconc import cli, experiments, sampling
 
 
 def run_cli(args):
@@ -29,6 +29,7 @@ class TestRun:
         assert manifest["experiment"] == "mbdist"
         assert manifest["config"]["seed"] == 3
         assert lines[1].endswith(manifest["run_digest"])
+        assert manifest["stream"] == sampling.STREAM
         assert "mbdist.csv" in manifest["outputs"]
         assert "mbdist" in capsys.readouterr().out
 
@@ -42,6 +43,12 @@ class TestRun:
             ) == 0
             texts.append(open(os.path.join(out, "prok.csv"), "rb").read())
         assert texts[0] == texts[1]
+
+    def test_run_digest_covers_stream(self, monkeypatch):
+        cfg = experiments.ExperimentConfig(experiment="mbdist")
+        before = cfg.digest()
+        monkeypatch.setattr(sampling, "STREAM", "another-stream")
+        assert cfg.digest() != before
 
     def test_seed_env_override(self, tmp_path, monkeypatch):
         out1 = str(tmp_path / "a")
@@ -97,6 +104,8 @@ class TestRun:
         (["run", "mbdist", "--N", "3", "--n", "const:5"], 2,
          "config error: rule const:5 gives n = 5 at N = 3"),
         (["sample", "--N", "5", "--n", "9"], 2, "config error: need 1 <= n <= N"),
+        (["run", "mbdist", "--N", "1", "--n", "powerlog:0.2"], 2,
+         "config error: powerlog rule needs N >= 2"),
     ],
 )
 def test_bad_shape_exit_codes(argv, code, message, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -8,6 +9,7 @@ from mmconc.algebra import FMatrix, comp_matmul
 from mmconc.errors import DomainError, InfeasibleError, ShapeMismatchError
 from mmconc.sampling import (
     CHUNK,
+    STREAM,
     SamplerConfig,
     chunk_generator,
     gaussian_chunk,
@@ -55,6 +57,22 @@ class TestDeterminism:
         g0 = chunk_generator(3, 0).standard_normal(4)
         g1 = chunk_generator(3, 0, attempt=1).standard_normal(4)
         assert np.abs(g0 - g1).max() > 1e-6
+
+    def test_stream_pin(self):
+        # Known answer: any change to the draws must come with a new STREAM.
+        chunk = gaussian_chunk(SamplerConfig("R", 4, 2, seed=0), 0)
+        assert (STREAM, hashlib.sha256(chunk.tobytes()).hexdigest()) == (
+            "philox-ziggurat-1",
+            "b7f4693d6512af5a211a813b4c1efa3c96e373d1ec897f75996b82c9a4b13da1",
+        )
+
+    def test_sub_blocks_are_bit_identical(self):
+        # A chunk drawn whole equals the same chunk drawn in C-order
+        # sub-blocks from its one generator.
+        whole = chunk_generator(11, 3).standard_normal((1024, 5, 2, 4))
+        gen = chunk_generator(11, 3)
+        parts = [gen.standard_normal((256, 5, 2, 4)) for _ in range(4)]
+        assert whole.tobytes() == np.concatenate(parts).tobytes()
 
     def test_repeat_bit_identical(self):
         cfg = SamplerConfig("H", 6, 2, seed=42, count=100)
@@ -190,6 +208,7 @@ class TestCsv:
         assert row[4] != ""
         meta = json.load(open(path + ".json"))
         assert meta["csv_sha256"] == digest
+        assert meta["stream"] == STREAM
         assert meta["N"] == 3 and meta["field"] == "C"
 
     def test_roundtrip_values(self, tmp_path):
@@ -199,6 +218,23 @@ class TestCsv:
         write_samples_csv(path, cfg, comps)
         row = open(path).read().splitlines()[1].split(",")
         assert float(row[4]) == comps[0, 0, 0, 0]
+
+    @pytest.mark.parametrize("field, N, n", [("C", 3, 2), ("H", 3, 2)])
+    def test_same_bytes_as_per_value_formatter(self, tmp_path, field, N, n):
+        # Reference: the per-value formatter the writer replaced.
+        cfg = SamplerConfig(field, N, n, seed=10, count=5)
+        comps = haar_comps(cfg)
+        d, width = {"C": 2, "H": 4}[field], 4 * N * n
+        lines = [",".join(["idx", "field", "N", "n"] + ["comp_%d" % k for k in range(width)])]
+        for i, sample in enumerate(comps):
+            flat = sample.reshape(-1)
+            vals = ["" if k % 4 >= d else "%.17g" % flat[k] for k in range(width)]
+            lines.append(",".join([str(i), field, str(N), str(n)] + vals))
+        expected = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+        path = str(tmp_path / "s.csv")
+        assert write_samples_csv(path, cfg, comps) == expected
+        with open(path, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == expected
 
     def test_with_count(self):
         cfg = SamplerConfig("R", 4, 1, seed=9, count=3)
