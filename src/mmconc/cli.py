@@ -252,10 +252,10 @@ def cmd_sample(args):
     except MmconcError as exc:
         raise ConfigError(str(exc))
     if args.kind == "gaussian":
-        comps = sampling.gaussian_comps(cfg)
+        blocks = sampling.iter_gaussian_chunks(cfg)
     else:
-        comps = sampling.haar_comps(cfg)
-    digest = sampling.write_samples_csv(args.out, cfg, comps)
+        blocks = sampling.iter_haar_chunks(cfg)
+    digest = sampling.write_samples_csv(args.out, cfg, blocks)
     print("wrote %d %s samples to %s (sha256 %s...)" % (
         args.count, args.kind, args.out, digest[:12],
     ))

@@ -325,7 +325,7 @@ def prok_experiment(N, n, field, sample_size=100000, seed=0):
     """
     cfg = sampling.SamplerConfig(field, N, n, seed=seed, count=sample_size)
     chunks = sampling.iter_gaussian_chunks(cfg)
-    d = np.sort(np.concatenate([_frame_distances(c, field) for _, c in chunks]))
+    d = np.sort(np.concatenate([_frame_distances(c, field) for c in chunks]))
     S = d.size
     qs = {p: float(np.quantile(d, p / 100.0)) for p in (5, 25, 50, 75, 95)}
     return ProkReport(

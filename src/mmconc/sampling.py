@@ -37,6 +37,10 @@ STREAM = "philox-ziggurat-1"
 # holds one after this many fresh draws points at a broken stream or kernel.
 MAX_RESAMPLES = 8
 
+# Values per block of rows that write_samples_csv renders in one pass:
+# large enough to amortise the numpy calls, small enough to stay in cache.
+ROW_BLOCK_VALUES = 16384
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -81,21 +85,20 @@ def gaussian_chunk(cfg, chunk_index, attempt=0):
     return comps
 
 
+def _chunks(cfg, chunk):
+    """Yield chunk(cfg, 0), chunk(cfg, 1), ... cut to cfg.count samples."""
+    for chunk_index, start in enumerate(range(0, cfg.count, CHUNK)):
+        yield chunk(cfg, chunk_index)[: cfg.count - start]
+
+
 def iter_gaussian_chunks(cfg):
-    """Yield (start_index, comps) covering exactly cfg.count samples."""
-    start = 0
-    chunk_index = 0
-    while start < cfg.count:
-        comps = gaussian_chunk(cfg, chunk_index)
-        take = min(CHUNK, cfg.count - start)
-        yield start, comps[:take]
-        start += take
-        chunk_index += 1
+    """Gaussian samples as (k, N, n, 4) chunks, cfg.count in all."""
+    return _chunks(cfg, gaussian_chunk)
 
 
 def gaussian_comps(cfg):
     """All requested Gaussian samples as one (count, N, n, 4) array."""
-    return np.concatenate([c for _, c in iter_gaussian_chunks(cfg)], axis=0)
+    return np.concatenate(list(iter_gaussian_chunks(cfg)), axis=0)
 
 
 def sample_gaussian(cfg):
@@ -137,17 +140,13 @@ def haar_chunk(cfg, chunk_index):
     return q
 
 
+def iter_haar_chunks(cfg):
+    """(Scaled) Haar frames as (k, N, n, 4) chunks, cfg.count in all."""
+    return _chunks(cfg, haar_chunk)
+
+
 def haar_comps(cfg):
-    out = []
-    start = 0
-    chunk_index = 0
-    while start < cfg.count:
-        q = haar_chunk(cfg, chunk_index)
-        take = min(CHUNK, cfg.count - start)
-        out.append(q[:take])
-        start += take
-        chunk_index += 1
-    return np.concatenate(out, axis=0)
+    return np.concatenate(list(iter_haar_chunks(cfg)), axis=0)
 
 
 def sample_haar_stiefel(cfg):
@@ -215,31 +214,43 @@ def sample_restricted_gaussian(cfg, eps, theta_val=None, floor=1e-3, min_proposa
     )
 
 
-def write_samples_csv(path, cfg, comps):
+def write_samples_csv(path, cfg, blocks):
     """Dump samples: idx, field, N, n, comp_0 ... comp_{4Nn-1}.
 
-    Component k belongs to entry (k // 4 // n, k // 4 % n), scalar slot
-    k % 4; slots beyond the field dimension are left empty.  A JSON
-    sidecar records the config and the stream.
+    blocks is an iterable of (k, N, n, 4) component arrays, cfg.count
+    samples in all, such as iter_haar_chunks(cfg), or one such array.  An
+    iterable is consumed as the file is written, so the samples are never
+    held at once.  Component k belongs to entry (k // 4 // n, k // 4 % n),
+    scalar slot k % 4; slots beyond the field dimension are left empty.
+    Rows are rendered by csvio.render_rows, about ROW_BLOCK_VALUES values
+    at a time.  A JSON sidecar records the config and the stream.
     """
-    from .csvio import write_csv, write_json
+    from .csvio import render_rows, write_csv, write_json
 
     d = field_dim(cfg.field)
-    width = 4 * cfg.N * cfg.n
-    header = ["idx", "field", "N", "n"] + ["comp_%d" % k for k in range(width)]
-    fmt = "%.17g".__mod__
+    entries = cfg.N * cfg.n
+    header = ["idx", "field", "N", "n"] + ["comp_%d" % k for k in range(4 * entries)]
+    # A comma after each value; the last value of an entry also closes
+    # its empty slots, and the last one of a row ends the line.
+    seps = ([b","] * (d - 1) + [b"," * (5 - d)]) * entries
+    seps[-1] = seps[-1][:-1] + b"\n"
+    tag = (",%s,%d,%d," % (cfg.field, cfg.N, cfg.n)).encode()
+    step = max(1, ROW_BLOCK_VALUES // (entries * d))
 
-    def rows():
-        cells = [""] * width
-        for i, sample in enumerate(comps):
-            flat = sample.reshape(-1, 4)
-            for s in range(d):
-                cells[s::4] = map(fmt, flat[:, s].tolist())
-            # The component cells go out pre-joined: write_csv joins a
-            # row's cells with "," too, so the bytes are the same.
-            yield [i, cfg.field, cfg.N, cfg.n, ",".join(cells)]
+    if isinstance(blocks, np.ndarray):
+        blocks = [blocks]
 
-    digest = write_csv(path, header, rows())
+    def lines():
+        idx = 0
+        for block in blocks:
+            for start in range(0, len(block), step):
+                part = block[start : start + step, ..., :d]
+                k = len(part)
+                lead = [b"%d%s" % (i, tag) for i in range(idx, idx + k)]
+                yield render_rows(lead, part.reshape(k, -1), seps)
+                idx += k
+
+    digest = write_csv(path, header, lines())
     write_json(
         str(path) + ".json",
         {

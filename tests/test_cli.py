@@ -192,3 +192,20 @@ class TestSample:
     def test_bad_shape_is_config_error(self, capsys):
         assert run_cli(["sample", "--N", "2", "--n", "5", "--count", "1"]) == 2
         assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["haar", "gaussian"])
+def test_sample_streams_the_same_bytes(kind, tmp_path, capsys):
+    # `mmconc sample` writes chunk by chunk; the bytes are those of the
+    # whole sample array written at once.
+    out = str(tmp_path / "s.csv")
+    argv = ["sample", "--kind", kind, "--field", "c", "--N", "4", "--n", "2",
+            "--count", str(sampling.CHUNK + 5), "--seed", "3", "--out", out]
+    assert run_cli(argv) == 0
+    cfg = sampling.SamplerConfig("C", 4, 2, seed=3, count=sampling.CHUNK + 5)
+    comps = (sampling.haar_comps if kind == "haar" else sampling.gaussian_comps)(cfg)
+    ref = sampling.write_samples_csv(str(tmp_path / "ref.csv"), cfg, comps)
+    assert json.load(open(out + ".json"))["csv_sha256"] == ref
+    with open(out, "rb") as a, open(str(tmp_path / "ref.csv"), "rb") as b:
+        assert a.read() == b.read()
+    assert ref[:12] in capsys.readouterr().out

@@ -15,6 +15,8 @@ from mmconc.sampling import (
     gaussian_chunk,
     gaussian_comps,
     haar_comps,
+    iter_gaussian_chunks,
+    iter_haar_chunks,
     project_pi,
     sample_gaussian,
     sample_haar_stiefel,
@@ -219,12 +221,30 @@ class TestCsv:
         row = open(path).read().splitlines()[1].split(",")
         assert float(row[4]) == comps[0, 0, 0, 0]
 
-    @pytest.mark.parametrize("field, N, n", [("C", 3, 2), ("H", 3, 2)])
-    def test_same_bytes_as_per_value_formatter(self, tmp_path, field, N, n):
-        # Reference: the per-value formatter the writer replaced.
-        cfg = SamplerConfig(field, N, n, seed=10, count=5)
-        comps = haar_comps(cfg)
-        d, width = {"C": 2, "H": 4}[field], 4 * N * n
+    @pytest.mark.parametrize(
+        "kind, field, N, n, count, inject",
+        [
+            pytest.param("haar", "C", 3, 2, 5, False, id="C-3-2"),
+            pytest.param("haar", "H", 3, 2, 5, False, id="H-3-2"),
+            pytest.param("haar", "R", 6, 3, 7, False, id="haar-R-6-3"),
+            pytest.param("gaussian", "C", 4, 2, 9, False, id="gaussian-C-4-2"),
+            # 160 values a row: blocks of 102 rows, the last one cut short
+            pytest.param("gaussian", "R", 40, 4, 250, False, id="row-blocks-R-40-4"),
+            # two sampler chunks, and fallback values in the rendered block
+            pytest.param("haar", "H", 2, 1, CHUNK + 3, True, id="chunks-fallback-H-2-1"),
+            pytest.param("gaussian", "C", 5, 3, 12, True, id="fallback-C-5-3"),
+        ],
+    )
+    def test_same_bytes_as_per_value_formatter(self, tmp_path, kind, field, N, n, count, inject):
+        # Reference: the per-value formatter the block writer replaced.
+        cfg = SamplerConfig(field, N, n, seed=10, count=count)
+        comps = (haar_comps if kind == "haar" else gaussian_comps)(cfg)
+        d, width = {"R": 1, "C": 2, "H": 4}[field], 4 * N * n
+        if inject:
+            specials = [0.0, -0.0, 1e-7, 1e20, np.inf, np.nan]
+            flat = comps.reshape(count, -1)
+            for j, v in enumerate(specials):
+                flat[(7 * j) % count, 4 * j % width] = v
         lines = [",".join(["idx", "field", "N", "n"] + ["comp_%d" % k for k in range(width)])]
         for i, sample in enumerate(comps):
             flat = sample.reshape(-1)
@@ -235,6 +255,9 @@ class TestCsv:
         assert write_samples_csv(path, cfg, comps) == expected
         with open(path, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == expected
+        if not inject:
+            chunks = (iter_haar_chunks if kind == "haar" else iter_gaussian_chunks)(cfg)
+            assert write_samples_csv(path, cfg, chunks) == expected
 
     def test_with_count(self):
         cfg = SamplerConfig("R", 4, 1, seed=9, count=3)

@@ -1,0 +1,117 @@
+"""Benchmark a change against a parent commit and write one BENCH_*.json.
+
+    python3 tools/bench_pairs.py --parent <git-ref> --scratch <dir> \
+        --pairs sample-export=10,haar-polar=6 --traced sample-export \
+        --what "<one line>" --out BENCH_<tag>.json
+
+The parent tree is exported with `git archive` into <dir>/parent; the
+change is the checkout this script runs from.  For each traced workload
+both sides run `perfbench/run.py --seed 1 --trace 1` once.  For each
+workload in --pairs, seeds 1..P run `--trace 0` on both sides, the parent
+first on odd seeds and the change first on even ones.  The JSON keeps
+every run's figures, their medians and quartiles, and how many pairs the
+change won (lower is better for every end-to-end metric).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import shlex
+import shutil
+import statistics
+import subprocess
+import sys
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def bench(tree, workload, seed, seconds, trace):
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    print("%-6s %-13s seed %d trace %d: correct %s, failed %d/%d" % (
+        "parent" if tree != ROOT else "change", workload, seed, trace,
+        result["correct"], result["failed"], result["attempted"]), flush=True)
+    return result
+
+
+def summary(runs):
+    q1, _, q3 = statistics.quantiles(runs, n=4)
+    return {"median": statistics.median(runs), "q1": q1, "q3": q3, "runs": runs}
+
+
+def pairs(parent, workload, count, seconds):
+    sides = {"parent": [], "change": []}
+    for seed in range(1, count + 1):
+        order = ("parent", "change") if seed % 2 else ("change", "parent")
+        for side in order:
+            sides[side].append(bench(parent if side == "parent" else ROOT, workload, seed, seconds, 0))
+    everything = sides["parent"] + sides["change"]
+    out = {
+        "correct": all(r["correct"] for r in everything),
+        "failed": sum(r["failed"] for r in everything),
+        "metrics": {},
+    }
+    for name, meta in sides["change"][0]["metrics"].items():
+        p = [r["metrics"][name]["value"] for r in sides["parent"]]
+        c = [r["metrics"][name]["value"] for r in sides["change"]]
+        out["metrics"][name] = {
+            "unit": meta["unit"],
+            "parent": summary(p),
+            "change": summary(c),
+            "pairs": count,
+            "change_wins": int(sum(b < a for a, b in zip(p, c))),
+        }
+    return out
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--parent", required=True, help="git ref of the parent commit")
+    ap.add_argument("--scratch", required=True, help="directory for the parent tree")
+    ap.add_argument("--pairs", required=True, help="workload=count,...")
+    ap.add_argument("--traced", default="", help="workloads to trace, comma-separated")
+    ap.add_argument("--seconds", type=float, default=20)
+    ap.add_argument("--what", required=True)
+    ap.add_argument("--out", required=True)
+    args = ap.parse_args()
+
+    parent = os.path.join(os.path.abspath(args.scratch), "parent")
+    shutil.rmtree(parent, ignore_errors=True)
+    os.makedirs(parent)
+    archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT, capture_output=True, check=True)
+    subprocess.run(["tar", "-x", "-C", parent], input=archive.stdout, check=True)
+
+    traced = [w for w in args.traced.split(",") if w]
+    result = {
+        "what": args.what,
+        "machine": "%d-CPU %s, Python %s, numpy %s; BLAS pinned to one thread by perfbench" % (
+            os.cpu_count(), platform.machine(), platform.python_version(), np.__version__),
+        # The scratch location does not affect the figures.
+        "command": shlex.join(["python3", "tools/bench_pairs.py"]
+                              + ["<dir>" if a == args.scratch else a for a in sys.argv[1:]]),
+        "traced_command": "python3 perfbench/run.py --workload <w> --seed 1 --seconds %g --trace 1" % args.seconds,
+        "untraced_command": "python3 perfbench/run.py --workload <w> --seed <s> --seconds %g --trace 0, "
+        "parent and change alternating which runs first" % args.seconds,
+        "traced": {"parent": {}, "change": {}},
+        "untraced_pairs": {},
+    }
+    for workload in traced:
+        result["traced"]["parent"][workload] = bench(parent, workload, 1, args.seconds, 1)
+        result["traced"]["change"][workload] = bench(ROOT, workload, 1, args.seconds, 1)
+    for item in args.pairs.split(","):
+        workload, count = item.split("=")
+        result["untraced_pairs"][workload] = pairs(parent, workload, int(count), args.seconds)
+    with open(args.out, "w") as fh:
+        json.dump(result, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()
