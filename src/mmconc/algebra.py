@@ -1,16 +1,19 @@
 """Scalar and matrix arithmetic over the real, complex and quaternion fields.
 
-The interchange layout, which FMatrix exposes as `.comps` and the sample
-CSVs store, is componentwise: a scalar is four reals (z0, z1, z2, z3)
-with z = z0 + z1*i + z2*j + z3*k and the unused components pinned at
-zero for R and C, and a matrix is a float64 array (N, n, 4).
+The interchange layout, which FMatrix exposes as `.comps`, the public
+batched functions take and return, and the sample CSVs store, is
+componentwise: a scalar is four reals (z0, z1, z2, z3) with
+z = z0 + z1*i + z2*j + z3*k and the unused components pinned at zero
+for R and C, and a matrix is a float64 array (N, n, 4).
 
-Arithmetic runs on the native arrays of that layout, which only this
-module converts to and from: R float64 (N, n), C complex128 (N, n), and
-for H = Z1 + Z2 j the first block column [Z1; -conj Z2] (2N, n) of the
-complex adjoint [[Z1, Z2], [-conj Z2, conj Z1]] (F. Zhang, Linear
-Algebra Appl. 251, 1997).  Every helper accepts extra leading batch
-axes so hot loops stay vectorized.
+Arithmetic runs on native arrays, which only this module converts to
+and from: R float64 (N, n), C complex128 (N, n), and for H = Z1 + Z2 j
+the first block column [Z1; -conj Z2] (2N, n) of the complex adjoint
+[[Z1, Z2], [-conj Z2, conj Z1]] (F. Zhang, Linear Algebra Appl. 251,
+1997).  The samplers draw, and the batched kernels and statistics
+compute, on native arrays from the draw to the statistic; the
+interchange layout is formed only at the public boundary.  Every helper
+accepts extra leading batch axes so hot loops stay vectorized.
 """
 
 from __future__ import annotations
@@ -162,32 +165,83 @@ def comp_adjoint(a):
     return comp_conj(np.swapaxes(a, -3, -2))
 
 
-def _to_native(comps, field):
-    """Native array of a component array (..., N, n, 4).
+def _native(z, field):
+    """Native array of the field components z (..., N, n, d), d = field_dim.
 
-    R gives the real (..., N, n) matrix and C the complex one.  H gives
-    the first block column [Z1; -conj Z2] (..., 2N, n) of the complex
-    adjoint [[Z1, Z2], [-conj Z2, conj Z1]] of Z = Z1 + Z2 j.
+    R gives the real (..., N, n) matrix and C the complex one, both
+    views of z.  H gives the first block column [Z1; -conj Z2]
+    (..., 2N, n) of the complex adjoint [[Z1, Z2], [-conj Z2, conj Z1]]
+    of Z = Z1 + Z2 j.
     """
     if field == "R":
-        return comps[..., 0]
-    z1 = comps[..., 0] + 1j * comps[..., 1]
+        return z[..., 0]
+    if z.strides[-1] != z.itemsize:
+        z = np.ascontiguousarray(z)
+    w = z.view(np.complex128)
     if field == "C":
-        return z1
-    return np.concatenate([z1, -np.conj(comps[..., 2] + 1j * comps[..., 3])], axis=-2)
+        return w[..., 0]
+    N = w.shape[-3]
+    out = np.empty(w.shape[:-3] + (2 * N, w.shape[-2]), dtype=np.complex128)
+    out[..., :N, :] = w[..., 0]
+    lower = out[..., N:, :]
+    np.negative(np.conj(w[..., 1], out=lower), out=lower)
+    return out
+
+
+def _components(X, field):
+    """Inverse of _native: the field components (..., N, n, d) of a
+    native array, a view of X for R and C."""
+    if field == "R":
+        return X[..., None]
+    if field == "C":
+        return X[..., None].view(np.float64)
+    N = X.shape[-2] // 2
+    return np.stack([X[..., :N, :], -np.conj(X[..., N:, :])], axis=-1).view(np.float64)
+
+
+def _to_native(comps, field):
+    """Native array of a component array (..., N, n, 4), C-contiguous."""
+    comps = np.asarray(comps, dtype=np.float64)
+    return np.ascontiguousarray(_native(comps[..., : field_dim(field)], field))
 
 
 def _from_native(X, field):
-    """Inverse of _to_native: column a - conj(b) j from [a; b] over H."""
+    """Inverse of _to_native: the component array (..., N, n, 4)."""
+    z = _components(X, field)
     if field == "H":
-        N = X.shape[-2] // 2
-        a, b = X[..., :N, :], -np.conj(X[..., N:, :])
-        return np.stack([a.real, a.imag, b.real, b.imag], axis=-1)
-    out = np.zeros(X.shape + (4,))
-    out[..., 0] = X.real
-    if field == "C":
-        out[..., 1] = X.imag
+        return z
+    out = np.zeros(z.shape[:-1] + (4,))
+    out[..., : z.shape[-1]] = z
     return out
+
+
+def _real_view(X):
+    """The float64 entries of a native array: X itself over R, its
+    (real, imaginary) pairs along the last axis over C and H.  Sums of
+    squares and real inner products of native arrays read this view."""
+    return X if X.dtype == np.float64 else X.view(np.float64)
+
+
+def _frobenius(X):
+    """Frobenius norm of each entry of a native batch, shape (...)."""
+    return np.sqrt(np.sum(np.square(_real_view(X)), axis=(-2, -1)))
+
+
+def _gram(X, field):
+    """The Gram block L* X (..., m, n) of a native batch X, with L its lift.
+
+    R and C give X* X (m = n).  Over H the rows n + l hold the overlaps
+    (JX)* X with the partner columns, so the quaternion inner product
+    <z_l, z_m> has norm sqrt(|G[l, m]|^2 + |G[n + l, m]|^2) (m = 2n);
+    those rows are A - A^T with A = X1^T X2 for the halves X = [X1; X2],
+    so the lift itself is never formed.
+    """
+    G = np.swapaxes(X, -1, -2).conj() @ X
+    if field != "H":
+        return G
+    N = X.shape[-2] // 2
+    A = np.swapaxes(X[..., :N, :], -1, -2) @ X[..., N:, :]
+    return np.concatenate([G, A - np.swapaxes(A, -1, -2)], axis=-2)
 
 
 def _partner(X):

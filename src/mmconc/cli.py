@@ -1,7 +1,7 @@
 """Command line driver: `mmconc run`, `mmconc validate`, `mmconc sample`.
 
-Exit codes: 0 success, 1 other input error, 2 configuration error, 3
-infeasible experiment.
+Exit codes: 0 success, 1 other input error (including a file that
+cannot be written), 2 configuration error, 3 infeasible experiment.
 The environment variable MMCONC_SEED overrides any configured seed.
 """
 
@@ -28,18 +28,14 @@ def _parse_fields(text):
     return tuple(out)
 
 
-def _parse_int_list(text, key):
+def _parse_list(text, key, cast, what):
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+        values = tuple(cast(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
-        raise ConfigError("key %r: expected comma-separated integers" % key)
-
-
-def _parse_float_list(text, key):
-    try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError("key %r: expected comma-separated reals" % key)
+        values = ()
+    if not values:
+        raise ConfigError("key %r: expected comma-separated %s" % (key, what))
+    return values
 
 
 def _apply_env_seed(seed):
@@ -56,9 +52,9 @@ def build_config(args, experiment=None):
     cfg = experiments.ExperimentConfig(
         experiment=experiment or getattr(args, "experiment", ""),
         fields=_parse_fields(args.field),
-        N_list=_parse_int_list(args.N, "N"),
+        N_list=_parse_list(args.N, "N", int, "integers"),
         n_rule=args.n,
-        kappa_list=_parse_float_list(args.kappa, "kappa"),
+        kappa_list=_parse_list(args.kappa, "kappa", float, "reals"),
         samples=args.samples,
         seed=_apply_env_seed(args.seed),
         eps=args.eps,
@@ -79,6 +75,10 @@ def build_config(args, experiment=None):
         raise ConfigError("samples must be >= 1")
     if not 0.0 < cfg.eps < 1.0:
         raise ConfigError("eps must lie in (0, 1)")
+    if not all(0.0 < kappa < 1.0 for kappa in cfg.kappa_list):
+        raise ConfigError("kappa must lie in (0, 1)")
+    if cfg.workers < 1:
+        raise ConfigError("workers must be >= 1")
     return cfg
 
 
@@ -252,10 +252,12 @@ def cmd_sample(args):
     except MmconcError as exc:
         raise ConfigError(str(exc))
     if args.kind == "gaussian":
-        blocks = sampling.iter_gaussian_chunks(cfg)
+        chunk = sampling.gaussian_chunk_native
     else:
-        blocks = sampling.iter_haar_chunks(cfg)
-    digest = sampling.write_samples_csv(args.out, cfg, blocks)
+        chunk = sampling.haar_chunk_native
+    digest = sampling.write_native_samples_csv(
+        args.out, cfg, sampling.iter_chunks(cfg, chunk)
+    )
     print("wrote %d %s samples to %s (sha256 %s...)" % (
         args.count, args.kind, args.out, digest[:12],
     ))
@@ -313,7 +315,7 @@ def main(argv=None):
     except InfeasibleError as exc:
         print("infeasible: %s" % exc, file=sys.stderr)
         return 3
-    except MmconcError as exc:
+    except (MmconcError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -2,6 +2,14 @@
 Monte Carlo experiments built on them: empirical Lipschitz ratios, the
 pushforward distribution test, and the Prohorov-style concentration
 estimate for the distance to the scaled frame manifold.
+
+The statistics run on the native arrays of `algebra` (R (..., N, n), C
+(..., N, n), H (..., 2N, n)): membership, column norms and pair overlaps
+come from one native Gram block, and `membership_native`, `phi_native`
+and `_frame_distances` take native batches straight from the samplers.
+The public functions on the (..., N, n, 4) interchange layout
+(`column_norms`, `pair_overlaps`, `membership_mask`, `phi_batched`) are
+each one conversion around the native implementation.
 """
 
 from __future__ import annotations
@@ -13,8 +21,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, sampling, stats
-from .algebra import FMatrix, comp_adjoint, comp_matmul, comp_norm, field_dim
-from .decomp import polar_q_batched, singular_values_batched
+from .algebra import (
+    FMatrix,
+    _frobenius,
+    _from_native,
+    _gram,
+    _native,
+    _real_view,
+    _to_native,
+    field_dim,
+)
+from .decomp import polar_q_native, singular_values_native
 from .errors import DomainError, MembershipError, PreconditionError
 
 
@@ -46,32 +63,51 @@ class ApproxSpaceParams:
         return math.sqrt(self.N * field_dim(self.field) - 1.0)
 
 
+def _norms_overlaps(X, field):
+    """Column norms (..., n) and normalized pair overlaps
+    |<z_l/|z_l|, z_m/|z_m|>| (..., n, n) of a native batch, read off its
+    Gram block (see algebra._gram)."""
+    G = _gram(X, field)
+    n = X.shape[-1]
+    norms = np.sqrt(np.diagonal(G[..., :n, :], axis1=-2, axis2=-1).real)
+    mag = np.abs(G)
+    if field == "H":
+        mag = np.hypot(mag[..., :n, :], mag[..., n:, :])
+    safe = np.where(norms > 0.0, norms, 1.0)
+    return norms, mag / (safe[..., :, None] * safe[..., None, :])
+
+
 def column_norms(comps):
     """Column norms of a batch (..., N, n, 4), shape (..., n)."""
-    return np.sqrt(np.sum(np.square(comps), axis=(-3, -1)))
+    return _norms_overlaps(_to_native(comps, "H"), "H")[0]
 
 
 def pair_overlaps(comps):
     """Normalized pairwise overlaps |<z_l/|z_l|, z_m/|z_m|>|, (..., n, n)."""
-    norms = column_norms(comps)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    unit = comps / safe[..., None, :, None]
-    G = comp_matmul(comp_adjoint(unit), unit)
-    return comp_norm(G)
+    return _norms_overlaps(_to_native(comps, "H"), "H")[1]
+
+
+def _radius(X, field):
+    """The scaled frame radius sqrt(N^F - 1) for a native batch X."""
+    N = X.shape[-2] // (2 if field == "H" else 1)
+    return math.sqrt(N * field_dim(field) - 1.0)
+
+
+def membership_native(X, field, eps, theta_val):
+    """Boolean membership of each entry of a native batch."""
+    n = X.shape[-1]
+    r = _radius(X, field)
+    norms, ov = _norms_overlaps(X, field)
+    ok = np.all((norms > (1.0 - eps) * r) & (norms < (1.0 + eps) * r), axis=-1)
+    if n > 1:
+        off = ~np.eye(n, dtype=bool)
+        ok &= np.all(ov[..., off] < theta_val, axis=-1)
+    return ok
 
 
 def membership_mask(comps, field, eps, theta_val):
     """Boolean membership of each entry of a batch (S, N, n, 4)."""
-    comps = np.asarray(comps, dtype=np.float64)
-    N, n = comps.shape[-3], comps.shape[-2]
-    r = math.sqrt(N * field_dim(field) - 1.0)
-    norms = column_norms(comps)
-    ok = np.all((norms > (1.0 - eps) * r) & (norms < (1.0 + eps) * r), axis=-1)
-    if n > 1:
-        ov = pair_overlaps(comps)
-        off = ~np.eye(n, dtype=bool)
-        ok &= np.all(ov[..., off] < theta_val, axis=-1)
-    return ok
+    return membership_native(_to_native(comps, field), field, eps, theta_val)
 
 
 @dataclass(frozen=True)
@@ -90,11 +126,9 @@ def membership(Z, params):
     if isinstance(Z, FMatrix):
         if Z.field != params.field or Z.shape != (params.N, params.n):
             raise DomainError("matrix does not match the space parameters")
-        comps = Z.comps
-    else:
-        comps = np.asarray(Z, dtype=np.float64)
+        Z = Z.comps
     r = params.radius
-    norms = column_norms(comps)
+    norms, ov = _norms_overlaps(_to_native(Z, params.field), params.field)
     violations = []
     lo, hi = (1.0 - params.eps) * r, (1.0 + params.eps) * r
     for l, v in enumerate(norms):
@@ -104,7 +138,6 @@ def membership(Z, params):
             )
     max_overlap = 0.0
     if params.n > 1:
-        ov = pair_overlaps(comps)
         for l in range(params.n):
             for m in range(l + 1, params.n):
                 if ov[l, m] >= max_overlap:
@@ -145,15 +178,14 @@ def phi_project(Z, params, require_certificate=False):
     return phi_batched(Z, params.field)
 
 
-def _frame_distances(comps, field):
-    """Distance of each draw of a batch (..., N, n, 4) to the frames
-    scaled by sqrt(N^F - 1): | |z| - r | for one column, otherwise from
-    the singular values."""
-    N, n = comps.shape[-3], comps.shape[-2]
-    r = math.sqrt(N * field_dim(field) - 1.0)
-    if n == 1:
-        return np.abs(column_norms(comps)[..., 0] - r)
-    lam = singular_values_batched(comps, field)
+def _frame_distances(X, field):
+    """Distance of each draw of a native batch to the frames scaled by
+    sqrt(N^F - 1): | |z| - r | for one column, otherwise from the
+    singular values."""
+    r = _radius(X, field)
+    if X.shape[-1] == 1:
+        return np.abs(_frobenius(X) - r)
+    lam = singular_values_native(X, field)
     return np.sqrt(np.sum(np.square(lam - r), axis=-1))
 
 
@@ -168,12 +200,16 @@ def _dp_lower(d):
     return eps
 
 
+def phi_native(X, field):
+    """Polar frames scaled to the manifold radius for a native batch."""
+    q, _ = polar_q_native(X, field)
+    q *= _radius(X, field)
+    return q
+
+
 def phi_batched(comps, field):
-    """Polar frames scaled to the manifold radius for a batch."""
-    comps = np.asarray(comps, dtype=np.float64)
-    r = math.sqrt(comps.shape[-3] * field_dim(field) - 1.0)
-    q, _ = polar_q_batched(comps, field)
-    return q * r
+    """phi_native of a batch (..., N, n, 4), returned in that layout."""
+    return _from_native(phi_native(_to_native(comps, field), field), field)
 
 
 def empirical_lipschitz(f, pairs):
@@ -214,12 +250,10 @@ def lipschitz_experiment(params, pair_count=2000, seed=0):
         params.field, params.N, params.n, seed=seed, count=2 * pair_count
     )
     rs = sampling.sample_restricted_gaussian(cfg, params.eps, params.theta_val)
-    Zs = rs.comps[:pair_count]
-    Ws = rs.comps[pair_count : 2 * pair_count]
-    dist_in = np.sqrt(np.sum(np.square(Zs - Ws), axis=(-3, -2, -1)))
-    out_z = phi_batched(Zs, params.field)
-    out_w = phi_batched(Ws, params.field)
-    dist_out = np.sqrt(np.sum(np.square(out_z - out_w), axis=(-3, -2, -1)))
+    Zs = rs.native[:pair_count]
+    Ws = rs.native[pair_count : 2 * pair_count]
+    dist_in = _frobenius(Zs - Ws)
+    dist_out = _frobenius(phi_native(Zs, params.field) - phi_native(Ws, params.field))
     good = dist_in > 1e-12
     if not np.all(good):
         warnings.warn("skipping %d coincident pairs" % int((~good).sum()))
@@ -245,22 +279,29 @@ class PushforwardReport:
 
 
 def _panel_direction(field, N, n, seed):
-    """A fixed unit direction for the linear statistic, drawn from a
-    reserved stream that never collides with sample chunks."""
+    """A fixed native unit direction for the linear statistic, drawn from
+    a reserved stream that never collides with sample chunks."""
     gen = sampling.chunk_generator(seed, 1 << 62)
-    d = field_dim(field)
-    comps = np.zeros((N, n, 4))
-    comps[..., :d] = gen.standard_normal((N, n, d))
-    return comps / math.sqrt(float(np.sum(np.square(comps))))
+    z = gen.standard_normal((N, n, field_dim(field)))
+    return _native(z / math.sqrt(float(np.sum(np.square(z)))), field)
 
 
-def _panel_statistics(comps, field, direction):
-    N = comps.shape[-3]
-    half = comps[..., : (N + 1) // 2, :, :]
+def _panel_statistics(X, field, direction):
+    """The panel statistics of a native batch: the real inner product
+    with the direction, the top singular value of the first (N + 1) // 2
+    rows, and the real part of the first entry."""
+    rows = X.shape[-2]
+    if field == "H":
+        N = rows // 2
+        h = (N + 1) // 2
+        half = np.concatenate([X[..., :h, :], X[..., N : N + h, :]], axis=-2)
+    else:
+        half = X[..., : (rows + 1) // 2, :]
+    flat = _real_view(X).reshape(X.shape[:-2] + (-1,))
     return {
-        "linear": np.sum(comps * direction, axis=(-3, -2, -1)),
-        "top_singular_half": singular_values_batched(half, field)[..., 0],
-        "first_entry": comps[..., 0, 0, 0],
+        "linear": flat @ _real_view(direction).ravel(),
+        "top_singular_half": singular_values_native(half, field)[..., 0],
+        "first_entry": X[..., 0, 0].real,
     }
 
 
@@ -284,7 +325,7 @@ def pushforward_test(
         params.field, params.N, params.n, seed=seed, count=sample_size
     )
     rs = sampling.sample_restricted_gaussian(cfg, params.eps, params.theta_val)
-    pushed = phi_batched(rs.comps, params.field)
+    pushed = phi_native(rs.native, params.field)
     ref_cfg = sampling.SamplerConfig(
         params.field,
         params.N,
@@ -293,7 +334,9 @@ def pushforward_test(
         seed=seed + 1,
         count=sample_size,
     )
-    reference = sampling.haar_comps(ref_cfg)
+    reference = np.concatenate(
+        list(sampling.iter_chunks(ref_cfg, sampling.haar_chunk_native)), axis=0
+    )
     direction = _panel_direction(params.field, params.N, params.n, seed)
     sa = _panel_statistics(pushed, params.field, direction)
     sb = _panel_statistics(reference, params.field, direction)
@@ -324,7 +367,7 @@ def prok_experiment(N, n, field, sample_size=100000, seed=0):
     Prohorov gap between the Gaussian law and its projection from below.
     """
     cfg = sampling.SamplerConfig(field, N, n, seed=seed, count=sample_size)
-    chunks = sampling.iter_gaussian_chunks(cfg)
+    chunks = sampling.iter_chunks(cfg, sampling.gaussian_chunk_native)
     d = np.sort(np.concatenate([_frame_distances(c, field) for c in chunks]))
     S = d.size
     qs = {p: float(np.quantile(d, p / 100.0)) for p in (5, 25, 50, 75, 95)}

@@ -4,13 +4,17 @@ Hermitian eigendecomposition, SVD and polar factors, plus the distances
 built on them: distance to a scaled frame manifold, and the two quotient
 distances (right-unitary and unit-scalar orbits).
 
-Inputs and outputs use the componentwise (..., N, n, 4) interchange
-layout; the arithmetic runs on the native arrays of `algebra`.  One
-kernel, `_gram_eig`, lifts a native batch (over H to the complex adjoint
-of F. Zhang, Linear Algebra Appl. 251, 1997), forms and solves its Gram
-matrix, and serves the per-matrix FMatrix functions as a batch of one as
-well as the batched sampler functions.  Over H every eigenvalue of a
-lifted matrix comes twice, on the pair {x, Jx}.
+The FMatrix functions take and return the componentwise (N, n, 4)
+interchange layout, and so do `polar_q_batched` and
+`singular_values_batched` for batches (..., N, n, 4); each of those two
+is one conversion around its native counterpart (`polar_q_native`,
+`singular_values_native`), which the samplers and statistics call on
+the native arrays of `algebra` directly.  One kernel, `_gram_eig`, lifts
+a native batch (over H to the complex adjoint of F. Zhang, Linear
+Algebra Appl. 251, 1997), forms and solves its Gram matrix, and serves
+the per-matrix functions as a batch of one as well as the batched ones.
+Over H every eigenvalue of a lifted matrix comes twice, on the pair
+{x, Jx}.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .algebra import (
     _from_native,
     _lift,
     _partner,
+    _frobenius,
     _to_native,
     comp_conj,
     comp_mul,
@@ -48,15 +53,15 @@ class SingularTriple:
 def _gram_eig(X, field, vectors=True):
     """Eigensolve the Gram matrix Z* Z of a native batch X (..., rows, n).
 
-    X is lifted to L, L* L is symmetrized against round-off skew and
-    solved.  Returns (L, lam2, w, V): lam2 holds the ascending
-    eigenvalues of Z* Z, one per eigenvalue over F, while w and V are
-    all eigenpairs of L* L (V is None without vectors), so over H w
-    holds every entry of lam2 twice.
+    X is lifted to L and L* L is solved; eigh reads one triangle and the
+    real diagonal, so round-off skew needs no symmetrization.  Returns
+    (L, lam2, w, V): lam2 holds the ascending eigenvalues of Z* Z, one
+    per eigenvalue over F, while w and V are all eigenpairs of L* L (V
+    is None without vectors), so over H w holds every entry of lam2
+    twice.
     """
     L = _lift(X, field)
     G = np.swapaxes(L, -1, -2).conj() @ L
-    G = 0.5 * (G + np.swapaxes(G, -1, -2).conj())
     if vectors:
         w, V = np.linalg.eigh(G)
     else:
@@ -65,14 +70,15 @@ def _gram_eig(X, field, vectors=True):
     return L, w[..., :: 1 + (L.shape[-1] > X.shape[-1])], w, V
 
 
-def _spectral(V, vals):
-    """V diag(vals) V* over a batch of eigenvector matrices."""
-    return np.einsum("...ik,...k,...jk->...ij", V, vals, np.conj(V))
+def _spectral(V, vals, n):
+    """The first n columns of V diag(vals) V* over a batch of
+    eigenvector matrices."""
+    return (V * vals[..., None, :]) @ np.conj(np.swapaxes(V[..., :n, :], -1, -2))
 
 
 def _polar_frame(L, w, V, n):
     """Native polar frame L (L* L)^(-1/2) of a full-rank lifted batch."""
-    return L @ _spectral(V, 1.0 / np.sqrt(np.clip(w, 1e-300, None)))[..., :n]
+    return L @ _spectral(V, 1.0 / np.sqrt(np.clip(w, 1e-300, None)), n)
 
 
 def _eig_desc(w, V, field):
@@ -169,7 +175,7 @@ def singular_values(Z):
     """Non-increasing singular values, the root spectrum of Z* Z."""
     if Z.N < Z.n:
         raise ShapeMismatchError("need N >= n")
-    return singular_values_batched(Z.comps, Z.field)
+    return singular_values_native(_to_native(Z.comps, Z.field), Z.field)
 
 
 def svd(Z):
@@ -210,7 +216,7 @@ def polar(Z, rank_tol=1e-6):
         raise ShapeMismatchError("need N >= n")
     n = Z.n
     L, lam2, w, V = _gram_eig(_to_native(Z.comps, Z.field), Z.field)
-    root = _spectral(V, np.sqrt(np.clip(w, 0.0, None)))[:, :n]
+    root = _spectral(V, np.sqrt(np.clip(w, 0.0, None)), n)
     H = FMatrix(Z.field, _from_native(root, Z.field))
     lam = np.sqrt(np.clip(lam2, 0.0, None))
     if n == 0 or lam[0] > rank_tol * max(1.0, lam[-1]):
@@ -247,7 +253,28 @@ def hopf_dist(Z, W):
 
 
 # ---------------------------------------------------------------------------
-# Batched component-array functions (hot paths for the samplers).
+# Batched functions (hot paths for the samplers and statistics).
+
+
+def singular_values_native(X, field):
+    """Non-increasing singular values of a native batch, shape (..., n)."""
+    w = _gram_eig(X, field, vectors=False)[1]
+    return np.sqrt(np.clip(w[..., ::-1], 0.0, None))
+
+
+def polar_q_native(X, field):
+    """Polar frames Q of a full-rank native batch.
+
+    Returns (q, lam_min), q native like X, where lam_min is the smallest
+    singular value per batch entry (callers guard rank with it).
+    """
+    n = X.shape[-1]
+    if n == 1:
+        total = _frobenius(X)
+        safe = np.where(total > 0.0, total, 1.0)
+        return X / safe[..., None, None], total
+    L, lam2, w, V = _gram_eig(X, field)
+    return _polar_frame(L, w, V, n), np.sqrt(np.clip(lam2[..., 0], 0.0, None))
 
 
 def gram_eigvals_batched(comps, field):
@@ -256,23 +283,12 @@ def gram_eigvals_batched(comps, field):
 
 
 def singular_values_batched(comps, field):
-    """Non-increasing singular values for a batch, shape (..., n)."""
-    w = gram_eigvals_batched(comps, field)
-    return np.sqrt(np.clip(w[..., ::-1], 0.0, None))
+    """singular_values_native of a batch (..., N, n, 4)."""
+    return singular_values_native(_to_native(comps, field), field)
 
 
 def polar_q_batched(comps, field):
-    """Polar frames Q for a full-rank batch (..., N, n, 4).
-
-    Returns (q_comps, lam_min) where lam_min is the smallest singular
-    value per batch entry (callers guard rank with it).
-    """
-    n = comps.shape[-2]
-    if n == 1:
-        total = np.sqrt(np.sum(np.square(comps), axis=(-3, -2, -1)))
-        safe = np.where(total > 0.0, total, 1.0)
-        q = comps / safe[..., None, None, None]
-        return q, total
-    L, lam2, w, V = _gram_eig(_to_native(comps, field), field)
-    q = _from_native(_polar_frame(L, w, V, n), field)
-    return q, np.sqrt(np.clip(lam2[..., 0], 0.0, None))
+    """polar_q_native of a batch (..., N, n, 4); q comes back as
+    (..., N, n, 4) too."""
+    q, lam_min = polar_q_native(_to_native(comps, field), field)
+    return _from_native(q, field), lam_min

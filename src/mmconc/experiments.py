@@ -100,8 +100,7 @@ def run_mbdist(cfg):
             scfg = sampling.SamplerConfig(field, N, n, seed=cfg.seed, count=cfg.samples)
 
             def chunk_coord(i, scfg=scfg):
-                q = sampling.haar_chunk(scfg, i)
-                return sampling.project_pi(q, 1)[:, 0, 0, 0]
+                return sampling.haar_chunk_native(scfg, i)[:, 0, 0].real
 
             coords = np.concatenate(
                 _map_chunks(chunk_coord, _n_chunks(cfg.samples), cfg.workers)
@@ -128,9 +127,9 @@ def run_fullmeas(cfg):
             scfg = sampling.SamplerConfig(field, N, n, seed=cfg.seed, count=cfg.samples)
 
             def chunk_hits(i, scfg=scfg, sch=sch):
-                comps = sampling.gaussian_chunk(scfg, i)
-                return concentration.membership_mask(
-                    comps, scfg.field, sch.eps_N, sch.theta_N
+                X = sampling.gaussian_chunk_native(scfg, i)
+                return concentration.membership_native(
+                    X, scfg.field, sch.eps_N, sch.theta_N
                 )
 
             mask = np.concatenate(
@@ -163,8 +162,8 @@ def run_prok(cfg):
             scfg = sampling.SamplerConfig(field, N, n, seed=cfg.seed, count=cfg.samples)
 
             def chunk_dist(i, scfg=scfg):
-                comps = sampling.gaussian_chunk(scfg, i)
-                return concentration._frame_distances(comps, scfg.field)
+                X = sampling.gaussian_chunk_native(scfg, i)
+                return concentration._frame_distances(X, scfg.field)
 
             d = np.concatenate(
                 _map_chunks(chunk_dist, _n_chunks(cfg.samples), cfg.workers)
@@ -250,7 +249,7 @@ def run_obsdiam(cfg):
             scfg = sampling.SamplerConfig(field, N, n, seed=cfg.seed, count=cfg.samples)
             coords = np.concatenate(
                 _map_chunks(
-                    lambda i, scfg=scfg: sampling.haar_chunk(scfg, i)[:, 0, 0, 0],
+                    lambda i, scfg=scfg: sampling.haar_chunk_native(scfg, i)[:, 0, 0].real,
                     _n_chunks(cfg.samples),
                     cfg.workers,
                 )

@@ -11,6 +11,15 @@ Philox generator seeded by (seed, spawn_key=(c,)).  One draw of shape
 (1024, ...) equals, bit for bit, four consecutive (256, ...) draws from
 the same generator, and which worker consumes a chunk never changes it.
 
+The draw of shape (1024, N, n, d), d = 1, 2, 4 the field dimension, holds
+the field components of each entry.  The samplers keep it as the native
+array of `algebra` (a view of the draw over R and C, one copy into
+[Z1; -conj Z2] over H) and compute on native arrays from there on:
+`gaussian_chunk_native`, `haar_chunk_native` and the rejection sampler.
+The interchange functions (`gaussian_chunk`, `haar_chunk`,
+`iter_*_chunks`, `*_comps`, `write_samples_csv`) are each one conversion
+around them.
+
 STREAM names this construction.  It is folded into the run digest and
 written as "stream" to every manifest and sample sidecar, so output of
 one stream cannot pass as output of another; any change to the draws
@@ -24,8 +33,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import FMatrix, field_dim
-from .decomp import polar_q_batched
+from .algebra import FMatrix, _components, _from_native, _native, _to_native, field_dim
+from .decomp import polar_q_native
 from .errors import DomainError, InfeasibleError, ShapeMismatchError
 
 log = logging.getLogger(__name__)
@@ -75,17 +84,19 @@ def chunk_generator(seed, chunk_index, attempt=0):
     return np.random.Generator(np.random.Philox(ss))
 
 
-def gaussian_chunk(cfg, chunk_index, attempt=0):
-    """One full chunk of standard Gaussian component arrays."""
+def gaussian_chunk_native(cfg, chunk_index, attempt=0):
+    """One full chunk of standard Gaussian matrices, native."""
     gen = chunk_generator(cfg.seed, chunk_index, attempt)
-    d = field_dim(cfg.field)
-    z = gen.standard_normal((CHUNK, cfg.N, cfg.n, d))
-    comps = np.zeros((CHUNK, cfg.N, cfg.n, 4))
-    comps[..., :d] = z
-    return comps
+    z = gen.standard_normal((CHUNK, cfg.N, cfg.n, field_dim(cfg.field)))
+    return _native(z, cfg.field)
 
 
-def _chunks(cfg, chunk):
+def gaussian_chunk(cfg, chunk_index, attempt=0):
+    """gaussian_chunk_native as component arrays (CHUNK, N, n, 4)."""
+    return _from_native(gaussian_chunk_native(cfg, chunk_index, attempt), cfg.field)
+
+
+def iter_chunks(cfg, chunk):
     """Yield chunk(cfg, 0), chunk(cfg, 1), ... cut to cfg.count samples."""
     for chunk_index, start in enumerate(range(0, cfg.count, CHUNK)):
         yield chunk(cfg, chunk_index)[: cfg.count - start]
@@ -93,7 +104,7 @@ def _chunks(cfg, chunk):
 
 def iter_gaussian_chunks(cfg):
     """Gaussian samples as (k, N, n, 4) chunks, cfg.count in all."""
-    return _chunks(cfg, gaussian_chunk)
+    return iter_chunks(cfg, gaussian_chunk)
 
 
 def gaussian_comps(cfg):
@@ -105,8 +116,8 @@ def sample_gaussian(cfg):
     return [FMatrix(cfg.field, c) for c in gaussian_comps(cfg)]
 
 
-def haar_chunk(cfg, chunk_index):
-    """One chunk of (scaled) Haar frames, via the polar factor.
+def haar_chunk_native(cfg, chunk_index):
+    """One chunk of (scaled) Haar frames, native, via the polar factor.
 
     The Gaussian law is invariant under left unitaries and the polar
     frame is equivariant, so the frame law inherits left invariance and
@@ -114,8 +125,7 @@ def haar_chunk(cfg, chunk_index):
     floating point) are resampled from a derived stream and logged, at
     most MAX_RESAMPLES times before InfeasibleError.
     """
-    comps = gaussian_chunk(cfg, chunk_index)
-    q, lam_min = polar_q_batched(comps, cfg.field)
+    q, lam_min = polar_q_native(gaussian_chunk_native(cfg, chunk_index), cfg.field)
     bad = lam_min < 1e-8
     attempt = 1
     while np.any(bad):
@@ -129,20 +139,25 @@ def haar_chunk(cfg, chunk_index):
             int(bad.sum()),
             chunk_index,
         )
-        fresh = gaussian_chunk(cfg, chunk_index, attempt=attempt)
-        qf, lf = polar_q_batched(fresh, cfg.field)
+        fresh = gaussian_chunk_native(cfg, chunk_index, attempt=attempt)
+        qf, lf = polar_q_native(fresh, cfg.field)
         q[bad] = qf[bad]
         lam_min[bad] = lf[bad]
         bad = lam_min < 1e-8
         attempt += 1
     if cfg.scaled:
-        q = q * cfg.radius
+        q *= cfg.radius
     return q
+
+
+def haar_chunk(cfg, chunk_index):
+    """haar_chunk_native as component arrays (CHUNK, N, n, 4)."""
+    return _from_native(haar_chunk_native(cfg, chunk_index), cfg.field)
 
 
 def iter_haar_chunks(cfg):
     """(Scaled) Haar frames as (k, N, n, 4) chunks, cfg.count in all."""
-    return _chunks(cfg, haar_chunk)
+    return iter_chunks(cfg, haar_chunk)
 
 
 def haar_comps(cfg):
@@ -167,9 +182,15 @@ def project_pi(Z, l):
 
 @dataclass(frozen=True)
 class RestrictedSample:
-    comps: np.ndarray
+    field: str
+    native: np.ndarray
     acceptance_rate: float
     proposed: int
+
+    @property
+    def comps(self):
+        """The accepted samples as component arrays (count, N, n, 4)."""
+        return _from_native(self.native, self.field)
 
 
 def sample_restricted_gaussian(cfg, eps, theta_val=None, floor=1e-3, min_proposals=4096):
@@ -193,11 +214,11 @@ def sample_restricted_gaussian(cfg, eps, theta_val=None, floor=1e-3, min_proposa
     accepted = 0
     chunk_index = 0
     while got < cfg.count:
-        comps = gaussian_chunk(cfg, chunk_index)
-        mask = concentration.membership_mask(comps, cfg.field, eps, theta_val)
+        X = gaussian_chunk_native(cfg, chunk_index)
+        mask = concentration.membership_native(X, cfg.field, eps, theta_val)
         proposed += CHUNK
         accepted += int(mask.sum())
-        good = comps[mask]
+        good = X[mask]
         if good.shape[0]:
             taken.append(good[: cfg.count - got])
             got += taken[-1].shape[0]
@@ -208,19 +229,32 @@ def sample_restricted_gaussian(cfg, eps, theta_val=None, floor=1e-3, min_proposa
             )
         chunk_index += 1
     return RestrictedSample(
-        comps=np.concatenate(taken, axis=0),
+        field=cfg.field,
+        native=np.concatenate(taken, axis=0),
         acceptance_rate=accepted / proposed,
         proposed=proposed,
     )
 
 
 def write_samples_csv(path, cfg, blocks):
+    """write_native_samples_csv of (k, N, n, 4) component arrays.
+
+    blocks is an iterable of them, cfg.count samples in all, such as
+    iter_haar_chunks(cfg), or one such array.
+    """
+    if isinstance(blocks, np.ndarray):
+        blocks = [blocks]
+    return write_native_samples_csv(
+        path, cfg, (_to_native(block, cfg.field) for block in blocks)
+    )
+
+
+def write_native_samples_csv(path, cfg, blocks):
     """Dump samples: idx, field, N, n, comp_0 ... comp_{4Nn-1}.
 
-    blocks is an iterable of (k, N, n, 4) component arrays, cfg.count
-    samples in all, such as iter_haar_chunks(cfg), or one such array.  An
-    iterable is consumed as the file is written, so the samples are never
-    held at once.  Component k belongs to entry (k // 4 // n, k // 4 % n),
+    blocks is an iterable of native (k, ...) arrays, cfg.count samples in
+    all, such as iter_chunks(cfg, haar_chunk_native).  It is consumed as
+    the file is written, so the samples are never held at once.  Component k belongs to entry (k // 4 // n, k // 4 % n),
     scalar slot k % 4; slots beyond the field dimension are left empty.
     Rows are rendered by csvio.render_rows, about ROW_BLOCK_VALUES values
     at a time.  A JSON sidecar records the config and the stream.
@@ -237,14 +271,11 @@ def write_samples_csv(path, cfg, blocks):
     tag = (",%s,%d,%d," % (cfg.field, cfg.N, cfg.n)).encode()
     step = max(1, ROW_BLOCK_VALUES // (entries * d))
 
-    if isinstance(blocks, np.ndarray):
-        blocks = [blocks]
-
     def lines():
         idx = 0
         for block in blocks:
             for start in range(0, len(block), step):
-                part = block[start : start + step, ..., :d]
+                part = _components(block[start : start + step], cfg.field)
                 k = len(part)
                 lead = [b"%d%s" % (i, tag) for i in range(idx, idx + k)]
                 yield render_rows(lead, part.reshape(k, -1), seps)

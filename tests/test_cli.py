@@ -106,6 +106,11 @@ class TestRun:
         (["sample", "--N", "5", "--n", "9"], 2, "config error: need 1 <= n <= N"),
         (["run", "mbdist", "--N", "1", "--n", "powerlog:0.2"], 2,
          "config error: powerlog rule needs N >= 2"),
+        (["run", "mbdist", "--N", ","], 2,
+         "config error: key 'N': expected comma-separated integers"),
+        (["run", "obsdiam", "--kappa", "1.5"], 2, "config error: kappa must lie in (0, 1)"),
+        (["run", "mbdist", "--workers", "0"], 2, "config error: workers must be >= 1"),
+        (["run", "mbdist", "--workers", "-2"], 2, "config error: workers must be >= 1"),
     ],
 )
 def test_bad_shape_exit_codes(argv, code, message, tmp_path, capsys):
@@ -113,6 +118,22 @@ def test_bad_shape_exit_codes(argv, code, message, tmp_path, capsys):
     assert run_cli(argv + ["--out", out]) == code
     assert message in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+class TestOutputPaths:
+    def test_run_out_is_a_file(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert run_cli(["run", "bounds", "--N", "101", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_sample_out_dir_missing(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "dir" / "x.csv"
+        assert run_cli(["sample", "--N", "4", "--n", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.parent.exists()
 
 
 class TestValidate:

@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mmconc.algebra import FMatrix, comp_matmul, field_dim
+from mmconc.algebra import FMatrix, _to_native, comp_adjoint, comp_matmul, comp_norm, field_dim
 from mmconc.bounds import l_bound_min, theta
 from mmconc.concentration import (
     ApproxSpaceParams,
+    _norms_overlaps,
     column_norms,
     empirical_lipschitz,
     lipschitz_experiment,
     membership,
     membership_mask,
+    membership_native,
     pair_overlaps,
     phi_batched,
     phi_project,
@@ -96,6 +99,58 @@ class TestMembership:
         p = ApproxSpaceParams("R", 10, 2, 0.3)
         with pytest.raises(DomainError):
             membership(FMatrix("R", np.zeros((9, 2, 4))), p)
+
+
+def _componentwise_stats(comps):
+    """Column norms and normalized pair overlaps through the 16-product
+    componentwise matrix product: the reference for the native Gram."""
+    norms = np.sqrt(np.sum(np.square(comps), axis=(-3, -1)))
+    safe = np.where(norms > 0.0, norms, 1.0)
+    unit = comps / safe[..., None, :, None]
+    return norms, comp_norm(comp_matmul(comp_adjoint(unit), unit))
+
+
+@st.composite
+def _membership_cases(draw):
+    field = draw(st.sampled_from("RCH"))
+    d = field_dim(field)
+    N = draw(st.integers(1, 12))
+    n = draw(st.integers(1, min(N, 5)))
+    batch = draw(st.sampled_from(((), (3,))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    comps = np.zeros(batch + (N, n, 4))
+    comps[..., :d] = rng.standard_normal(batch + (N, n, d))
+    eps = draw(st.floats(0.05, 0.95))
+    theta_val = draw(st.floats(0.05, 0.95))
+    return field, comps, eps, theta_val
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_membership_cases())
+def test_native_membership_matches_componentwise_reference(case):
+    field, comps, eps, theta_val = case
+    N, n = comps.shape[-3], comps.shape[-2]
+    ref_norms, ref_ov = _componentwise_stats(comps)
+    norms, ov = _norms_overlaps(_to_native(comps, field), field)
+    np.testing.assert_allclose(norms, ref_norms, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(ov, ref_ov, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(column_norms(comps), ref_norms, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(pair_overlaps(comps), ref_ov, rtol=0, atol=1e-12)
+    # The masks agree wherever no statistic lies within round-off of a
+    # threshold.
+    r = math.sqrt(N * field_dim(field) - 1.0)
+    lo, hi = (1.0 - eps) * r, (1.0 + eps) * r
+    off = ~np.eye(n, dtype=bool)
+    ref_mask = np.all((ref_norms > lo) & (ref_norms < hi), axis=-1)
+    ref_mask &= np.all(ref_ov[..., off] < theta_val, axis=-1)
+    margin = np.min(np.minimum(np.abs(ref_norms - lo), np.abs(ref_norms - hi)), axis=-1)
+    if n > 1:
+        margin = np.minimum(margin, np.min(np.abs(ref_ov[..., off] - theta_val), axis=-1))
+    decided = margin > 1e-9 * max(1.0, r)
+    mask = membership_native(_to_native(comps, field), field, eps, theta_val)
+    assert mask.shape == comps.shape[:-3]
+    np.testing.assert_array_equal(mask[decided], ref_mask[decided])
+    np.testing.assert_array_equal(membership_mask(comps, field, eps, theta_val), mask)
 
 
 class TestPhiProject:

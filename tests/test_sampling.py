@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from mmconc.algebra import FMatrix, comp_matmul
+from mmconc.algebra import FMatrix, _lift, _to_native, comp_matmul
 from mmconc.errors import DomainError, InfeasibleError, ShapeMismatchError
 from mmconc.sampling import (
     CHUNK,
@@ -13,7 +13,9 @@ from mmconc.sampling import (
     SamplerConfig,
     chunk_generator,
     gaussian_chunk,
+    gaussian_chunk_native,
     gaussian_comps,
+    haar_chunk_native,
     haar_comps,
     iter_gaussian_chunks,
     iter_haar_chunks,
@@ -76,6 +78,16 @@ class TestDeterminism:
         parts = [gen.standard_normal((256, 5, 2, 4)) for _ in range(4)]
         assert whole.tobytes() == np.concatenate(parts).tobytes()
 
+    @pytest.mark.parametrize("field", ["R", "C", "H"])
+    def test_native_draw_is_the_interchange_draw(self, field):
+        # The native chunk holds the same values, bit for bit, as the
+        # component chunk converted to native.
+        cfg = SamplerConfig(field, 5, 3, seed=4)
+        native = gaussian_chunk_native(cfg, 2)
+        ref = _to_native(gaussian_chunk(cfg, 2), field)
+        assert native.dtype == ref.dtype and native.shape == ref.shape
+        assert native.tobytes() == ref.tobytes()
+
     def test_repeat_bit_identical(self):
         cfg = SamplerConfig("H", 6, 2, seed=42, count=100)
         np.testing.assert_array_equal(gaussian_comps(cfg), gaussian_comps(cfg))
@@ -125,6 +137,15 @@ class TestHaar:
         # Same law: quantile gap at the 4000-sample noise scale.
         assert np.abs(a[200::400] - b[200::400]).max() < 0.12
 
+    @pytest.mark.parametrize("field", ["R", "C", "H"])
+    @pytest.mark.parametrize("N, n", [(12, 3), (10, 8)])
+    def test_native_frames_orthonormal(self, field, N, n):
+        # Over H the lift [Q, JQ] is orthonormal exactly when Q is over H.
+        q = haar_chunk_native(SamplerConfig(field, N, n, scaled=False, seed=3), 0)
+        L = _lift(q, field)
+        G = np.swapaxes(L, -1, -2).conj() @ L
+        assert np.abs(G - np.eye(G.shape[-1])).max() < 1e-12
+
     def test_unscaled_option(self):
         cfg = SamplerConfig("C", 5, 1, scaled=False, seed=4, count=3)
         for Q in sample_haar_stiefel(cfg):
@@ -133,10 +154,10 @@ class TestHaar:
     def test_resampling_is_bounded(self, monkeypatch):
         from mmconc import sampling
 
-        def rank_deficient(comps, field):
-            return comps, np.zeros(comps.shape[:-3])
+        def rank_deficient(X, field):
+            return X, np.zeros(X.shape[:-2])
 
-        monkeypatch.setattr(sampling, "polar_q_batched", rank_deficient)
+        monkeypatch.setattr(sampling, "polar_q_native", rank_deficient)
         with pytest.raises(InfeasibleError):
             sampling.haar_chunk(SamplerConfig("R", 4, 2, seed=0), 0)
 

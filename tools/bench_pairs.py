@@ -10,7 +10,9 @@ both sides run `perfbench/run.py --seed 1 --trace 1` once.  For each
 workload in --pairs, seeds 1..P run `--trace 0` on both sides, the parent
 first on odd seeds and the change first on even ones.  The JSON keeps
 every run's figures, their medians and quartiles, and how many pairs the
-change won (lower is better for every end-to-end metric).
+change won (lower is better for every end-to-end metric).  A run that
+prints no JSON result (say, after an import error) stops the script with
+its side, workload, seed, exit code and the end of its stderr.
 """
 
 from __future__ import annotations
@@ -28,16 +30,25 @@ import sys
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+STDERR_TAIL = 20  # lines of a failed run's stderr to report
 
 
 def bench(tree, workload, seed, seconds, trace):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    side = "parent" if tree != ROOT else "change"
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        tail = "\n".join(proc.stderr.strip().splitlines()[-STDERR_TAIL:])
+        sys.exit("%s %s seed %d trace %d: perfbench/run.py exited with %d and printed "
+                 "no JSON result; end of its stderr:\n%s" % (side, workload, seed, trace,
+                                                              proc.returncode, tail))
     print("%-6s %-13s seed %d trace %d: correct %s, failed %d/%d" % (
-        "parent" if tree != ROOT else "change", workload, seed, trace,
-        result["correct"], result["failed"], result["attempted"]), flush=True)
+        side, workload, seed, trace, result["correct"], result["failed"],
+        result["attempted"]), flush=True)
     return result
 
 
