@@ -1,19 +1,20 @@
 """Scalar and matrix arithmetic over the real, complex and quaternion fields.
 
-The interchange layout, which FMatrix exposes as `.comps`, the public
-batched functions take and return, and the sample CSVs store, is
-componentwise: a scalar is four reals (z0, z1, z2, z3) with
-z = z0 + z1*i + z2*j + z3*k and the unused components pinned at zero
-for R and C, and a matrix is a float64 array (N, n, 4).
+A matrix is held as its native array: R float64 (N, n), C complex128
+(N, n), and for H = Z1 + Z2 j the first block column [Z1; -conj Z2]
+(2N, n) of the complex adjoint [[Z1, Z2], [-conj Z2, conj Z1]] (F.
+Zhang, Linear Algebra Appl. 251, 1997).  FMatrix stores that array and
+runs all of its arithmetic on it; the samplers draw, and the batched
+kernels and statistics compute, on native arrays too, from the draw to
+the statistic.  Every helper accepts extra leading batch axes so hot
+loops stay vectorized.
 
-Arithmetic runs on native arrays, which only this module converts to
-and from: R float64 (N, n), C complex128 (N, n), and for H = Z1 + Z2 j
-the first block column [Z1; -conj Z2] (2N, n) of the complex adjoint
-[[Z1, Z2], [-conj Z2, conj Z1]] (F. Zhang, Linear Algebra Appl. 251,
-1997).  The samplers draw, and the batched kernels and statistics
-compute, on native arrays from the draw to the statistic; the
-interchange layout is formed only at the public boundary.  Every helper
-accepts extra leading batch axes so hot loops stay vectorized.
+The componentwise interchange layout is read and written only at the
+boundary: `FMatrix(field, comps)` and `.comps`, the public batched
+interchange functions and the sample CSVs.  There a scalar is four
+reals (z0, z1, z2, z3) with z = z0 + z1*i + z2*j + z3*k and the unused
+components pinned at zero for R and C, and a matrix is a float64 array
+(N, n, 4).  Only this module converts between the two layouts.
 """
 
 from __future__ import annotations
@@ -30,12 +31,6 @@ from .errors import (
 )
 
 FIELDS = {"R": 1, "C": 2, "H": 4}
-
-# Block sign/source table of the real picture of left multiplication:
-# block (r, c) of the realified matrix is _BLOCK_SIGN[r][c] * component
-# _BLOCK_COMP[r][c] of the original matrix.
-_BLOCK_COMP = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
-_BLOCK_SIGN = ((1, -1, -1, -1), (1, 1, -1, 1), (1, 1, 1, -1), (1, -1, 1, 1))
 
 
 def field_dim(field):
@@ -98,6 +93,14 @@ class Scalar:
         object.__setattr__(self, "comps", comps)
 
     @classmethod
+    def _wrap(cls, field, comps):
+        """The scalar of components computed from checked ones, unchecked."""
+        z = object.__new__(cls)
+        object.__setattr__(z, "field", field)
+        object.__setattr__(z, "comps", comps)
+        return z
+
+    @classmethod
     def of(cls, field, z0, z1=0.0, z2=0.0, z3=0.0):
         return cls(field, np.array([z0, z1, z2, z3], dtype=np.float64))
 
@@ -114,7 +117,7 @@ class Scalar:
         return float(comp_norm(self.comps))
 
     def conj(self):
-        return Scalar(self.field, comp_conj(self.comps))
+        return Scalar._wrap(self.field, comp_conj(self.comps))
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
@@ -127,42 +130,22 @@ class Scalar:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        return Scalar(self.field, comp_mul(self.comps, other.comps))
+        return Scalar._wrap(self.field, comp_mul(self.comps, other.comps))
 
     def __add__(self, other):
         other = self._coerce(other)
-        return Scalar(self.field, self.comps + other.comps)
+        return Scalar._wrap(self.field, self.comps + other.comps)
 
     def __sub__(self, other):
         other = self._coerce(other)
-        return Scalar(self.field, self.comps - other.comps)
+        return Scalar._wrap(self.field, self.comps - other.comps)
 
     def __neg__(self):
-        return Scalar(self.field, -self.comps)
+        return Scalar._wrap(self.field, -self.comps)
 
     def allclose(self, other, tol=1e-12):
         other = self._coerce(other)
         return bool(np.all(np.abs(self.comps - other.comps) <= tol))
-
-
-def comp_matmul(a, b):
-    """Matrix product of component arrays (..., N, k, 4) x (..., k, n, 4)."""
-    a0, a1, a2, a3 = np.moveaxis(a, -1, 0)
-    b0, b1, b2, b3 = np.moveaxis(b, -1, 0)
-    return np.stack(
-        [
-            a0 @ b0 - a1 @ b1 - a2 @ b2 - a3 @ b3,
-            a0 @ b1 + a1 @ b0 + a2 @ b3 - a3 @ b2,
-            a0 @ b2 - a1 @ b3 + a2 @ b0 + a3 @ b1,
-            a0 @ b3 + a1 @ b2 - a2 @ b1 + a3 @ b0,
-        ],
-        axis=-1,
-    )
-
-
-def comp_adjoint(a):
-    """Conjugate transpose of a component array (..., N, n, 4)."""
-    return comp_conj(np.swapaxes(a, -3, -2))
 
 
 def _native(z, field):
@@ -265,24 +248,37 @@ def _lift(X, field):
     return X
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FMatrix:
-    """A dense N x n matrix over R, C or H, stored componentwise."""
+    """A dense N x n matrix over R, C or H, held as its native array.
+
+    FMatrix(field, comps) checks a component array (N, n, 4) and
+    converts it once; every operation then computes on `native`, which
+    is C-contiguous, and wraps its result unchecked.
+    """
 
     field: str
-    comps: np.ndarray
+    native: np.ndarray
 
-    def __post_init__(self):
-        comps = np.asarray(self.comps, dtype=np.float64)
+    def __init__(self, field, comps):
+        comps = np.asarray(comps, dtype=np.float64)
         if comps.ndim != 3:
             raise ShapeMismatchError("FMatrix components must be (N, n, 4)")
-        _check_comps(self.field, comps)
-        object.__setattr__(self, "comps", comps)
+        _check_comps(field, comps)
+        self.__post_init__(field, _to_native(comps, field))
+
+    def __post_init__(self, field, native):
+        # Every FMatrix, checked or wrapped, is filled in here once, so
+        # a profiler that hooks this method counts each one built.
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "native", native)
 
     @classmethod
-    def zeros(cls, field, N, n):
-        field_dim(field)
-        return cls(field, np.zeros((N, n, 4)))
+    def _wrap(cls, field, native):
+        """The matrix of a native array computed from checked matrices."""
+        Z = object.__new__(cls)
+        Z.__post_init__(field, np.ascontiguousarray(native))
+        return Z
 
     @classmethod
     def identity(cls, field, n):
@@ -293,32 +289,31 @@ class FMatrix:
         """The N x n matrix with ones on the diagonal, zeros elsewhere."""
         if n > N:
             raise ShapeMismatchError("need n <= N")
-        comps = np.zeros((N, n, 4))
-        comps[np.arange(n), np.arange(n), 0] = 1.0
-        return cls(field, comps)
+        field_dim(field)
+        rows = 2 * N if field == "H" else N
+        return cls._wrap(field, np.eye(rows, n, dtype=float if field == "R" else complex))
 
-    @classmethod
-    def from_real(cls, arr):
-        arr = np.asarray(arr, dtype=np.float64)
-        comps = np.zeros(arr.shape + (4,))
-        comps[..., 0] = arr
-        return cls("R", comps)
+    @property
+    def comps(self):
+        """The component array (N, n, 4), a fresh copy."""
+        return _from_native(self.native, self.field)
 
     @property
     def N(self):
-        return self.comps.shape[0]
+        return self.shape[0]
 
     @property
     def n(self):
-        return self.comps.shape[1]
+        return self.native.shape[1]
 
     @property
     def shape(self):
-        return (self.comps.shape[0], self.comps.shape[1])
+        rows, n = self.native.shape
+        return (rows // 2 if self.field == "H" else rows, n)
 
     @property
     def norm(self):
-        return float(np.sqrt(np.sum(np.square(self.comps))))
+        return float(_frobenius(self.native))
 
     def _check_like(self, other, shapes=True):
         if not isinstance(other, FMatrix):
@@ -333,7 +328,13 @@ class FMatrix:
             )
 
     def adjoint(self):
-        return FMatrix(self.field, comp_adjoint(self.comps))
+        X = self.native
+        if self.field == "H":
+            # The first block column of the adjoint of the complex
+            # adjoint [[Z1, Z2], [-conj Z2, conj Z1]] is [Z1*; Z2*].
+            N = self.N
+            return FMatrix._wrap(self.field, np.concatenate([X[:N].conj().T, -X[N:].T]))
+        return FMatrix._wrap(self.field, X.conj().T)
 
     def __matmul__(self, other):
         self._check_like(other, shapes=False)
@@ -341,95 +342,70 @@ class FMatrix:
             raise ShapeMismatchError(
                 "inner dimensions %d and %d differ" % (self.n, other.N)
             )
-        f = self.field
-        prod = _lift(_to_native(self.comps, f), f) @ _to_native(other.comps, f)
-        return FMatrix(f, _from_native(prod, f))
+        return FMatrix._wrap(self.field, _lift(self.native, self.field) @ other.native)
 
     def __add__(self, other):
         self._check_like(other)
-        return FMatrix(self.field, self.comps + other.comps)
+        return FMatrix._wrap(self.field, self.native + other.native)
 
     def __sub__(self, other):
         self._check_like(other)
-        return FMatrix(self.field, self.comps - other.comps)
+        return FMatrix._wrap(self.field, self.native - other.native)
 
     def __neg__(self):
-        return FMatrix(self.field, -self.comps)
+        return FMatrix._wrap(self.field, -self.native)
 
     def scale(self, r):
         """Multiply by a real number."""
-        return FMatrix(self.field, float(r) * self.comps)
+        return FMatrix._wrap(self.field, float(r) * self.native)
 
     def scalar_left(self, t):
-        """Left scalar multiple t * Z."""
+        """Left scalar multiple t * Z: the lift of t, a 1 x 1 or 2 x 2
+        complex adjoint, acting on the blocks of the native array."""
         if t.field != self.field:
             raise FieldMismatchError("mixed fields")
-        return FMatrix(self.field, comp_mul(t.comps, self.comps))
-
-    def scalar_right(self, t):
-        """Right scalar multiple Z * t."""
-        if t.field != self.field:
-            raise FieldMismatchError("mixed fields")
-        return FMatrix(self.field, comp_mul(self.comps, t.comps))
+        T = _lift(_to_native(t.comps[None, None], t.field), t.field)
+        X = self.native
+        return FMatrix._wrap(self.field, (T @ X.reshape(len(T), -1)).reshape(X.shape))
 
     def trace(self):
         if self.N != self.n:
             raise ShapeMismatchError("trace needs a square matrix")
-        idx = np.arange(self.N)
-        return Scalar(self.field, np.sum(self.comps[idx, idx], axis=0))
-
-    def column(self, l):
-        return self.comps[:, l, :]
+        # The trace of each block of the native array: the native array
+        # of the 1 x 1 matrix tr Z.
+        blocks = self.native.reshape(-1, self.n, self.n)
+        t = np.trace(blocks, axis1=-2, axis2=-1)[:, None]
+        return Scalar._wrap(self.field, _from_native(t, self.field)[0, 0])
 
     def allclose(self, other, tol=1e-10):
         self._check_like(other)
-        return bool(np.max(np.abs(self.comps - other.comps)) <= tol)
+        return bool(np.max(np.abs(_real_view(self.native - other.native))) <= tol)
 
 
 def frobenius_inner(Z, W):
     """tr(Z* W); its real part is the realified Euclidean inner product."""
     Z._check_like(W)
-    total = comp_mul(comp_conj(Z.comps), W.comps).sum(axis=(0, 1))
-    return Scalar(Z.field, total)
+    return (Z.adjoint() @ W).trace()
 
 
-def column_inner(a, b):
-    """Inner product sum_m conj(a_m) b_m of two column component arrays.
-
-    Accepts (..., N, 4) batches and returns (..., 4).
-    """
-    return comp_mul(comp_conj(a), b).sum(axis=-2)
+# _UNITS[k] is the real 4 x 4 matrix of left multiplication by the unit
+# quaternion e_k (1, i, j, k): entry (r, c) is component r of e_k e_c.
+_UNITS = np.swapaxes(comp_mul(np.eye(4)[:, None], np.eye(4)), -1, -2)
 
 
 def realify_comps(comps, field):
     """Real matrix of left multiplication by the given component array.
 
     (..., N, n, 4) maps to (..., d*N, d*n) where d is the field dimension.
-    The first block column stacks the components, so matrix-vector actions
-    agree with component stacking.
+    Block (r, c) holds component r of Z e_c, e_c the c-th unit
+    quaternion, so the first block column stacks the components and
+    matrix-vector actions agree with component stacking.
     """
     comps = np.asarray(comps, dtype=np.float64)
     d = field_dim(field)
     N, n = comps.shape[-3], comps.shape[-2]
-    out = np.empty(comps.shape[:-3] + (d * N, d * n))
-    for r in range(d):
-        for c in range(d):
-            k = _BLOCK_COMP[r][c]
-            s = _BLOCK_SIGN[r][c]
-            out[..., r * N : (r + 1) * N, c * n : (c + 1) * n] = s * comps[..., k]
-    return out
-
-
-def derealify_comps(mat, field, N, n):
-    """Inverse of realify_comps, reading the first block column."""
-    mat = np.asarray(mat, dtype=np.float64)
-    d = field_dim(field)
-    if mat.shape[-2] != d * N or mat.shape[-1] < n:
-        raise ShapeMismatchError("realified shape does not match (N, n)")
-    comps = np.zeros(mat.shape[:-2] + (N, n, 4))
-    for c in range(d):
-        comps[..., c] = mat[..., c * N : (c + 1) * N, :n]
-    return comps
+    out = np.einsum("krc,...ijk->...ricj", _UNITS[:d, :d, :d], comps[..., :d])
+    return out.reshape(comps.shape[:-3] + (d * N, d * n))
 
 
 def unitary_deviation(U):

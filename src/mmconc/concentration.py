@@ -126,9 +126,11 @@ def membership(Z, params):
     if isinstance(Z, FMatrix):
         if Z.field != params.field or Z.shape != (params.N, params.n):
             raise DomainError("matrix does not match the space parameters")
-        Z = Z.comps
+        X = Z.native
+    else:
+        X = _to_native(Z, params.field)
     r = params.radius
-    norms, ov = _norms_overlaps(_to_native(Z, params.field), params.field)
+    norms, ov = _norms_overlaps(X, params.field)
     violations = []
     lo, hi = (1.0 - params.eps) * r, (1.0 + params.eps) * r
     for l, v in enumerate(norms):
@@ -174,7 +176,7 @@ def phi_project(Z, params, require_certificate=False):
                 "no Lipschitz certificate: infimum bound %.6g >= 1" % L
             )
     if isinstance(Z, FMatrix):
-        return FMatrix(Z.field, phi_batched(Z.comps, Z.field))
+        return FMatrix._wrap(Z.field, phi_native(Z.native, Z.field))
     return phi_batched(Z, params.field)
 
 

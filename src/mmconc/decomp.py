@@ -4,17 +4,17 @@ Hermitian eigendecomposition, SVD and polar factors, plus the distances
 built on them: distance to a scaled frame manifold, and the two quotient
 distances (right-unitary and unit-scalar orbits).
 
-The FMatrix functions take and return the componentwise (N, n, 4)
-interchange layout, and so do `polar_q_batched` and
-`singular_values_batched` for batches (..., N, n, 4); each of those two
-is one conversion around its native counterpart (`polar_q_native`,
-`singular_values_native`), which the samplers and statistics call on
-the native arrays of `algebra` directly.  One kernel, `_gram_eig`, lifts
-a native batch (over H to the complex adjoint of F. Zhang, Linear
-Algebra Appl. 251, 1997), forms and solves its Gram matrix, and serves
-the per-matrix functions as a batch of one as well as the batched ones.
-Over H every eigenvalue of a lifted matrix comes twice, on the pair
-{x, Jx}.
+The FMatrix functions read the native array of each argument and wrap
+native results, with no conversion or check on the way.  The native
+batched functions (`polar_q_native`, `singular_values_native`) are what
+the samplers and statistics call; `polar_q_batched` and
+`singular_values_batched` are each one conversion around them for
+batches in the (..., N, n, 4) interchange layout.  One kernel,
+`_gram_eig`, lifts a native batch (over H to the complex adjoint of F.
+Zhang, Linear Algebra Appl. 251, 1997), forms and solves its Gram
+matrix, and serves the per-matrix functions as a batch of one as well as
+the batched ones.  Over H every eigenvalue of a lifted matrix comes
+twice, on the pair {x, Jx}.
 """
 
 from __future__ import annotations
@@ -26,13 +26,10 @@ import numpy as np
 from .algebra import (
     FMatrix,
     _from_native,
+    _frobenius,
     _lift,
     _partner,
-    _frobenius,
     _to_native,
-    comp_conj,
-    comp_mul,
-    comp_norm,
 )
 from .errors import NotHermitianError, ShapeMismatchError
 
@@ -166,16 +163,16 @@ def hermitian_eig(H, tol=1e-10):
     defect = (H - H.adjoint()).norm
     if defect > tol * max(1.0, H.norm):
         raise NotHermitianError("matrix is not Hermitian (defect %.3e)" % defect)
-    w, V = np.linalg.eigh(_lift(_to_native(H.comps, H.field), H.field))
+    w, V = np.linalg.eigh(_lift(H.native, H.field))
     P, sigma = _eig_desc(w, V, H.field)
-    return FMatrix(H.field, _from_native(P, H.field)), sigma
+    return FMatrix._wrap(H.field, P), sigma
 
 
 def singular_values(Z):
     """Non-increasing singular values, the root spectrum of Z* Z."""
     if Z.N < Z.n:
         raise ShapeMismatchError("need N >= n")
-    return singular_values_native(_to_native(Z.comps, Z.field), Z.field)
+    return singular_values_native(Z.native, Z.field)
 
 
 def svd(Z):
@@ -183,12 +180,18 @@ def svd(Z):
     if Z.N < Z.n:
         raise ShapeMismatchError("need N >= n")
     N, n = Z.shape
-    L, _, w, V = _gram_eig(_to_native(Z.comps, Z.field), Z.field)
-    P, sig = _eig_desc(w, V, Z.field)
-    lam = np.sqrt(np.clip(sig, 0.0, None))
+    L, _, w, V = _gram_eig(Z.native, Z.field)
+    P, _ = _eig_desc(w, V, Z.field)
+    # The singular values are the column norms of Z P, which keep a
+    # collapsed one near eps ||Z||, where the root of its Gram
+    # eigenvalue would sit near sqrt(eps) ||Z||.
+    ZP = L @ P
+    lam = np.linalg.norm(ZP, axis=0)
+    order = np.argsort(-lam, kind="stable")
+    P, ZP, lam = P[:, order], ZP[:, order], lam[order]
     cut = max(1.0, lam[0] if n else 1.0) * 1e-13
     keep = lam > cut
-    cands = (L @ P)[:, keep] / lam[keep]
+    cands = ZP[:, keep] / lam[keep]
     # Columns of a numerically rank-deficient input collapse onto the
     # leading ones; Gram-Schmidt rejection filters them out and the
     # orthogonal complement completes the frame.
@@ -200,9 +203,7 @@ def svd(Z):
         Q, _ = np.linalg.qr(B, mode="complete")
         U = np.concatenate([B, Q[:, len(cols) :]], axis=1)
     return SingularTriple(
-        u=FMatrix(Z.field, _from_native(U, Z.field)),
-        lam=lam,
-        v=FMatrix(Z.field, _from_native(P, Z.field)),
+        u=FMatrix._wrap(Z.field, U), lam=lam, v=FMatrix._wrap(Z.field, P)
     )
 
 
@@ -215,15 +216,13 @@ def polar(Z, rank_tol=1e-6):
     if Z.N < Z.n:
         raise ShapeMismatchError("need N >= n")
     n = Z.n
-    L, lam2, w, V = _gram_eig(_to_native(Z.comps, Z.field), Z.field)
-    root = _spectral(V, np.sqrt(np.clip(w, 0.0, None)), n)
-    H = FMatrix(Z.field, _from_native(root, Z.field))
+    L, lam2, w, V = _gram_eig(Z.native, Z.field)
+    H = FMatrix._wrap(Z.field, _spectral(V, np.sqrt(np.clip(w, 0.0, None)), n))
     lam = np.sqrt(np.clip(lam2, 0.0, None))
     if n == 0 or lam[0] > rank_tol * max(1.0, lam[-1]):
-        Q = FMatrix(Z.field, _from_native(_polar_frame(L, w, V, n), Z.field))
-        return PolarFactors(q=Q, h=H)
+        return PolarFactors(q=FMatrix._wrap(Z.field, _polar_frame(L, w, V, n)), h=H)
     t = svd(Z)
-    Q = FMatrix(Z.field, t.u.comps[:, :n, :]) @ t.v.adjoint()
+    Q = FMatrix._wrap(Z.field, t.u.native[:, :n]) @ t.v.adjoint()
     return PolarFactors(q=Q, h=H)
 
 
@@ -247,8 +246,9 @@ def grassmann_dist(Z, W):
 def hopf_dist(Z, W):
     """min over unit scalars t of ||t Z - W|| (scalar-orbit distance)."""
     Z._check_like(W)
-    S = comp_mul(W.comps, comp_conj(Z.comps)).sum(axis=(0, 1))
-    d2 = Z.norm**2 + W.norm**2 - 2.0 * float(comp_norm(S))
+    # max over unit t of Re tr(W (t Z)*) is |tr(W Z*)|.
+    S = (W @ Z.adjoint()).trace()
+    d2 = Z.norm**2 + W.norm**2 - 2.0 * S.norm
     return float(np.sqrt(max(d2, 0.0)))
 
 
@@ -275,11 +275,6 @@ def polar_q_native(X, field):
         return X / safe[..., None, None], total
     L, lam2, w, V = _gram_eig(X, field)
     return _polar_frame(L, w, V, n), np.sqrt(np.clip(lam2[..., 0], 0.0, None))
-
-
-def gram_eigvals_batched(comps, field):
-    """Ascending eigenvalues of Z* Z for a batch (..., N, n, 4)."""
-    return _gram_eig(_to_native(comps, field), field, vectors=False)[1]
 
 
 def singular_values_batched(comps, field):

@@ -1,6 +1,6 @@
 """Seeded samplers: Gaussian matrices, Haar frames via the polar factor,
-row-truncation projections, and the rejection sampler for the Gaussian
-law conditioned on the approximation space.
+and the rejection sampler for the Gaussian law conditioned on the
+approximation space.
 
 Determinism contract: output bytes depend on the seed and on STREAM,
 never on the worker count or on how a chunk is sub-blocked.  The sample
@@ -102,6 +102,11 @@ def iter_chunks(cfg, chunk):
         yield chunk(cfg, chunk_index)[: cfg.count - start]
 
 
+def _fmatrices(cfg, chunk):
+    """The cfg.count matrices of a native chunk function as FMatrix."""
+    return [FMatrix._wrap(cfg.field, X) for X in np.concatenate(list(iter_chunks(cfg, chunk)))]
+
+
 def iter_gaussian_chunks(cfg):
     """Gaussian samples as (k, N, n, 4) chunks, cfg.count in all."""
     return iter_chunks(cfg, gaussian_chunk)
@@ -113,7 +118,7 @@ def gaussian_comps(cfg):
 
 
 def sample_gaussian(cfg):
-    return [FMatrix(cfg.field, c) for c in gaussian_comps(cfg)]
+    return _fmatrices(cfg, gaussian_chunk_native)
 
 
 def haar_chunk_native(cfg, chunk_index):
@@ -165,19 +170,7 @@ def haar_comps(cfg):
 
 
 def sample_haar_stiefel(cfg):
-    return [FMatrix(cfg.field, c) for c in haar_comps(cfg)]
-
-
-def project_pi(Z, l):
-    """Keep the first l rows; 1-Lipschitz and Gaussian-measure preserving."""
-    if isinstance(Z, FMatrix):
-        if not 1 <= l <= Z.N:
-            raise DomainError("row count %d outside [1, %d]" % (l, Z.N))
-        return FMatrix(Z.field, Z.comps[:l])
-    Z = np.asarray(Z)
-    if not 1 <= l <= Z.shape[-3]:
-        raise DomainError("row count out of range")
-    return Z[..., :l, :, :]
+    return _fmatrices(cfg, haar_chunk_native)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from componentwise import comp_adjoint, comp_matmul
 from mmconc.algebra import (
     FMatrix,
     Scalar,
     comp_conj,
-    comp_matmul,
     comp_mul,
     comp_norm,
-    derealify_comps,
     field_dim,
     frobenius_inner,
     realify,
@@ -108,13 +108,6 @@ class TestFMatrix:
             atol=1e-12,
         )
 
-    def test_derealify_roundtrip(self):
-        rng = np.random.default_rng(4)
-        for field, d in (("R", 1), ("C", 2), ("H", 4)):
-            comps = rand_comps(rng, (5, 3), d)
-            back = derealify_comps(realify_comps(comps, field), field, 5, 3)
-            np.testing.assert_allclose(back, comps, atol=1e-14)
-
     def test_frobenius_inner(self):
         rng = np.random.default_rng(5)
         Z = FMatrix("C", rand_comps(rng, (4, 2), 2))
@@ -131,6 +124,24 @@ class TestFMatrix:
         rng = np.random.default_rng(6)
         Z = FMatrix("H", rand_comps(rng, (3, 2), 4))
         assert Z.norm == pytest.approx(np.linalg.norm(realify_comps(Z.comps, "H")) / 2.0)
+
+    def test_construction_checks_components(self):
+        # FMatrix(field, comps) is the checked boundary: the layout is
+        # (N, n, 4) and components beyond the field dimension vanish.
+        comps = np.zeros((3, 2, 4))
+        comps[1, 0, 1] = 0.5
+        with pytest.raises(DomainError):
+            FMatrix("R", comps)
+        FMatrix("C", comps)  # fine
+        comps[2, 1, 3] = -0.25
+        with pytest.raises(DomainError):
+            FMatrix("C", comps)
+        np.testing.assert_array_equal(FMatrix("H", comps).comps, comps)
+        for shape in ((3, 2), (3, 2, 3), (2, 3, 2, 4)):
+            with pytest.raises(ShapeMismatchError):
+                FMatrix("H", np.zeros(shape))
+        with pytest.raises(DomainError):
+            FMatrix("Q", np.zeros((3, 2, 4)))
 
     def test_field_and_shape_guards(self):
         Z = FMatrix("R", np.zeros((3, 2, 4)))
@@ -150,6 +161,39 @@ class TestFMatrix:
             comp_matmul(A, comp_matmul(B, C)),
             atol=1e-12,
         )
+
+
+@st.composite
+def _operands(draw):
+    field, d = draw(st.sampled_from((("R", 1), ("C", 2), ("H", 4))))
+    N, n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, b = rand_comps(rng, (2, N, n), d)
+    c, t = rand_comps(rng, (n, m), d), rand_comps(rng, (), d)
+    return field, a, b, c, t, draw(st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_operands())
+def test_arithmetic_matches_componentwise_oracle(case):
+    # Sums, negation, real scaling and the adjoint move components
+    # exactly; products and norms agree to round-off.
+    field, a, b, c, t, r = case
+    A, B, C = FMatrix(field, a), FMatrix(field, b), FMatrix(field, c)
+    np.testing.assert_array_equal(A.comps, a)
+    np.testing.assert_array_equal((A + B).comps, a + b)
+    np.testing.assert_array_equal((A - B).comps, a - b)
+    np.testing.assert_array_equal((-A).comps, -a)
+    np.testing.assert_array_equal(A.scale(r).comps, r * a)
+    np.testing.assert_array_equal(A.adjoint().comps, comp_adjoint(a))
+    np.testing.assert_allclose((A @ C).comps, comp_matmul(a, c), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        A.scalar_left(Scalar(field, t)).comps, comp_mul(t, a), rtol=0, atol=1e-12
+    )
+    np.testing.assert_allclose(
+        frobenius_inner(A, B).comps, comp_mul(comp_conj(a), b).sum(axis=(0, 1)), rtol=0, atol=1e-12
+    )
+    assert A.norm == pytest.approx(np.sqrt(np.sum(a**2)), rel=1e-14)
 
 
 class TestRealify:

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmconc.algebra import FMatrix, Scalar, comp_adjoint, comp_matmul, comp_mul, realify_comps
+from componentwise import comp_adjoint, comp_matmul
+from mmconc.algebra import FMatrix, Scalar, comp_mul, realify_comps
 from mmconc.decomp import (
     dist_to_scaled_stiefel,
-    gram_eigvals_batched,
     grassmann_dist,
     hermitian_eig,
     hopf_dist,
@@ -44,6 +44,7 @@ class TestHermitianEig:
             assert rec.allclose(H, 1e-9)
             eye = FMatrix.identity(field, 6)
             assert (P.adjoint() @ P).allclose(eye, 1e-9)
+            assert P.norm == pytest.approx(np.sqrt(6.0))
             assert np.all(np.diff(sig) <= 1e-12)  # non-increasing
 
     def test_matches_realified_spectrum(self):
@@ -87,6 +88,25 @@ class TestHermitianEig:
             hermitian_eig(FMatrix("R", np.zeros((3, 2, 4))))
 
 
+def _rank_deficient_inputs():
+    """8 x 3 matrices over R, C and H whose third column depends on the
+    first, and one over H where it does so with a right coefficient."""
+    rng = np.random.default_rng(5)
+    inputs = []
+    for field, d in FIELDS:
+        comps = np.zeros((8, 3, 4))
+        comps[..., :d] = rng.standard_normal((8, 3, d))
+        comps[:, 2, :] = comps[:, 0, :]  # exactly dependent columns
+        inputs.append((field, comps))
+    # Over H the span of a column is a right module: column 2 = column
+    # 0 * s for a non-real s is dependent only with coefficients on
+    # the right.
+    comps = comps.copy()
+    comps[:, 2, :] = comp_mul(comps[:, 0, :], np.array([0.3, -1.2, 0.5, 0.9]))
+    inputs.append(("H", comps))
+    return inputs
+
+
 class TestSvdPolar:
     def test_reconstruction_and_frames(self):
         rng = np.random.default_rng(3)
@@ -114,20 +134,7 @@ class TestSvdPolar:
             np.testing.assert_allclose(np.repeat(lam, d), w, atol=1e-9)
 
     def test_rank_deficient_polar_is_frame(self):
-        rng = np.random.default_rng(5)
-        inputs = []
-        for field, d in FIELDS:
-            comps = np.zeros((8, 3, 4))
-            comps[..., :d] = rng.standard_normal((8, 3, d))
-            comps[:, 2, :] = comps[:, 0, :]  # exactly dependent columns
-            inputs.append((field, comps))
-        # Over H the span of a column is a right module: column 2 = column
-        # 0 * s for a non-real s is dependent only with coefficients on
-        # the right.
-        comps = comps.copy()
-        comps[:, 2, :] = comp_mul(comps[:, 0, :], np.array([0.3, -1.2, 0.5, 0.9]))
-        inputs.append(("H", comps))
-        for field, comps in inputs:
+        for field, comps in _rank_deficient_inputs():
             Z = FMatrix(field, comps)
             p = polar(Z)
             dev = (p.q.adjoint() @ p.q - FMatrix.identity(field, 3)).norm
@@ -138,6 +145,17 @@ class TestSvdPolar:
             assert (t.u.adjoint() @ t.u).allclose(FMatrix.identity(field, 8), 1e-12)
             rec = t.u @ diag_fmatrix(field, t.lam, 8) @ t.v.adjoint()
             assert rec.allclose(Z, 1e-8 * max(1.0, Z.norm))
+
+    def test_rank_deficient_svd_reconstructs(self):
+        # The collapsed singular value comes out at round-off size, so
+        # U Lambda V* meets Z to round-off, not to sqrt(eps) ||Z||.
+        for field, comps in _rank_deficient_inputs():
+            Z = FMatrix(field, comps)
+            t = svd(Z)
+            assert np.all(np.diff(t.lam) <= 0.0)
+            assert t.lam[-1] <= 1e-12 * Z.norm
+            rec = t.u @ diag_fmatrix(field, t.lam, 8) @ t.v.adjoint()
+            assert (rec - Z).norm <= 1e-12 * Z.norm
 
     def test_polar_of_frame_is_identity_factor(self):
         from mmconc.sampling import SamplerConfig, sample_haar_stiefel
@@ -229,6 +247,8 @@ class TestBatchedKernels:
             comps = np.zeros((6, 7, 3, 4))
             comps[..., :d] = rng.standard_normal((6, 7, 3, d))
             lam_b = singular_values_batched(comps, field)
+            assert lam_b.shape == (6, 3)
+            assert np.all(np.diff(lam_b, axis=-1) <= 1e-12)  # non-increasing
             q_b, lam_min = polar_q_batched(comps, field)
             for i in range(6):
                 Z = FMatrix(field, comps[i])
@@ -247,14 +267,6 @@ class TestBatchedKernels:
         np.testing.assert_allclose(
             lam, np.sqrt(np.sum(comps**2, axis=(-3, -2, -1))), atol=1e-12
         )
-
-    def test_gram_eigvals_ascending(self):
-        rng = np.random.default_rng(15)
-        comps = np.zeros((4, 6, 3, 4))
-        comps[..., :4] = rng.standard_normal((4, 6, 3, 4))
-        w = gram_eigvals_batched(comps, "H")
-        assert w.shape == (4, 3)
-        assert np.all(np.diff(w, axis=-1) >= -1e-12)
 
 
 @st.composite

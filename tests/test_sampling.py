@@ -5,7 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from mmconc.algebra import FMatrix, _lift, _to_native, comp_matmul
+from componentwise import comp_matmul
+from mmconc.algebra import FMatrix, _lift, _to_native
 from mmconc.errors import DomainError, InfeasibleError, ShapeMismatchError
 from mmconc.sampling import (
     CHUNK,
@@ -19,7 +20,6 @@ from mmconc.sampling import (
     haar_comps,
     iter_gaussian_chunks,
     iter_haar_chunks,
-    project_pi,
     sample_gaussian,
     sample_haar_stiefel,
     sample_restricted_gaussian,
@@ -160,31 +160,6 @@ class TestHaar:
         monkeypatch.setattr(sampling, "polar_q_native", rank_deficient)
         with pytest.raises(InfeasibleError):
             sampling.haar_chunk(SamplerConfig("R", 4, 2, seed=0), 0)
-
-
-class TestProjectPi:
-    def test_rows_kept(self):
-        rng = np.random.default_rng(0)
-        Z = FMatrix("R", np.concatenate([rng.standard_normal((4, 2, 1)), np.zeros((4, 2, 3))], axis=-1))
-        P = project_pi(Z, 2)
-        assert P.shape == (2, 2)
-        np.testing.assert_array_equal(P.comps, Z.comps[:2])
-
-    def test_batched(self):
-        comps = np.zeros((3, 5, 1, 4))
-        out = project_pi(comps, 4)
-        assert out.shape == (3, 4, 1, 4)
-
-    def test_range_check(self):
-        with pytest.raises(DomainError):
-            project_pi(FMatrix("R", np.zeros((3, 1, 4))), 4)
-
-    def test_measure_preserving_on_gaussians(self):
-        # Row truncation of a Gaussian matrix is again Gaussian: exact
-        # equality of the retained block.
-        cfg = SamplerConfig("R", 6, 2, seed=5, count=10)
-        comps = gaussian_comps(cfg)
-        np.testing.assert_array_equal(project_pi(comps, 3), comps[:, :3])
 
 
 class TestRestricted:
