@@ -1,7 +1,7 @@
 """Approximation-space membership, the projection-then-polar map, and the
-Monte Carlo experiments built on them: empirical Lipschitz ratios, the
-pushforward distribution test, and the Prohorov-style concentration
-estimate for the distance to the scaled frame manifold.
+Monte Carlo experiments built on them: batched Lipschitz ratios of the
+projection, the pushforward distribution test, and the Prohorov-style
+concentration estimate for the distance to the scaled frame manifold.
 
 The statistics run on the native arrays of `algebra` (R (..., N, n), C
 (..., N, n), H (..., 2N, n)): membership, column norms and pair overlaps
@@ -214,25 +214,6 @@ def phi_batched(comps, field):
     return _from_native(phi_native(_to_native(comps, field), field), field)
 
 
-def empirical_lipschitz(f, pairs):
-    """Max of ||f(Z) - f(W)|| / ||Z - W|| over a list of matrix pairs.
-
-    Coincident pairs are skipped with a warning.
-    """
-    best = 0.0
-    skipped = 0
-    for Z, W in pairs:
-        gap = (Z - W).norm
-        if gap <= 1e-14:
-            skipped += 1
-            continue
-        fz, fw = f(Z), f(W)
-        best = max(best, (fz - fw).norm / gap)
-    if skipped:
-        warnings.warn("skipping %d coincident pairs" % skipped)
-    return best
-
-
 @dataclass(frozen=True)
 class LipschitzReport:
     max_ratio: float
@@ -361,6 +342,19 @@ class ProkReport:
     mean_distance: float
 
 
+def prok_report(d):
+    """The prok statistics of an array of distances to the scaled frame
+    manifold: dP_lower, the 5, 25, 50, 75 and 95 percent quantiles, the
+    sample size and the mean."""
+    d = np.sort(d)
+    return ProkReport(
+        dP_lower=_dp_lower(d),
+        quantiles={p: float(np.quantile(d, p / 100.0)) for p in (5, 25, 50, 75, 95)},
+        sample_size=d.size,
+        mean_distance=float(np.mean(d)),
+    )
+
+
 def prok_experiment(N, n, field, sample_size=100000, seed=0):
     """Concentration of the distance to the scaled frame manifold.
 
@@ -370,12 +364,4 @@ def prok_experiment(N, n, field, sample_size=100000, seed=0):
     """
     cfg = sampling.SamplerConfig(field, N, n, seed=seed, count=sample_size)
     chunks = sampling.iter_chunks(cfg, sampling.gaussian_chunk_native)
-    d = np.sort(np.concatenate([_frame_distances(c, field) for c in chunks]))
-    S = d.size
-    qs = {p: float(np.quantile(d, p / 100.0)) for p in (5, 25, 50, 75, 95)}
-    return ProkReport(
-        dP_lower=_dp_lower(d),
-        quantiles=qs,
-        sample_size=S,
-        mean_distance=float(np.mean(d)),
-    )
+    return prok_report(np.concatenate([_frame_distances(c, field) for c in chunks]))

@@ -168,12 +168,14 @@ def run_prok(cfg):
             d = np.concatenate(
                 _map_chunks(chunk_dist, _n_chunks(cfg.samples), cfg.workers)
             )[: cfg.samples]
-            S = d.size
-            dP = concentration._dp_lower(d)
-            rows.append([N, n, field, S, "dP_lower", dP])
-            for p in (5, 25, 50, 75, 95):
-                rows.append([N, n, field, S, "q%02d" % p, float(np.quantile(d, p / 100.0))])
-            summaries.append("prok field=%s N=%d n=%d dP_lower=%.4f" % (field, N, n, dP))
+            rep = concentration.prok_report(d)
+            S = rep.sample_size
+            rows.append([N, n, field, S, "dP_lower", rep.dP_lower])
+            for p, q in rep.quantiles.items():
+                rows.append([N, n, field, S, "q%02d" % p, q])
+            summaries.append(
+                "prok field=%s N=%d n=%d dP_lower=%.4f" % (field, N, n, rep.dP_lower)
+            )
     return ExperimentResult(
         "prok", ["N", "n", "field", "samples", "stat_name", "value"], rows, summaries
     )

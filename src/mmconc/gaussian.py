@@ -1,8 +1,8 @@
 """Analytic machinery for the radial law of high-dimensional Gaussians.
 
-Covers the radial density, normal CDF and quantile, annulus and ball
-masses with their explicit upper bounds, the root of the deficiency
-function G, and the Stirling remainder bracket.
+Covers the radial density, CDF and quantile, the normal CDF, annulus
+and ball masses with their explicit upper bounds, the root of the
+deficiency function G, and the Stirling remainder bracket.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from . import special
 from .errors import DomainError
 
 norm_cdf = special.norm_cdf
-norm_quantile = special.norm_quantile
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """In-repo special functions: log-gamma, incomplete gamma, erf, the
-standard normal CDF/quantile, and adaptive quadrature.
+standard normal CDF, adaptive quadrature and bisection.
 
 Everything here is pure numpy.  Accuracy targets: <= 1e-12 relative for
 erf/erfc and the regularized incomplete gamma on their tested ranges,
-1e-10 absolute for the quadrature and the quantile round trip.
+1e-10 absolute for the quadrature.
 """
 
 from __future__ import annotations
@@ -92,35 +92,42 @@ def _gamma_q_cf(a, x, iters=200):
     return np.where(x > 0.0, np.exp(log_pref) * h, 1.0)
 
 
+def _reg_gamma(a, x, upper):
+    """P(a, x), or Q(a, x) = 1 - P(a, x) when upper is set.
+
+    The series runs only on the elements with x < a + 1 and the
+    continued fraction only on the rest, as in _erfc_nonneg.
+    """
+    a, x = np.broadcast_arrays(
+        np.asarray(a, dtype=np.float64), np.asarray(x, dtype=np.float64)
+    )
+    if np.any(a <= 0.0):
+        raise DomainError("incomplete gamma requires a > 0")
+    if np.any(x < 0.0):
+        raise DomainError("incomplete gamma requires x >= 0")
+    shape = x.shape
+    a, x = a.reshape(-1), x.reshape(-1)
+    out = np.empty_like(x)
+    series = x < a + 1.0
+    if np.any(series):
+        p = _gamma_p_series(a[series], x[series])
+        out[series] = 1.0 - p if upper else p
+    cf = ~series
+    if np.any(cf):
+        q = _gamma_q_cf(a[cf], x[cf])
+        out[cf] = q if upper else 1.0 - q
+    out = out.reshape(shape)
+    return out if out.shape else float(out)
+
+
 def reg_gamma_p(a, x):
     """Regularized lower incomplete gamma P(a, x), vectorized, a > 0, x >= 0."""
-    a = np.asarray(a, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if np.any(a <= 0.0):
-        raise DomainError("reg_gamma_p requires a > 0")
-    if np.any(x < 0.0):
-        raise DomainError("reg_gamma_p requires x >= 0")
-    use_series = x < a + 1.0
-    # Evaluate both branches on safe arguments and select.
-    xs = np.where(use_series, x, 0.0)
-    xc = np.where(use_series, a + 2.0, x)
-    p_series = _gamma_p_series(a, xs)
-    p_cf = 1.0 - _gamma_q_cf(a, xc)
-    out = np.where(use_series, p_series, p_cf)
-    return out if out.shape else float(out)
+    return _reg_gamma(a, x, upper=False)
 
 
 def reg_gamma_q(a, x):
     """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
-    a = np.asarray(a, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    use_series = x < a + 1.0
-    xs = np.where(use_series, x, 0.0)
-    xc = np.where(use_series, a + 2.0, x)
-    q_series = 1.0 - _gamma_p_series(a, xs)
-    q_cf = _gamma_q_cf(a, xc)
-    out = np.where(use_series, q_series, q_cf)
-    return out if out.shape else float(out)
+    return _reg_gamma(a, x, upper=True)
 
 
 def _erfc_nonneg(x):
@@ -173,71 +180,6 @@ def norm_pdf(r):
     r = np.asarray(r, dtype=np.float64)
     out = np.exp(-0.5 * np.square(r)) / np.sqrt(2.0 * np.pi)
     return out if out.shape else float(out)
-
-
-_ACKLAM_A = (
-    -3.969683028665376e01,
-    2.209460984245205e02,
-    -2.759285104469687e02,
-    1.383577518672690e02,
-    -3.066479806614716e01,
-    2.506628277459239e00,
-)
-_ACKLAM_B = (
-    -5.447609879822406e01,
-    1.615858368580409e02,
-    -1.556989798598866e02,
-    6.680131188771972e01,
-    -1.328068155288572e01,
-)
-_ACKLAM_C = (
-    -7.784894002430293e-03,
-    -3.223964580411365e-01,
-    -2.400758277161838e00,
-    -2.549732539343734e00,
-    4.374664141464968e00,
-    2.938163982698783e00,
-)
-_ACKLAM_D = (
-    7.784695709041462e-03,
-    3.224671290700398e-01,
-    2.445134137142996e00,
-    3.754408661907416e00,
-)
-
-
-def _quantile_raw(p):
-    """Rational initializer for the normal quantile (relative error ~1e-9)."""
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    p_low = 0.02425
-    central = (p_low <= p) & (p <= 1.0 - p_low)
-
-    q = np.where(central, p - 0.5, 0.0)
-    r = q * q
-    num = ((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]
-    den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-    x_central = num * q / den
-
-    p_tail = np.where(central, 0.01, np.minimum(p, 1.0 - p))
-    q = np.sqrt(-2.0 * np.log(p_tail))
-    num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-    den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-    x_tail = num / den
-    x_tail = np.where(p < 0.5, x_tail, -x_tail)
-    return np.where(central, x_central, x_tail)
-
-
-def norm_quantile(p):
-    """Inverse of norm_cdf on (0, 1); round trip accurate to ~1e-12."""
-    p = np.asarray(p, dtype=np.float64)
-    if np.any((p <= 0.0) | (p >= 1.0)):
-        raise DomainError("quantile requires 0 < p < 1")
-    x = _quantile_raw(p)
-    # One Halley refinement against the erfc-based CDF.
-    err = norm_cdf(x) - p
-    u = err * np.sqrt(2.0 * np.pi) * np.exp(0.5 * np.square(x))
-    x = x - u / (1.0 + 0.5 * x * u)
-    return x if x.shape else float(x)
 
 
 _GL10_X, _GL10_W = np.polynomial.legendre.leggauss(10)

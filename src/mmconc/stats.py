@@ -1,8 +1,7 @@
 """Distance and diameter estimators on empirical data.
 
-Kolmogorov-Smirnov statistics, exact one-dimensional Prohorov distance,
-binned total variation, the Ky Fan distance, partial diameters of
-samples and of the continuous radial laws, and witness-family lower
+Kolmogorov-Smirnov statistics, the Ky Fan distance, partial diameters
+of samples and of the continuous radial laws, and witness-family lower
 bounds for the observable diameter.
 """
 
@@ -10,39 +9,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import gaussian
+from . import gaussian, special
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class EmpiricalSample:
-    """A sorted collection of real draws with provenance metadata."""
-
-    values: np.ndarray
-    meta: dict = dc_field(default_factory=dict)
-
-    def __post_init__(self):
-        vals = np.sort(np.asarray(self.values, dtype=np.float64).reshape(-1))
-        if vals.size < 1:
-            raise DomainError("sample must be non-empty")
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def from_values(cls, values, **meta):
-        return cls(np.asarray(values), dict(meta))
-
-    @property
-    def size(self):
-        return self.values.size
-
-
 def _values(sample):
-    if isinstance(sample, EmpiricalSample):
-        return sample.values
     return np.sort(np.asarray(sample, dtype=np.float64).reshape(-1))
 
 
@@ -63,106 +38,6 @@ def partial_diameter(sample, kappa):
     if w <= 1:
         return 0.0
     return float(np.min(vals[w - 1 :] - vals[: S - w + 1]))
-
-
-def _interval_mass_open(sorted_vals, a, b):
-    """Number of points in the open interval (a, b)."""
-    return np.searchsorted(sorted_vals, b, side="left") - np.searchsorted(
-        sorted_vals, a, side="right"
-    )
-
-
-def _max_deficit(nu_atoms, nu_w, mu_sorted, eps):
-    """max over subsets A of nu-atoms of nu(A) - mu(eps-inflation of A).
-
-    Dynamic program over atoms in increasing order; the inflation of a
-    chosen subset is a union of open intervals, and the best subset
-    ending at atom i either starts a fresh interval or extends a chain
-    whose previous atom lies within 2 eps.
-    """
-    K = nu_atoms.size
-    M = mu_sorted.size
-    best = np.empty(K)
-    far_max = 0.0  # best over atoms ending at least 2 eps to the left
-    far_ptr = 0
-    lefts = np.searchsorted(mu_sorted, nu_atoms + eps, side="left")
-    for i in range(K):
-        x = nu_atoms[i]
-        solo = nu_w[i] - _interval_mass_open(mu_sorted, x - eps, x + eps) / M
-        while far_ptr < i and nu_atoms[far_ptr] <= x - 2.0 * eps:
-            far_max = max(far_max, best[far_ptr])
-            far_ptr += 1
-        cand = solo + max(0.0, far_max)
-        # Chain options: predecessor j with x - 2 eps < x_j < x.
-        j = far_ptr
-        if j < i:
-            incr = (lefts[i] - lefts[j:i]) / M
-            cand = max(cand, float(np.max(best[j:i] + nu_w[i] - incr)))
-        best[i] = cand
-    return float(np.max(best)) if K else 0.0
-
-
-def _aggregate(vals):
-    uniq, counts = np.unique(vals, return_counts=True)
-    return uniq, counts / vals.size
-
-
-def prohorov_1d(a, b, tol=1e-12):
-    """Exact Prohorov distance of two one-dimensional empirical measures.
-
-    Checks the inflation inequality on subsets of atoms in both
-    directions (sufficient in one dimension) and bisects over eps.
-    """
-    xa = _values(a)
-    xb = _values(b)
-    # The inflation below uses open intervals, which degenerate at
-    # eps = 0; equal measures are the only case with distance exactly 0.
-    if xa.size == xb.size and np.array_equal(xa, xb):
-        return 0.0
-    ua, wa = _aggregate(xa)
-    ub, wb = _aggregate(xb)
-
-    def feasible(eps):
-        return (
-            _max_deficit(ub, wb, xa, eps) <= eps
-            and _max_deficit(ua, wa, xb, eps) <= eps
-        )
-
-    hi = max(1.0, float(max(xa[-1], xb[-1]) - min(xa[0], xb[0])))
-    lo = 0.0
-    if feasible(0.0):
-        return 0.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= tol:
-            break
-    return hi
-
-
-def tv_binned(a, b, bins):
-    """Half the L1 distance of binned frequencies on a common grid."""
-    xa = _values(a)
-    xb = _values(b)
-    if np.isscalar(bins):
-        lo = min(xa[0], xb[0])
-        hi = max(xa[-1], xb[-1])
-        if hi <= lo:
-            hi = lo + 1.0
-        edges = np.linspace(lo, hi, int(bins) + 1)
-    else:
-        edges = np.asarray(bins, dtype=np.float64)
-    pa, _ = np.histogram(xa, bins=edges)
-    pb, _ = np.histogram(xb, bins=edges)
-    pa = pa / xa.size
-    pb = pb / xb.size
-    # Mass outside the grid still separates the measures.
-    pa = np.append(pa, 1.0 - pa.sum())
-    pb = np.append(pb, 1.0 - pb.sum())
-    return 0.5 * float(np.sum(np.abs(pa - pb)))
 
 
 def ky_fan(values):
@@ -217,13 +92,11 @@ def kolmogorov_critical(alpha):
                 break
         return total
 
-    from .special import bisect
-
     # The alternating series is only usable away from 0; Q(0.2) is
     # already > 1 - 1e-4, which covers every practical alpha.
     if q(0.2) < alpha:
         raise DomainError("alpha too close to 1 for the asymptotic series")
-    return bisect(lambda c: q(c) - alpha, 0.2, 5.0, tol=1e-12)
+    return special.bisect(lambda c: q(c) - alpha, 0.2, 5.0, tol=1e-12)
 
 
 def ks_critical(n, m=None, alpha=0.01):
@@ -328,34 +201,40 @@ def obs_diam_lower(comps, witnesses, kappa):
     return ObsDiamReport(per_witness=per, max_value=max(per.values()) if per else 0.0)
 
 
-def law_partial_diameter(dim, kappa, tol=1e-8):
+def law_partial_diameter(dim, kappa, tol=1e-13):
     """Exact partial diameter of the radial law in the given dimension.
 
-    Minimizes the quantile gap Q(u + 1 - kappa) - Q(u) over the left
-    endpoint u by golden-section search, with the endpoints included.
+    The chi density is log-concave, so the shortest window of mass
+    1 - kappa is a level set of it.  In dimension 1 the density
+    decreases and the window is [0, Q(1 - kappa)].  In dimension m >= 2
+    the window [a, b] has equal density at both ends, a below and b
+    above the mode r0 = sqrt(m - 1): h(a) = h(b) for the log-density
+    h(r) = (m - 1) log(r / r0) - (r^2 - r0^2) / 2 relative to the mode.
+    Bisection on a finds F(b(a)) - F(a) = 1 - kappa, each b(a) from a
+    bisection on h, which needs no CDF call.
     """
     if not 0.0 < kappa < 1.0:
         raise DomainError("kappa must lie in (0, 1)")
     law = gaussian.RadialLaw.of(dim)
     mass = 1.0 - kappa
-    tiny = 1e-12
+    if law.m == 1:
+        return law.quantile(mass)
+    r0 = math.sqrt(law.m - 1.0)
 
-    def gap(u):
-        u = min(max(u, tiny), kappa - tiny)
-        return law.quantile(u + mass) - law.quantile(u)
+    def h(r):
+        return (law.m - 1) * math.log(r / r0) - 0.5 * (r * r - r0 * r0)
 
-    lo, hi = 0.0, kappa
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1, f2 = gap(x1), gap(x2)
-    while hi - lo > tol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_phi * (hi - lo)
-            f1 = gap(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_phi * (hi - lo)
-            f2 = gap(x2)
-    return min(gap(lo), gap(hi), gap(0.5 * (lo + hi)))
+    def right_end(a):
+        level = h(a)
+        # h'' <= -1, so h(r0 + s) <= -s^2 / 2 brackets the right end.
+        hi = r0 + math.sqrt(-2.0 * level)
+        return special.bisect(lambda r: h(r) - level, r0, hi, tol=tol)
+
+    def excess(a):
+        if a == 0.0:
+            return kappa  # the window [0, inf) holds all the mass
+        F = law.cdf(np.array([a, right_end(a)]))
+        return float(F[1] - F[0]) - mass
+
+    a = special.bisect(excess, 0.0, r0, tol=tol)
+    return right_end(a) - a

@@ -11,7 +11,6 @@ from mmconc.concentration import (
     ApproxSpaceParams,
     _norms_overlaps,
     column_norms,
-    empirical_lipschitz,
     lipschitz_experiment,
     membership,
     membership_mask,
@@ -22,7 +21,6 @@ from mmconc.concentration import (
     prok_experiment,
     pushforward_test,
 )
-from mmconc.decomp import polar
 from mmconc.errors import DomainError, MembershipError, PreconditionError
 from mmconc.sampling import (
     SamplerConfig,
@@ -214,24 +212,6 @@ class TestPhiProject:
 
 
 class TestEmpiricalLipschitz:
-    def test_identity_and_scaling(self):
-        rng = np.random.default_rng(0)
-        pairs = []
-        for _ in range(10):
-            a = np.zeros((5, 1, 4))
-            b = np.zeros((5, 1, 4))
-            a[..., 0] = rng.standard_normal((5, 1))
-            b[..., 0] = rng.standard_normal((5, 1))
-            pairs.append((FMatrix("R", a), FMatrix("R", b)))
-        assert empirical_lipschitz(lambda Z: Z, pairs) == pytest.approx(1.0)
-        assert empirical_lipschitz(lambda Z: Z.scale(2.0), pairs) == pytest.approx(2.0)
-
-    def test_coincident_pairs_warn(self):
-        Z = FMatrix("R", np.ones((3, 1, 4)) * [1.0, 0.0, 0.0, 0.0])
-        with pytest.warns(UserWarning):
-            got = empirical_lipschitz(lambda W: W, [(Z, Z)])
-        assert got == 0.0
-
     def test_experiment_report(self):
         p = ApproxSpaceParams("R", 100, 2, 0.2)
         rep = lipschitz_experiment(p, pair_count=200, seed=3)

@@ -13,7 +13,6 @@ from mmconc.gaussian import (
     g_func,
     g_root,
     norm_cdf,
-    norm_quantile,
     radial_density,
     radial_peak,
     stirling_check,
@@ -161,8 +160,3 @@ class TestStirling:
             assert chk.in_bracket
             assert 0.0 < chk.rho < 1.0 / (12.0 * x)
 
-
-class TestNormalReexports:
-    def test_consistency(self):
-        u = np.linspace(0.01, 0.99, 99)
-        np.testing.assert_allclose(norm_cdf(norm_quantile(u)), u, atol=1e-12)

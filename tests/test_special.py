@@ -12,7 +12,6 @@ from mmconc.special import (
     lgamma,
     norm_cdf,
     norm_pdf,
-    norm_quantile,
     reg_gamma_p,
     reg_gamma_q,
 )
@@ -94,32 +93,9 @@ class TestNormal:
         assert norm_cdf(2.7) == pytest.approx(0.99653302619695933, rel=1e-13)
         assert norm_cdf(0.0) == pytest.approx(0.5, abs=1e-15)
 
-    def test_quantile_pinned(self):
-        # Third-quartile point of the standard normal.
-        assert norm_quantile(0.75) == pytest.approx(0.67448975019608174, abs=1e-14)
-        assert norm_quantile(0.5) == pytest.approx(0.0, abs=1e-15)
-
-    def test_quantile_roundtrip(self):
-        u = np.linspace(1e-10, 1 - 1e-10, 20001)
-        back = norm_cdf(norm_quantile(u))
-        assert np.max(np.abs(back - u)) < 5e-15
-
-    def test_quantile_extreme_tails(self):
-        for u in (1e-300, 1e-15, 1 - 1e-15):
-            x = norm_quantile(u)
-            assert math.isfinite(x)
-            assert norm_cdf(x) == pytest.approx(u, rel=1e-10)
-
     def test_pdf_normalization(self):
         total = adaptive_quad(norm_pdf, -12.0, 12.0, tol=1e-12)
         assert total == pytest.approx(1.0, abs=1e-11)
-
-    def test_quantile_domain(self):
-        with pytest.raises(DomainError):
-            norm_quantile(0.0)
-        with pytest.raises(DomainError):
-            norm_quantile(1.0)
-
 
 class TestQuadrature:
     def test_sin(self):
