@@ -4,7 +4,7 @@ finite-dimensional bound machinery behind them."""
 
 __version__ = "0.1.0"
 
-from .algebra import FMatrix, Scalar, field_dim, frobenius_inner, realify
+from .algebra import FMatrix, field_dim, frobenius_inner, realify
 from .bounds import make_schedule, sigma_recursion, theta
 from .concentration import ApproxSpaceParams, membership, phi_project
 from .decomp import (
@@ -24,7 +24,6 @@ __all__ = [
     "FMatrix",
     "MmconcError",
     "SamplerConfig",
-    "Scalar",
     "annulus_mass",
     "ball_mass",
     "dist_to_scaled_stiefel",

@@ -1,13 +1,14 @@
-"""Scalar and matrix arithmetic over the real, complex and quaternion fields.
+"""Matrix arithmetic over the real, complex and quaternion fields.
 
 A matrix is held as its native array: R float64 (N, n), C complex128
 (N, n), and for H = Z1 + Z2 j the first block column [Z1; -conj Z2]
 (2N, n) of the complex adjoint [[Z1, Z2], [-conj Z2, conj Z1]] (F.
 Zhang, Linear Algebra Appl. 251, 1997).  FMatrix stores that array and
-runs all of its arithmetic on it; the samplers draw, and the batched
-kernels and statistics compute, on native arrays too, from the draw to
-the statistic.  Every helper accepts extra leading batch axes so hot
-loops stay vectorized.
+runs all of its arithmetic on it; a field scalar is a 1 x 1 FMatrix,
+as `trace` and `frobenius_inner` return it and `scalar_left` takes it.
+The samplers draw, and the batched kernels and statistics compute, on
+native arrays too, from the draw to the statistic.  Every helper
+accepts extra leading batch axes so hot loops stay vectorized.
 
 The componentwise interchange layout is read and written only at the
 boundary: `FMatrix(field, comps)` and `.comps`, the public batched
@@ -19,7 +20,7 @@ components pinned at zero for R and C, and a matrix is a float64 array
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,87 +66,6 @@ def comp_mul(a, b):
     out[..., 2] = a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
     out[..., 3] = a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
     return out
-
-
-def comp_conj(a):
-    out = np.array(a, dtype=np.float64, copy=True)
-    out[..., 1:] = -out[..., 1:]
-    return out
-
-
-def comp_norm(a):
-    """Scalar norm sqrt(z0^2 + z1^2 + z2^2 + z3^2) over the last axis."""
-    return np.sqrt(np.sum(np.square(a), axis=-1))
-
-
-@dataclass(frozen=True)
-class Scalar:
-    """An element of R, C or H."""
-
-    field: str
-    comps: np.ndarray = dc_field(repr=True)
-
-    def __post_init__(self):
-        comps = np.asarray(self.comps, dtype=np.float64)
-        if comps.shape != (4,):
-            raise ShapeMismatchError("Scalar needs exactly 4 components")
-        _check_comps(self.field, comps)
-        object.__setattr__(self, "comps", comps)
-
-    @classmethod
-    def _wrap(cls, field, comps):
-        """The scalar of components computed from checked ones, unchecked."""
-        z = object.__new__(cls)
-        object.__setattr__(z, "field", field)
-        object.__setattr__(z, "comps", comps)
-        return z
-
-    @classmethod
-    def of(cls, field, z0, z1=0.0, z2=0.0, z3=0.0):
-        return cls(field, np.array([z0, z1, z2, z3], dtype=np.float64))
-
-    @classmethod
-    def one(cls, field):
-        return cls.of(field, 1.0)
-
-    @property
-    def real(self):
-        return float(self.comps[0])
-
-    @property
-    def norm(self):
-        return float(comp_norm(self.comps))
-
-    def conj(self):
-        return Scalar._wrap(self.field, comp_conj(self.comps))
-
-    def _coerce(self, other):
-        if isinstance(other, Scalar):
-            if other.field != self.field:
-                raise FieldMismatchError(
-                    "mixed fields %s and %s" % (self.field, other.field)
-                )
-            return other
-        return Scalar.of(self.field, float(other))
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return Scalar._wrap(self.field, comp_mul(self.comps, other.comps))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return Scalar._wrap(self.field, self.comps + other.comps)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return Scalar._wrap(self.field, self.comps - other.comps)
-
-    def __neg__(self):
-        return Scalar._wrap(self.field, -self.comps)
-
-    def allclose(self, other, tol=1e-12):
-        other = self._coerce(other)
-        return bool(np.all(np.abs(self.comps - other.comps) <= tol))
 
 
 def _native(z, field):
@@ -360,11 +280,13 @@ class FMatrix:
         return FMatrix._wrap(self.field, float(r) * self.native)
 
     def scalar_left(self, t):
-        """Left scalar multiple t * Z: the lift of t, a 1 x 1 or 2 x 2
-        complex adjoint, acting on the blocks of the native array."""
-        if t.field != self.field:
-            raise FieldMismatchError("mixed fields")
-        T = _lift(_to_native(t.comps[None, None], t.field), t.field)
+        """Left scalar multiple t * Z for a 1 x 1 FMatrix t: the lift of
+        t, a 1 x 1 or 2 x 2 complex adjoint, acting on the blocks of the
+        native array."""
+        self._check_like(t, shapes=False)
+        if t.shape != (1, 1):
+            raise ShapeMismatchError("a scalar is a 1 x 1 matrix, got %r" % (t.shape,))
+        T = _lift(t.native, t.field)
         X = self.native
         return FMatrix._wrap(self.field, (T @ X.reshape(len(T), -1)).reshape(X.shape))
 
@@ -374,8 +296,7 @@ class FMatrix:
         # The trace of each block of the native array: the native array
         # of the 1 x 1 matrix tr Z.
         blocks = self.native.reshape(-1, self.n, self.n)
-        t = np.trace(blocks, axis1=-2, axis2=-1)[:, None]
-        return Scalar._wrap(self.field, _from_native(t, self.field)[0, 0])
+        return FMatrix._wrap(self.field, np.trace(blocks, axis1=-2, axis2=-1)[:, None])
 
     def allclose(self, other, tol=1e-10):
         self._check_like(other)
@@ -383,7 +304,8 @@ class FMatrix:
 
 
 def frobenius_inner(Z, W):
-    """tr(Z* W); its real part is the realified Euclidean inner product."""
+    """tr(Z* W) as a 1 x 1 FMatrix; its real part is the realified
+    Euclidean inner product."""
     Z._check_like(W)
     return (Z.adjoint() @ W).trace()
 

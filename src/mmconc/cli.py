@@ -48,9 +48,9 @@ def _apply_env_seed(seed):
     return seed
 
 
-def build_config(args, experiment=None):
+def build_config(args):
     cfg = experiments.ExperimentConfig(
-        experiment=experiment or getattr(args, "experiment", ""),
+        experiment=args.experiment or "",
         fields=_parse_fields(args.field),
         N_list=_parse_list(args.N, "N", int, "integers"),
         n_rule=args.n,
@@ -162,46 +162,26 @@ def parse_config_file(path):
     return values
 
 
-_CONFIG_KEYS = {
-    "experiment": str,
-    "field": str,
-    "N": str,
-    "n": str,
-    "kappa": str,
-    "samples": int,
-    "seed": int,
-    "eps": float,
-    "condition": str,
-    "a": float,
-    "workers": int,
-    "out": str,
-}
-
-
 def resolve_config(values):
-    ns = argparse.Namespace(
-        experiment="",
-        field="r",
-        N="100",
-        n="const:1",
-        kappa="0.5",
-        samples=10000,
-        seed=0,
-        eps=0.5,
-        condition="condi",
-        a=0.5,
-        workers=1,
-        out=".",
-    )
-    for key, value in values.items():
-        if key not in _CONFIG_KEYS:
+    """The run config of config-file values: each key is an option of
+    `mmconc run`, parsed with its type, choices and default."""
+    actions = _add_run_options(argparse.ArgumentParser())
+    ns = argparse.Namespace(**{key: action.default for key, action in actions.items()})
+    for key, text in values.items():
+        if key not in actions:
             raise ConfigError("unknown config key %r" % key)
-        caster = _CONFIG_KEYS[key]
+        cast = actions[key].type or str
         try:
-            setattr(ns, key, caster(value))
+            value = cast(text)
         except ValueError:
-            raise ConfigError("key %r: cannot parse %r as %s" % (key, value, caster.__name__))
-    return build_config(ns, experiment=ns.experiment)
+            raise ConfigError("key %r: cannot parse %r as %s" % (key, text, cast.__name__))
+        choices = actions[key].choices
+        if choices is not None and value not in choices:
+            raise ConfigError(
+                "key %r: unknown value %r (choose from %s)" % (key, value, ", ".join(choices))
+            )
+        setattr(ns, key, value)
+    return build_config(ns)
 
 
 def cmd_validate(args):
@@ -264,6 +244,28 @@ def cmd_sample(args):
     return 0
 
 
+def _add_run_options(parser):
+    """Add the arguments of `mmconc run`, which are also the keys of a
+    config file, and return their actions by key."""
+    actions = (
+        parser.add_argument("experiment", choices=sorted(experiments.EXPERIMENTS)),
+        parser.add_argument("--field", default="r", help="comma list from r, c, h"),
+        parser.add_argument("--N", default="100", help="comma list of ambient dimensions"),
+        parser.add_argument(
+            "--n", default="const:1", help="rule const:k | power:p | powerlog:p | table:path"
+        ),
+        parser.add_argument("--kappa", default="0.5", help="comma list of mass defects"),
+        parser.add_argument("--samples", type=int, default=10000),
+        parser.add_argument("--seed", type=int, default=0),
+        parser.add_argument("--eps", type=float, default=0.5),
+        parser.add_argument("--condition", choices=("condi", "ass"), default="condi"),
+        parser.add_argument("--a", type=float, default=0.5, help="exponent for the ass condition"),
+        parser.add_argument("--workers", type=int, default=os.cpu_count() or 1),
+        parser.add_argument("--out", default="."),
+    )
+    return {action.dest: action for action in actions}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="mmconc",
@@ -273,18 +275,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a named experiment")
-    run.add_argument("experiment", choices=sorted(experiments.EXPERIMENTS))
-    run.add_argument("--field", default="r", help="comma list from r, c, h")
-    run.add_argument("--N", default="100", help="comma list of ambient dimensions")
-    run.add_argument("--n", default="const:1", help="rule const:k | power:p | powerlog:p | table:path")
-    run.add_argument("--kappa", default="0.5", help="comma list of mass defects")
-    run.add_argument("--samples", type=int, default=10000)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--eps", type=float, default=0.5)
-    run.add_argument("--condition", choices=("condi", "ass"), default="condi")
-    run.add_argument("--a", type=float, default=0.5, help="exponent for the ass condition")
-    run.add_argument("--workers", type=int, default=os.cpu_count() or 1)
-    run.add_argument("--out", default=".")
+    _add_run_options(run)
     run.set_defaults(fn=cmd_run)
 
     val = sub.add_parser("validate", help="validate a flat key = value config file")

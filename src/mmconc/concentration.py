@@ -355,7 +355,7 @@ def prok_report(d):
     )
 
 
-def prok_experiment(N, n, field, sample_size=100000, seed=0):
+def prok_experiment(N, n, field, sample_size=100000, seed=0, workers=1):
     """Concentration of the distance to the scaled frame manifold.
 
     dP_lower is the smallest eps with an empirical (1 - eps) fraction of
@@ -363,5 +363,8 @@ def prok_experiment(N, n, field, sample_size=100000, seed=0):
     Prohorov gap between the Gaussian law and its projection from below.
     """
     cfg = sampling.SamplerConfig(field, N, n, seed=seed, count=sample_size)
-    chunks = sampling.iter_chunks(cfg, sampling.gaussian_chunk_native)
-    return prok_report(np.concatenate([_frame_distances(c, field) for c in chunks]))
+
+    def chunk_distances(cfg, chunk_index):
+        return _frame_distances(sampling.gaussian_chunk_native(cfg, chunk_index), cfg.field)
+
+    return prok_report(np.concatenate(list(sampling.iter_chunks(cfg, chunk_distances, workers))))

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -78,16 +77,14 @@ class ExperimentResult:
     extra_json: dict = dc_field(default_factory=dict)
 
 
-def _map_chunks(fn, n_chunks, workers):
-    """Apply fn to chunk indices, merging results in index order."""
-    if workers <= 1:
-        return [fn(i) for i in range(n_chunks)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n_chunks)))
+def _haar_coordinates(cfg, field, N, n):
+    """Real part of the first entry of cfg.samples scaled Haar frames."""
+    scfg = sampling.SamplerConfig(field, N, n, seed=cfg.seed, count=cfg.samples)
 
+    def chunk_coord(scfg, i):
+        return sampling.haar_chunk_native(scfg, i)[:, 0, 0].real
 
-def _n_chunks(count):
-    return (count + sampling.CHUNK - 1) // sampling.CHUNK
+    return np.concatenate(list(sampling.iter_chunks(scfg, chunk_coord, cfg.workers)))
 
 
 def run_mbdist(cfg):
@@ -97,15 +94,7 @@ def run_mbdist(cfg):
     for field in cfg.fields:
         for N in cfg.N_list:
             n = cfg.n_for(N)
-            scfg = sampling.SamplerConfig(field, N, n, seed=cfg.seed, count=cfg.samples)
-
-            def chunk_coord(i, scfg=scfg):
-                return sampling.haar_chunk_native(scfg, i)[:, 0, 0].real
-
-            coords = np.concatenate(
-                _map_chunks(chunk_coord, _n_chunks(cfg.samples), cfg.workers)
-            )[: cfg.samples]
-            ks = stats.ks_statistic(coords, gaussian.norm_cdf)
+            ks = stats.ks_statistic(_haar_coordinates(cfg, field, N, n), gaussian.norm_cdf)
             rows.append([N, n, field, cfg.samples, "ks_vs_normal", ks])
             summaries.append(
                 "mbdist field=%s N=%d n=%d ks=%.5f" % (field, N, n, ks)
@@ -126,15 +115,13 @@ def run_fullmeas(cfg):
             sch = bounds.make_schedule(N, n, cond)
             scfg = sampling.SamplerConfig(field, N, n, seed=cfg.seed, count=cfg.samples)
 
-            def chunk_hits(i, scfg=scfg, sch=sch):
+            def chunk_hits(scfg, i, sch=sch):
                 X = sampling.gaussian_chunk_native(scfg, i)
                 return concentration.membership_native(
                     X, scfg.field, sch.eps_N, sch.theta_N
                 )
 
-            mask = np.concatenate(
-                _map_chunks(chunk_hits, _n_chunks(cfg.samples), cfg.workers)
-            )[: cfg.samples]
+            mask = np.concatenate(list(sampling.iter_chunks(scfg, chunk_hits, cfg.workers)))
             mass = float(mask.mean())
             vb = bounds.v_bound(N, n, sch, field=field)
             for stat, value in (
@@ -159,16 +146,9 @@ def run_prok(cfg):
     for field in cfg.fields:
         for N in cfg.N_list:
             n = cfg.n_for(N)
-            scfg = sampling.SamplerConfig(field, N, n, seed=cfg.seed, count=cfg.samples)
-
-            def chunk_dist(i, scfg=scfg):
-                X = sampling.gaussian_chunk_native(scfg, i)
-                return concentration._frame_distances(X, scfg.field)
-
-            d = np.concatenate(
-                _map_chunks(chunk_dist, _n_chunks(cfg.samples), cfg.workers)
-            )[: cfg.samples]
-            rep = concentration.prok_report(d)
+            rep = concentration.prok_experiment(
+                N, n, field, sample_size=cfg.samples, seed=cfg.seed, workers=cfg.workers
+            )
             S = rep.sample_size
             rows.append([N, n, field, S, "dP_lower", rep.dP_lower])
             for p, q in rep.quantiles.items():
@@ -248,14 +228,7 @@ def run_obsdiam(cfg):
     for field in cfg.fields:
         for N in cfg.N_list:
             n = cfg.n_for(N)
-            scfg = sampling.SamplerConfig(field, N, n, seed=cfg.seed, count=cfg.samples)
-            coords = np.concatenate(
-                _map_chunks(
-                    lambda i, scfg=scfg: sampling.haar_chunk_native(scfg, i)[:, 0, 0].real,
-                    _n_chunks(cfg.samples),
-                    cfg.workers,
-                )
-            )[: cfg.samples]
+            coords = _haar_coordinates(cfg, field, N, n)
             # Samples carry the sqrt(N^F - 1) radius; dividing it out and
             # multiplying by sqrt(N^F) lands on the dimension-free target.
             NF = N * field_dim(field)

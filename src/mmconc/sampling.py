@@ -29,6 +29,7 @@ one stream cannot pass as output of another; any change to the draws
 from __future__ import annotations
 
 import logging
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -96,10 +97,23 @@ def gaussian_chunk(cfg, chunk_index, attempt=0):
     return _from_native(gaussian_chunk_native(cfg, chunk_index, attempt), cfg.field)
 
 
-def iter_chunks(cfg, chunk):
-    """Yield chunk(cfg, 0), chunk(cfg, 1), ... cut to cfg.count samples."""
-    for chunk_index, start in enumerate(range(0, cfg.count, CHUNK)):
-        yield chunk(cfg, chunk_index)[: cfg.count - start]
+def iter_chunks(cfg, chunk, workers=1):
+    """Yield chunk(cfg, 0), chunk(cfg, 1), ... cut to cfg.count samples.
+
+    With workers > 1 a thread pool computes the chunks, and they are
+    still yielded in index order, so the output never depends on the
+    worker count; with one worker the chunks are computed as consumed.
+    """
+    starts = range(0, cfg.count, CHUNK)
+
+    def cut(chunk_index):
+        return chunk(cfg, chunk_index)[: cfg.count - starts[chunk_index]]
+
+    if workers <= 1:
+        yield from map(cut, range(len(starts)))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(cut, range(len(starts)))
 
 
 def _fmatrices(cfg, chunk):

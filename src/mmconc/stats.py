@@ -2,7 +2,9 @@
 
 Kolmogorov-Smirnov statistics, the Ky Fan distance, partial diameters
 of samples and of the continuous radial laws, and witness-family lower
-bounds for the observable diameter.
+bounds for the observable diameter.  A witness is built by its caller
+as `Witness(name, fn)` from any 1-Lipschitz function of batched
+component arrays; this module supplies no fixed family.
 """
 
 from __future__ import annotations
@@ -122,37 +124,6 @@ class Witness:
 
     def __call__(self, comps):
         return np.asarray(self.fn(comps), dtype=np.float64)
-
-
-def coordinate_witness(e_comps, name="coordinate"):
-    """Z -> Re<E, Z> for a fixed direction E with ||E|| = 1."""
-    e = np.asarray(e_comps, dtype=np.float64)
-    norm = float(np.sqrt(np.sum(np.square(e))))
-    if norm <= 0:
-        raise DomainError("witness direction must be nonzero")
-    e = e / norm
-    return Witness(name, lambda comps: np.sum(comps * e, axis=(-3, -2, -1)))
-
-
-def column_norm_witness(l, name=None):
-    def fn(comps, l=l):
-        return np.sqrt(np.sum(np.square(comps[..., :, l, :]), axis=(-2, -1)))
-
-    return Witness(name or "column_norm_%d" % l, fn)
-
-
-def distance_witness(z0_comps, name="distance"):
-    z0 = np.asarray(z0_comps, dtype=np.float64)
-
-    def fn(comps):
-        return np.sqrt(np.sum(np.square(comps - z0), axis=(-3, -2, -1)))
-
-    return Witness(name, fn)
-
-
-def total_norm_witness(name="total_norm"):
-    """Z -> ||Z||; on scalar-orbit quotients this is the orbit norm."""
-    return Witness(name, lambda comps: np.sqrt(np.sum(np.square(comps), axis=(-3, -2, -1))))
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,24 @@
 """Componentwise reference arithmetic for the tests.
 
-A matrix is its component array (..., N, n, 4) and a product is the 16
-real matrix products of the Hamilton formula.  This is the oracle that
+A scalar is its four components (..., 4) and a matrix its component
+array (..., N, n, 4); a product is the 16 real matrix products of the
+Hamilton formula.  This is the oracle that
 the native arithmetic of mmconc is checked against.
 """
 
 import numpy as np
 
-from mmconc.algebra import comp_conj
+
+def comp_conj(a):
+    """Conjugate of scalar arrays shaped (..., 4)."""
+    out = np.array(a, dtype=np.float64, copy=True)
+    out[..., 1:] = -out[..., 1:]
+    return out
+
+
+def comp_norm(a):
+    """Scalar norm sqrt(z0^2 + z1^2 + z2^2 + z3^2) over the last axis."""
+    return np.sqrt(np.sum(np.square(a), axis=-1))
 
 
 def comp_matmul(a, b):

@@ -2,13 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from componentwise import comp_adjoint, comp_matmul
+from componentwise import comp_adjoint, comp_conj, comp_matmul, comp_norm
 from mmconc.algebra import (
     FMatrix,
-    Scalar,
-    comp_conj,
     comp_mul,
-    comp_norm,
     field_dim,
     frobenius_inner,
     realify,
@@ -63,22 +60,41 @@ class TestScalar:
         assert comp_mul(a, b)[0] == pytest.approx(comp_mul(b, a)[0])
 
     def test_scalar_arithmetic(self):
-        z = Scalar.of("C", 1.0, 2.0)
-        w = Scalar.of("C", 3.0, -1.0)
-        assert (z * w).comps[0] == pytest.approx(5.0)
-        assert (z * w).comps[1] == pytest.approx(5.0)
-        assert (z + w).comps[0] == pytest.approx(4.0)
-        assert z.conj().comps[1] == pytest.approx(-2.0)
+        # A field scalar is a 1 x 1 FMatrix.
+        z = FMatrix("C", np.array([[[1.0, 2.0, 0.0, 0.0]]]))
+        w = FMatrix("C", np.array([[[3.0, -1.0, 0.0, 0.0]]]))
+        assert (z @ w).comps[0, 0, 0] == pytest.approx(5.0)
+        assert (z @ w).comps[0, 0, 1] == pytest.approx(5.0)
+        assert (z + w).comps[0, 0, 0] == pytest.approx(4.0)
+        assert z.adjoint().comps[0, 0, 1] == pytest.approx(-2.0)
         assert z.norm == pytest.approx(np.sqrt(5.0))
         with pytest.raises(FieldMismatchError):
-            z * Scalar.of("R", 1.0)
+            z @ FMatrix("R", np.array([[[1.0, 0.0, 0.0, 0.0]]]))
 
     def test_component_purity_enforced(self):
         with pytest.raises(DomainError):
-            Scalar.of("R", 1.0, 0.5)
+            FMatrix("R", np.array([[[1.0, 0.5, 0.0, 0.0]]]))
         with pytest.raises(DomainError):
-            Scalar.of("C", 1.0, 0.0, 0.3)
-        Scalar.of("H", 1.0, 1.0, 1.0, 1.0)  # fine
+            FMatrix("C", np.array([[[1.0, 0.0, 0.3, 0.0]]]))
+        FMatrix("H", np.ones((1, 1, 4)))  # fine
+
+    def test_scalars_are_one_by_one_matrices(self):
+        rng = np.random.default_rng(4)
+        for field, d in (("R", 1), ("C", 2), ("H", 4)):
+            a = rand_comps(rng, (3, 3), d)
+            Z = FMatrix(field, a)
+            for t in (Z.trace(), frobenius_inner(Z, Z)):
+                assert isinstance(t, FMatrix)
+                assert (t.field, t.shape) == (field, (1, 1))
+            np.testing.assert_allclose(
+                Z.trace().comps[0, 0], a[0, 0] + a[1, 1] + a[2, 2], rtol=0, atol=1e-12
+            )
+            for bad in (Z, FMatrix.identity(field, 2), FMatrix.tall_identity(field, 2, 1)):
+                with pytest.raises(ShapeMismatchError):
+                    Z.scalar_left(bad)
+            other = "C" if field == "R" else "R"
+            with pytest.raises(FieldMismatchError):
+                Z.scalar_left(FMatrix.identity(other, 1))
 
 
 class TestFMatrix:
@@ -111,13 +127,13 @@ class TestFMatrix:
     def test_frobenius_inner(self):
         rng = np.random.default_rng(5)
         Z = FMatrix("C", rand_comps(rng, (4, 2), 2))
-        inner = frobenius_inner(Z, Z)
-        assert inner.comps[0] == pytest.approx(Z.norm**2)
-        assert abs(inner.comps[1]) < 1e-12
+        inner = frobenius_inner(Z, Z).comps[0, 0]
+        assert inner[0] == pytest.approx(Z.norm**2)
+        assert abs(inner[1]) < 1e-12
         W = FMatrix("C", rand_comps(rng, (4, 2), 2))
         # <Z, W> = conj(<W, Z>)
         np.testing.assert_allclose(
-            frobenius_inner(Z, W).comps, frobenius_inner(W, Z).conj().comps, atol=1e-12
+            frobenius_inner(Z, W).comps, frobenius_inner(W, Z).adjoint().comps, atol=1e-12
         )
 
     def test_norm_matches_realified(self):
@@ -188,10 +204,13 @@ def test_arithmetic_matches_componentwise_oracle(case):
     np.testing.assert_array_equal(A.adjoint().comps, comp_adjoint(a))
     np.testing.assert_allclose((A @ C).comps, comp_matmul(a, c), rtol=0, atol=1e-12)
     np.testing.assert_allclose(
-        A.scalar_left(Scalar(field, t)).comps, comp_mul(t, a), rtol=0, atol=1e-12
+        A.scalar_left(FMatrix(field, t[None, None])).comps, comp_mul(t, a), rtol=0, atol=1e-12
     )
     np.testing.assert_allclose(
-        frobenius_inner(A, B).comps, comp_mul(comp_conj(a), b).sum(axis=(0, 1)), rtol=0, atol=1e-12
+        frobenius_inner(A, B).comps[0, 0],
+        comp_mul(comp_conj(a), b).sum(axis=(0, 1)),
+        rtol=0,
+        atol=1e-12,
     )
     assert A.norm == pytest.approx(np.sqrt(np.sum(a**2)), rel=1e-14)
 

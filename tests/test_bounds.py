@@ -18,7 +18,7 @@ from mmconc.bounds import (
     theta,
     v_bound,
 )
-from mmconc.errors import ConfigError, DomainError, PreconditionError
+from mmconc.errors import ConfigError, PreconditionError
 
 
 class TestTheta:

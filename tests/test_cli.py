@@ -44,6 +44,18 @@ class TestRun:
             texts.append(open(os.path.join(out, "prok.csv"), "rb").read())
         assert texts[0] == texts[1]
 
+    @pytest.mark.parametrize("experiment", ["mbdist", "obsdiam", "fullmeas"])
+    def test_worker_count_never_changes_chunked_bytes(self, experiment, tmp_path):
+        texts = []
+        for workers in ("1", "3"):
+            out = str(tmp_path / ("w" + workers))
+            assert run_cli(
+                ["run", experiment, "--field", "r,c,h", "--N", "6", "--n", "const:2",
+                 "--samples", "2500", "--seed", "5", "--workers", workers, "--out", out]
+            ) == 0
+            texts.append(open(os.path.join(out, experiment + ".csv"), "rb").read())
+        assert texts[0] == texts[1]
+
     def test_run_digest_covers_stream(self, monkeypatch):
         cfg = experiments.ExperimentConfig(experiment="mbdist")
         before = cfg.digest()
@@ -173,6 +185,13 @@ class TestValidate:
         path = self.write(tmp_path, "wibble = 3\n")
         assert run_cli(["validate", path]) == 2
         assert "wibble" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["experiment", "condition"])
+    def test_unknown_choice(self, key, tmp_path, capsys):
+        path = self.write(tmp_path, "%s = bogus\n" % key)
+        assert run_cli(["validate", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "bogus" in err
 
 
 class TestSample:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from componentwise import comp_adjoint, comp_matmul
-from mmconc.algebra import FMatrix, _to_native, comp_norm, field_dim
+from componentwise import comp_adjoint, comp_matmul, comp_norm
+from mmconc.algebra import FMatrix, _to_native, field_dim
 from mmconc.bounds import l_bound_min, theta
 from mmconc.concentration import (
     ApproxSpaceParams,

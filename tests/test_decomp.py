@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from componentwise import comp_adjoint, comp_matmul
-from mmconc.algebra import FMatrix, Scalar, comp_mul, realify_comps
+from mmconc.algebra import FMatrix, comp_mul, realify_comps
 from mmconc.decomp import (
     dist_to_scaled_stiefel,
     grassmann_dist,
@@ -214,7 +214,7 @@ class TestDistances:
                 s = rng.standard_normal(4)
                 s[d:] = 0.0
                 s /= np.sqrt(np.sum(s**2))
-                t = Scalar(field, s)
+                t = FMatrix(field, s[None, None])
                 assert h <= (Z.scalar_left(t) - W).norm + 1e-9
 
     def test_quotient_invariances(self):
@@ -226,7 +226,7 @@ class TestDistances:
         W = rand_matrix(rng, field, d, 6, 2)
         U = sample_haar_stiefel(SamplerConfig(field, 2, 2, scaled=False, seed=19, count=1))[0]
         assert grassmann_dist(Z @ U, W) == pytest.approx(grassmann_dist(Z, W), abs=1e-9)
-        t = Scalar.of(field, np.cos(0.7), np.sin(0.7))
+        t = FMatrix(field, np.array([[[np.cos(0.7), np.sin(0.7), 0.0, 0.0]]]))
         assert hopf_dist(Z.scalar_left(t), W) == pytest.approx(hopf_dist(Z, W), abs=1e-9)
 
     def test_zero_distance_on_same_orbit(self):
@@ -236,7 +236,7 @@ class TestDistances:
 
         U = sample_haar_stiefel(SamplerConfig("H", 2, 2, scaled=False, seed=23, count=1))[0]
         assert grassmann_dist(Z, Z @ U) == pytest.approx(0.0, abs=1e-6)
-        s = Scalar.of("H", 0.5, 0.5, 0.5, 0.5)
+        s = FMatrix("H", np.full((1, 1, 4), 0.5))
         assert hopf_dist(Z, Z.scalar_left(s)) == pytest.approx(0.0, abs=1e-6)
 
 

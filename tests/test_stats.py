@@ -11,9 +11,6 @@ from mmconc.stats import (
     ObsDiamReport,
     Witness,
     WitnessFamily,
-    column_norm_witness,
-    coordinate_witness,
-    distance_witness,
     kolmogorov_critical,
     ks_critical,
     ks_statistic,
@@ -22,7 +19,6 @@ from mmconc.stats import (
     law_partial_diameter,
     obs_diam_lower,
     partial_diameter,
-    total_norm_witness,
 )
 
 
@@ -133,34 +129,25 @@ class TestKs:
         assert ks_two_sample(x, y + 0.2) > crit
 
 
+def _norm(c, axis):
+    return np.sqrt(np.sum(np.square(c), axis=axis))
+
+
 class TestWitnesses:
     def test_family_is_one_lipschitz(self):
         cfg = SamplerConfig("C", 8, 2, seed=10, count=400)
         comps = gaussian_comps(cfg)
         Zs, Ws = comps[:200], comps[200:]
-        e = np.zeros((8, 2, 4))
-        e[0, 0, 0] = 1.0
+        z0 = comps[0]
         fam = WitnessFamily.of(
-            coordinate_witness(e),
-            column_norm_witness(0),
-            column_norm_witness(1),
-            distance_witness(np.zeros((8, 2, 4))),
-            total_norm_witness(),
+            Witness("coordinate", lambda c: c[..., 0, 0, 0]),
+            Witness("column_norm_0", lambda c: _norm(c[..., :, 0, :], (-2, -1))),
+            Witness("column_norm_1", lambda c: _norm(c[..., :, 1, :], (-2, -1))),
+            Witness("distance", lambda c: _norm(c - z0, (-3, -2, -1))),
+            Witness("total_norm", lambda c: _norm(c, (-3, -2, -1))),
         )
         ok = fam.verify_lipschitz((Zs, Ws))
         assert all(ok.values())
-
-    def test_coordinate_normalizes(self):
-        e = np.zeros((3, 1, 4))
-        e[0, 0, 0] = 7.0
-        w = coordinate_witness(e)
-        comps = np.zeros((3, 1, 4))
-        comps[0, 0, 0] = 2.0
-        assert w(comps[None])[0] == pytest.approx(2.0)
-
-    def test_zero_direction_rejected(self):
-        with pytest.raises(DomainError):
-            coordinate_witness(np.zeros((3, 1, 4)))
 
     def test_non_lipschitz_detected(self):
         rng = np.random.default_rng(11)
@@ -175,10 +162,13 @@ class TestObsDiam:
     def test_report_structure(self):
         cfg = SamplerConfig("R", 10, 1, seed=12, count=500)
         comps = gaussian_comps(cfg)
-        e = np.zeros((10, 1, 4))
-        e[0, 0, 0] = 1.0
         rep = obs_diam_lower(
-            comps, WitnessFamily.of(coordinate_witness(e), total_norm_witness()), 0.1
+            comps,
+            WitnessFamily.of(
+                Witness("coordinate", lambda c: c[..., 0, 0, 0]),
+                Witness("total_norm", lambda c: _norm(c, (-3, -2, -1))),
+            ),
+            0.1,
         )
         assert isinstance(rep, ObsDiamReport)
         assert set(rep.per_witness) == {"coordinate", "total_norm"}
@@ -189,9 +179,7 @@ class TestObsDiam:
         # the witness value approaches the exact dim-1 partial diameter.
         cfg = SamplerConfig("R", 50, 1, seed=13, count=40000)
         comps = gaussian_comps(cfg)
-        e = np.zeros((50, 1, 4))
-        e[3, 0, 0] = 1.0
-        rep = obs_diam_lower(comps, [coordinate_witness(e)], 0.5)
+        rep = obs_diam_lower(comps, [Witness("coordinate", lambda c: c[..., 3, 0, 0])], 0.5)
         want = 2.0 * 0.67448975019608174  # central half-mass window
         assert rep.per_witness["coordinate"] == pytest.approx(want, rel=0.05)
 
