@@ -232,11 +232,11 @@ def cmd_sample(args):
     except MmconcError as exc:
         raise ConfigError(str(exc))
     if args.kind == "gaussian":
-        chunk = sampling.gaussian_chunk_native
+        blocks = sampling.gaussian_blocks
     else:
-        chunk = sampling.haar_chunk_native
+        blocks = sampling.haar_blocks
     digest = sampling.write_native_samples_csv(
-        args.out, cfg, sampling.iter_chunks(cfg, chunk)
+        args.out, cfg, sampling.iter_blocks(cfg, blocks)
     )
     print("wrote %d %s samples to %s (sha256 %s...)" % (
         args.count, args.kind, args.out, digest[:12],

@@ -4,7 +4,8 @@ Each experiment resolves a config into deterministic CSV rows plus
 per-(N, n, field) summary lines.  Sampling is chunked on a fixed grid of
 1024 draws keyed by (seed, chunk); a worker pool only changes who
 computes a chunk, never its content, so output bytes are independent of
-the worker count.
+the worker count.  Each chunk is reduced sub-block by sub-block as
+`sampling` draws it, so memory does not grow with N.
 """
 
 from __future__ import annotations
@@ -82,7 +83,8 @@ def _haar_coordinates(cfg, field, N, n):
     scfg = sampling.SamplerConfig(field, N, n, seed=cfg.seed, count=cfg.samples)
 
     def chunk_coord(scfg, i):
-        return sampling.haar_chunk_native(scfg, i)[:, 0, 0].real
+        # A copy per sub-block, so no frame outlives its sub-block.
+        return np.concatenate([Q[:, 0, 0].real.copy() for Q in sampling.haar_blocks(scfg, i)])
 
     return np.concatenate(list(sampling.iter_chunks(scfg, chunk_coord, cfg.workers)))
 
@@ -116,9 +118,11 @@ def run_fullmeas(cfg):
             scfg = sampling.SamplerConfig(field, N, n, seed=cfg.seed, count=cfg.samples)
 
             def chunk_hits(scfg, i, sch=sch):
-                X = sampling.gaussian_chunk_native(scfg, i)
-                return concentration.membership_native(
-                    X, scfg.field, sch.eps_N, sch.theta_N
+                return np.concatenate(
+                    [
+                        concentration.membership_native(X, scfg.field, sch.eps_N, sch.theta_N)
+                        for X in sampling.gaussian_blocks(scfg, i)
+                    ]
                 )
 
             mask = np.concatenate(list(sampling.iter_chunks(scfg, chunk_hits, cfg.workers)))

@@ -11,14 +11,19 @@ Philox generator seeded by (seed, spawn_key=(c,)).  One draw of shape
 (1024, ...) equals, bit for bit, four consecutive (256, ...) draws from
 the same generator, and which worker consumes a chunk never changes it.
 
-The draw of shape (1024, N, n, d), d = 1, 2, 4 the field dimension, holds
-the field components of each entry.  The samplers keep it as the native
-array of `algebra` (a view of the draw over R and C, one copy into
-[Z1; -conj Z2] over H) and compute on native arrays from there on:
-`gaussian_chunk_native`, `haar_chunk_native` and the rejection sampler.
-The interchange functions (`gaussian_chunk`, `haar_chunk`,
-`iter_*_chunks`, `*_comps`, `write_samples_csv`) are each one conversion
-around them.
+A chunk is drawn and reduced in sub-blocks, consecutive slices of its one
+stream: `gaussian_blocks` draws k = BLOCK_BYTES // (8 N n d) matrices at a
+time (at least one, at most a chunk), d = 1, 2, 4 the field dimension, so
+memory does not grow with N.  Each (k, N, n, d) draw holds the field
+components of its entries; the samplers keep it as the native array of
+`algebra` (a view of the draw over R and C, one copy into [Z1; -conj Z2]
+over H) and compute on native arrays from there on: `haar_blocks` runs
+the polar factor per sub-block, the rejection sampler tests membership
+per sub-block, and the statistics of `experiments` and `concentration`
+reduce each sub-block as it arrives.  `gaussian_chunk_native` and
+`haar_chunk_native` are their sub-blocks joined into one chunk.  The
+interchange functions (`gaussian_chunk`, `haar_chunk`, `iter_*_chunks`,
+`*_comps`, `write_samples_csv`) are each one conversion around those.
 
 STREAM names this construction.  It is folded into the run digest and
 written as "stream" to every manifest and sample sidecar, so output of
@@ -31,6 +36,7 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -43,13 +49,23 @@ log = logging.getLogger(__name__)
 CHUNK = 1024
 STREAM = "philox-ziggurat-1"
 
+# Float64 components per sub-block of a chunk, in bytes: one sub-block's
+# draw, its native copy and the kernel temporaries stay near this size
+# whatever N is.
+BLOCK_BYTES = 1 << 20
+
 # Rank-deficient Gaussian draws have probability zero; a chunk that still
 # holds one after this many fresh draws points at a broken stream or kernel.
 MAX_RESAMPLES = 8
 
 # Values per block of rows that write_samples_csv renders in one pass:
 # large enough to amortise the numpy calls, small enough to stay in cache.
-ROW_BLOCK_VALUES = 16384
+# A pass holds about 150 bytes of temporaries a value.  Freeing a 1 MB
+# sub-block sets glibc's heap trim threshold to about 2 MB, so a pass of
+# 16384 values gave its memory back to the system and faulted it in again
+# each time (13x the page faults, and twice the system time, for 4096
+# complex Haar frames at N = 100, n = 5).
+ROW_BLOCK_VALUES = 8192
 
 
 @dataclass(frozen=True)
@@ -85,11 +101,38 @@ def chunk_generator(seed, chunk_index, attempt=0):
     return np.random.Generator(np.random.Philox(ss))
 
 
+def block_size(cfg):
+    """Matrices per sub-block: as many as BLOCK_BYTES of components hold,
+    at least one and at most a chunk."""
+    d = field_dim(cfg.field)
+    return min(CHUNK, max(1, BLOCK_BYTES // (8 * cfg.N * cfg.n * d)))
+
+
+def gaussian_blocks(cfg, chunk_index, attempt=0):
+    """Yield one chunk of standard Gaussian matrices as native sub-blocks
+    (k, rows, n), k = block_size(cfg), in order from the chunk's stream."""
+    gen = chunk_generator(cfg.seed, chunk_index, attempt)
+    shape = (cfg.N, cfg.n, field_dim(cfg.field))
+    k = block_size(cfg)
+    for start in range(0, CHUNK, k):
+        yield _native(gen.standard_normal((min(k, CHUNK - start),) + shape), cfg.field)
+
+
+def iter_blocks(cfg, blocks):
+    """Yield blocks(cfg, 0), then blocks(cfg, 1), ... sub-block by
+    sub-block, cut to cfg.count samples."""
+    left = cfg.count
+    for chunk_index in range(-(-cfg.count // CHUNK)):
+        for X in blocks(cfg, chunk_index):
+            yield X[:left]
+            left -= len(X)
+            if left <= 0:
+                return
+
+
 def gaussian_chunk_native(cfg, chunk_index, attempt=0):
     """One full chunk of standard Gaussian matrices, native."""
-    gen = chunk_generator(cfg.seed, chunk_index, attempt)
-    z = gen.standard_normal((CHUNK, cfg.N, cfg.n, field_dim(cfg.field)))
-    return _native(z, cfg.field)
+    return np.concatenate(list(gaussian_blocks(cfg, chunk_index, attempt)))
 
 
 def gaussian_chunk(cfg, chunk_index, attempt=0):
@@ -135,38 +178,48 @@ def sample_gaussian(cfg):
     return _fmatrices(cfg, gaussian_chunk_native)
 
 
-def haar_chunk_native(cfg, chunk_index):
-    """One chunk of (scaled) Haar frames, native, via the polar factor.
+def haar_blocks(cfg, chunk_index):
+    """Yield one chunk of (scaled) Haar frames as native sub-blocks, the
+    polar frames of gaussian_blocks(cfg, chunk_index).
 
     The Gaussian law is invariant under left unitaries and the polar
     frame is equivariant, so the frame law inherits left invariance and
-    is the Haar measure.  Rank-deficient draws (probability zero up to
-    floating point) are resampled from a derived stream and logged, at
-    most MAX_RESAMPLES times before InfeasibleError.
+    is the Haar measure.  A rank-deficient draw (probability zero up to
+    floating point) in sub-block j is replaced by the draw at the same
+    place in sub-block j of the derived stream of attempt 1, 2, ..., at
+    most MAX_RESAMPLES times before InfeasibleError, and logged.  Every
+    stream equals its sub-blocks in order, so this is the same as
+    resampling from whole chunks.
     """
-    q, lam_min = polar_q_native(gaussian_chunk_native(cfg, chunk_index), cfg.field)
-    bad = lam_min < 1e-8
-    attempt = 1
-    while np.any(bad):
-        if attempt > MAX_RESAMPLES:
-            raise InfeasibleError(
-                "%d draws in chunk %d stay rank-deficient after %d resamples"
-                % (int(bad.sum()), chunk_index, MAX_RESAMPLES)
-            )
-        log.warning(
-            "resampling %d rank-deficient draws in chunk %d",
-            int(bad.sum()),
-            chunk_index,
-        )
-        fresh = gaussian_chunk_native(cfg, chunk_index, attempt=attempt)
-        qf, lf = polar_q_native(fresh, cfg.field)
-        q[bad] = qf[bad]
-        lam_min[bad] = lf[bad]
+    for j, X in enumerate(gaussian_blocks(cfg, chunk_index)):
+        q, lam_min = polar_q_native(X, cfg.field)
         bad = lam_min < 1e-8
-        attempt += 1
-    if cfg.scaled:
-        q *= cfg.radius
-    return q
+        attempt = 1
+        while np.any(bad):
+            if attempt > MAX_RESAMPLES:
+                raise InfeasibleError(
+                    "%d draws in chunk %d stay rank-deficient after %d resamples"
+                    % (int(bad.sum()), chunk_index, MAX_RESAMPLES)
+                )
+            log.warning(
+                "resampling %d rank-deficient draws in chunk %d",
+                int(bad.sum()),
+                chunk_index,
+            )
+            fresh = next(islice(gaussian_blocks(cfg, chunk_index, attempt), j, None))
+            qf, lf = polar_q_native(fresh, cfg.field)
+            q[bad] = qf[bad]
+            lam_min[bad] = lf[bad]
+            bad = lam_min < 1e-8
+            attempt += 1
+        if cfg.scaled:
+            q *= cfg.radius
+        yield q
+
+
+def haar_chunk_native(cfg, chunk_index):
+    """One full chunk of (scaled) Haar frames, native."""
+    return np.concatenate(list(haar_blocks(cfg, chunk_index)))
 
 
 def haar_chunk(cfg, chunk_index):
@@ -221,14 +274,14 @@ def sample_restricted_gaussian(cfg, eps, theta_val=None, floor=1e-3, min_proposa
     accepted = 0
     chunk_index = 0
     while got < cfg.count:
-        X = gaussian_chunk_native(cfg, chunk_index)
-        mask = concentration.membership_native(X, cfg.field, eps, theta_val)
+        for X in gaussian_blocks(cfg, chunk_index):
+            mask = concentration.membership_native(X, cfg.field, eps, theta_val)
+            accepted += int(mask.sum())
+            good = X[mask][: cfg.count - got]
+            if good.shape[0]:
+                taken.append(good)
+                got += good.shape[0]
         proposed += CHUNK
-        accepted += int(mask.sum())
-        good = X[mask]
-        if good.shape[0]:
-            taken.append(good[: cfg.count - got])
-            got += taken[-1].shape[0]
         if proposed >= min_proposals and accepted / proposed < floor:
             raise InfeasibleError(
                 "acceptance rate %.2e below floor %.2e after %d proposals; "
@@ -260,8 +313,9 @@ def write_native_samples_csv(path, cfg, blocks):
     """Dump samples: idx, field, N, n, comp_0 ... comp_{4Nn-1}.
 
     blocks is an iterable of native (k, ...) arrays, cfg.count samples in
-    all, such as iter_chunks(cfg, haar_chunk_native).  It is consumed as
-    the file is written, so the samples are never held at once.  Component k belongs to entry (k // 4 // n, k // 4 % n),
+    all, such as iter_blocks(cfg, haar_blocks).  It is consumed as the
+    file is written, so the samples are never held at once.  Component k
+    belongs to entry (k // 4 // n, k // 4 % n),
     scalar slot k % 4; slots beyond the field dimension are left empty.
     Rows are rendered by csvio.render_rows, about ROW_BLOCK_VALUES values
     at a time.  A JSON sidecar records the config and the stream.

@@ -45,26 +45,63 @@ def lgamma(x):
     return out if out.shape else float(out)
 
 
-def _gamma_p_series(a, x, iters=300):
+# From this shape on, the prefactor x^a e^-x / Gamma(a + 1) is taken in
+# the Stirling form of _log_prefactor; below it the direct form loses
+# less than 2e-13 (relative, against scipy's gammainc at a = x = 1000).
+_STIRLING_A = 1000.0
+
+
+def _log_prefactor(a, x, c):
+    """log(x^a e^-x / Gamma(a + c)) for x > 0, c = 0 or 1.
+
+    At large a the direct form a log x - x - lgamma(a + c) subtracts
+    terms of size a log a and loses about a log a ulps: 4e-11 relative
+    at a = 5e4.  There it is a (log1p(t) - t) - log(2 pi a) / 2 - s(a)
+    (plus log a for c = 0) with t = (x - a) / a and s(a) = 1/(12 a) -
+    1/(360 a^3) the Stirling correction of lgamma(a + 1), which is exact
+    at x = a and loses only about |x - a| ulps elsewhere.
+    """
+    with np.errstate(divide="ignore"):
+        logx = np.where(x > 0.0, np.log(np.maximum(x, 1e-300)), -np.inf)
+        direct = a * logx - x - lgamma(a + c)
+        large = a >= _STIRLING_A
+        if not np.any(large):
+            return direct
+        b = np.where(large, a, _STIRLING_A)
+        t = (x - b) / b
+        stirling = (
+            b * (np.log1p(t) - t)
+            - 0.5 * np.log(2.0 * np.pi * b)
+            - (1.0 / 12.0 - 1.0 / (360.0 * b * b)) / b
+            + (1 - c) * np.log(b)
+        )
+    return np.where(large, stirling, direct)
+
+
+def _iterations(base, a, per_root):
+    """Iteration cap base + per_root * sqrt(max a): near x = a the series
+    needs about 8.3 sqrt(a) terms and the continued fraction about
+    sqrt(a) steps once a is large.  Both stop earlier on convergence."""
+    return base + int(per_root * np.sqrt(np.max(a)))
+
+
+def _gamma_p_series(a, x):
     """Series for the regularized lower incomplete gamma; good for x < a+1."""
     a = np.asarray(a, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     term = np.ones(np.broadcast(a, x).shape)
     total = term.copy()
     denom = np.broadcast_to(a, total.shape).astype(np.float64).copy()
-    for k in range(iters):
+    for k in range(_iterations(300, a, 10.0)):
         denom = denom + 1.0
         term = term * (x / denom)
         total = total + term
         if k % 8 == 7 and np.all(term <= 1e-17 * total):
             break
-    with np.errstate(divide="ignore"):
-        logx = np.where(x > 0.0, np.log(np.maximum(x, 1e-300)), -np.inf)
-    log_pref = a * logx - x - lgamma(a + 1.0)
-    return np.where(x > 0.0, np.exp(log_pref) * total, 0.0)
+    return np.where(x > 0.0, np.exp(_log_prefactor(a, x, 1.0)) * total, 0.0)
 
 
-def _gamma_q_cf(a, x, iters=200):
+def _gamma_q_cf(a, x):
     """Continued fraction (modified Lentz) for the regularized upper gamma."""
     a = np.asarray(a, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
@@ -74,7 +111,7 @@ def _gamma_q_cf(a, x, iters=200):
     c = np.full(shape, 1.0 / tiny)
     d = 1.0 / np.where(np.abs(b) < tiny, tiny, b)
     h = d.copy()
-    for i in range(1, iters + 1):
+    for i in range(1, _iterations(200, a, 4.0) + 1):
         an = -i * (i - a)
         b = b + 2.0
         d = an * d + b
@@ -86,10 +123,7 @@ def _gamma_q_cf(a, x, iters=200):
         h = h * delta
         if i % 8 == 0 and np.all(np.abs(delta - 1.0) < 1e-16):
             break
-    with np.errstate(divide="ignore"):
-        logx = np.where(x > 0.0, np.log(np.maximum(x, 1e-300)), -np.inf)
-    log_pref = a * logx - x - lgamma(a)
-    return np.where(x > 0.0, np.exp(log_pref) * h, 1.0)
+    return np.where(x > 0.0, np.exp(_log_prefactor(a, x, 0.0)) * h, 1.0)
 
 
 def _reg_gamma(a, x, upper):

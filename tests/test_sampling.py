@@ -5,18 +5,26 @@ import numpy as np
 import pytest
 
 from componentwise import comp_matmul
-from mmconc.algebra import FMatrix, _lift, _to_native
+from mmconc import sampling
+from mmconc.algebra import FMatrix, _lift, _native, _to_native, field_dim
+from mmconc.concentration import _frame_distances, membership_native
+from mmconc.decomp import polar_q_native
 from mmconc.errors import DomainError, InfeasibleError, ShapeMismatchError
 from mmconc.sampling import (
     CHUNK,
     STREAM,
     SamplerConfig,
+    block_size,
     chunk_generator,
+    gaussian_blocks,
     gaussian_chunk,
     gaussian_chunk_native,
     gaussian_comps,
+    haar_blocks,
     haar_chunk_native,
     haar_comps,
+    iter_blocks,
+    iter_chunks,
     iter_gaussian_chunks,
     iter_haar_chunks,
     sample_gaussian,
@@ -151,14 +159,92 @@ class TestHaar:
             assert Q.norm == pytest.approx(1.0, abs=1e-10)
 
     def test_resampling_is_bounded(self, monkeypatch):
-        from mmconc import sampling
-
         def rank_deficient(X, field):
             return X, np.zeros(X.shape[:-2])
 
         monkeypatch.setattr(sampling, "polar_q_native", rank_deficient)
         with pytest.raises(InfeasibleError):
             sampling.haar_chunk(SamplerConfig("R", 4, 2, seed=0), 0)
+
+
+def _whole_draw(cfg, chunk_index, attempt=0):
+    """A chunk of Gaussian matrices drawn at once from its stream, native."""
+    gen = chunk_generator(cfg.seed, chunk_index, attempt)
+    return _native(gen.standard_normal((CHUNK, cfg.N, cfg.n, field_dim(cfg.field))), cfg.field)
+
+
+# 4800 component bytes a draw: sub-blocks of 218 matrices, so a chunk is
+# four full sub-blocks and a partial one of 152.
+SUB_BLOCKED = [("R", 300, 2), ("C", 150, 2), ("H", 75, 2), ("H", 150, 1)]
+EPS, THETA = 0.05, 0.1  # a band and an overlap bound that some draws miss
+
+
+class TestSubBlocks:
+    @pytest.mark.parametrize("field, N, n", SUB_BLOCKED)
+    def test_reductions_match_the_whole_chunk(self, field, N, n):
+        cfg = SamplerConfig(field, N, n, seed=8)
+        k = block_size(cfg)
+        blocks = list(gaussian_blocks(cfg, 2))
+        assert [len(X) for X in blocks] == [k] * (CHUNK // k) + [CHUNK % k]
+        assert CHUNK % k
+        whole = _whole_draw(cfg, 2)
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
+        mask = membership_native(whole, field, EPS, THETA)
+        assert mask.any() and not mask.all()
+        for stat in (
+            lambda X: membership_native(X, field, EPS, THETA),
+            lambda X: _frame_distances(X, field),
+        ):
+            assert np.concatenate([stat(X) for X in blocks]).tobytes() == stat(whole).tobytes()
+        q, _ = polar_q_native(whole, field)
+        q *= cfg.radius
+        assert np.concatenate(list(haar_blocks(cfg, 2))).tobytes() == q.tobytes()
+
+    @pytest.mark.parametrize("field, N, n", SUB_BLOCKED)
+    def test_rank_deficient_draw_in_the_last_block(self, field, N, n, monkeypatch):
+        # A zero draw in the last, partial sub-block is replaced by the
+        # polar frame of the attempt-1 draw at the same index.
+        cfg = SamplerConfig(field, N, n, seed=8)
+        k = block_size(cfg)
+        last, i = CHUNK // k, 5
+        at = last * k + i
+        clean = haar_chunk_native(cfg, 2)
+        draw = sampling.gaussian_blocks
+
+        def forced(cfg, chunk_index, attempt=0):
+            for j, X in enumerate(draw(cfg, chunk_index, attempt)):
+                if attempt == 0 and j == last:
+                    X = X.copy()
+                    X[i] = 0.0
+                yield X
+
+        monkeypatch.setattr(sampling, "gaussian_blocks", forced)
+        frames = haar_chunk_native(cfg, 2)
+        fresh, lam_min = polar_q_native(_whole_draw(cfg, 2, attempt=1)[at : at + 1], field)
+        assert lam_min[0] > 1e-8
+        assert frames[at].tobytes() == (fresh[0] * cfg.radius).tobytes()
+        keep = np.arange(CHUNK) != at
+        assert frames[keep].tobytes() == clean[keep].tobytes()
+
+    @pytest.mark.parametrize("field, N, n", SUB_BLOCKED)
+    def test_restricted_sample_matches_whole_chunks(self, field, N, n):
+        cfg = SamplerConfig(field, N, n, seed=8, count=700)
+        rs = sample_restricted_gaussian(cfg, EPS, THETA)
+        taken, chunk_index = [], 0
+        while sum(map(len, taken)) < cfg.count:
+            X = _whole_draw(cfg, chunk_index)
+            taken.append(X[membership_native(X, field, EPS, THETA)])
+            chunk_index += 1
+        assert rs.native.tobytes() == np.concatenate(taken)[: cfg.count].tobytes()
+        assert rs.proposed == chunk_index * CHUNK
+
+    @pytest.mark.parametrize("count", [3, CHUNK + 230])
+    def test_iter_blocks_cuts_to_count(self, count):
+        cfg = SamplerConfig("C", 150, 2, seed=8, count=count)
+        blocks = list(iter_blocks(cfg, haar_blocks))
+        assert max(map(len, blocks)) == min(count, block_size(cfg))
+        whole = np.concatenate(list(iter_chunks(cfg, haar_chunk_native)))
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
 
 
 class TestRestricted:
@@ -223,7 +309,7 @@ class TestCsv:
             pytest.param("haar", "H", 3, 2, 5, False, id="H-3-2"),
             pytest.param("haar", "R", 6, 3, 7, False, id="haar-R-6-3"),
             pytest.param("gaussian", "C", 4, 2, 9, False, id="gaussian-C-4-2"),
-            # 160 values a row: blocks of 102 rows, the last one cut short
+            # 160 values a row: blocks of 51 rows, the last one cut short
             pytest.param("gaussian", "R", 40, 4, 250, False, id="row-blocks-R-40-4"),
             # two sampler chunks, and fallback values in the rendered block
             pytest.param("haar", "H", 2, 1, CHUNK + 3, True, id="chunks-fallback-H-2-1"),

@@ -27,6 +27,17 @@ GAMMA_CASES = [
     (2.5, 1.3, 0.2386347321549861),
     (50.0, 48.0, 0.40540439500476144),
 ]
+# Large shapes: (a, x, P(a, x), Q(a, x)) from scipy.special.gammainc and
+# gammaincc in a one-off run.  Near x = a the series needs several times
+# sqrt(a) terms, and the direct prefactor loses about a log a ulps.
+LARGE_GAMMA_CASES = [
+    (2000.0, 2000.0, 0.5029735484442025, 0.49702645155579744),
+    (5000.0, 5000.0, 0.5018806340338173, 0.49811936596618267),
+    (50000.0, 50000.0, 0.5005947081047933, 0.4994052918952067),
+    (50000.0, 49000.0, 3.3847542280794866e-06, 0.9999966152457719),
+    (50000.0, 50300.0, 0.9099515642088312, 0.09004843579116882),
+    (1e6, 1e6, 0.5001329807608725, 0.4998670192391274),
+]
 ERF_CASES = [
     (0.3, 0.32862675945912742),
     (2.1, 0.99702053334366702),
@@ -50,6 +61,11 @@ class TestGamma:
         for a, x, want in GAMMA_CASES:
             assert reg_gamma_p(a, x) == pytest.approx(want, rel=1e-12)
             assert reg_gamma_q(a, x) == pytest.approx(1.0 - want, rel=1e-10)
+
+    @pytest.mark.parametrize("a, x, p, q", LARGE_GAMMA_CASES)
+    def test_reg_gamma_large_shape(self, a, x, p, q):
+        assert reg_gamma_p(a, x) == pytest.approx(p, rel=1e-12)
+        assert reg_gamma_q(a, x) == pytest.approx(q, rel=1e-12)
 
     def test_reg_gamma_q_tail(self):
         assert reg_gamma_q(0.7, 3.1) == pytest.approx(0.022940193509827092, rel=1e-12)

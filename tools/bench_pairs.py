@@ -11,8 +11,11 @@ workload in --pairs, seeds 1..P run `--trace 0` on both sides, the parent
 first on odd seeds and the change first on even ones.  The JSON keeps
 every run's figures, their medians and quartiles, and how many pairs the
 change won (lower is better for every end-to-end metric).  A run that
-prints no JSON result (say, after an import error) stops the script with
-its side, workload, seed, exit code and the end of its stderr.
+fails stops the script with exit code 1 and writes no JSON: one that
+exits non-zero, reports failed operations or reads `correct: false`.
+The script then prints the run's side, workload, seed and exit code with
+its stderr from the first FAILED line on (or, when it printed no JSON
+result, say after an import error, the end of its stderr).
 """
 
 from __future__ import annotations
@@ -38,17 +41,23 @@ def bench(tree, workload, seed, seconds, trace):
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     side = "parent" if tree != ROOT else "change"
+    where = "%s %s seed %d trace %d" % (side, workload, seed, trace)
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
     except (IndexError, ValueError):
         tail = "\n".join(proc.stderr.strip().splitlines()[-STDERR_TAIL:])
-        sys.exit("%s %s seed %d trace %d: perfbench/run.py exited with %d and printed "
-                 "no JSON result; end of its stderr:\n%s" % (side, workload, seed, trace,
-                                                              proc.returncode, tail))
+        sys.exit("%s: perfbench/run.py exited with %d and printed no JSON result; "
+                 "end of its stderr:\n%s" % (where, proc.returncode, tail))
     print("%-6s %-13s seed %d trace %d: correct %s, failed %d/%d" % (
         side, workload, seed, trace, result["correct"], result["failed"],
         result["attempted"]), flush=True)
+    if proc.returncode or result["failed"] or not result["correct"]:
+        err = proc.stderr.splitlines()
+        first = next((i for i, line in enumerate(err) if line.startswith("FAILED")), len(err))
+        sys.exit("%s: perfbench/run.py exited with %d, correct %s, failed %d/%d:\n%s" % (
+            where, proc.returncode, result["correct"], result["failed"], result["attempted"],
+            "\n".join(err[first:])))
     return result
 
 
