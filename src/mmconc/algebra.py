@@ -127,7 +127,7 @@ def _real_view(X):
 
 def _frobenius(X):
     """Frobenius norm of each entry of a native batch, shape (...)."""
-    return np.sqrt(np.sum(np.square(_real_view(X)), axis=(-2, -1)))
+    return np.sqrt(np.square(_real_view(X)).sum(axis=(-2, -1)))
 
 
 def _gram(X, field):

@@ -7,14 +7,16 @@ distances (right-unitary and unit-scalar orbits).
 The FMatrix functions read the native array of each argument and wrap
 native results, with no conversion or check on the way.  The native
 batched functions (`polar_q_native`, `singular_values_native`) are what
-the samplers and statistics call; `polar_q_batched` and
-`singular_values_batched` are each one conversion around them for
-batches in the (..., N, n, 4) interchange layout.  One kernel,
-`_gram_eig`, lifts a native batch (over H to the complex adjoint of F.
-Zhang, Linear Algebra Appl. 251, 1997), forms and solves its Gram
-matrix, and serves the per-matrix functions as a batch of one as well as
-the batched ones.  Over H every eigenvalue of a lifted matrix comes
-twice, on the pair {x, Jx}.
+the samplers and statistics call; `polar_q_batched` is one conversion
+around `polar_q_native` for batches in the (..., N, n, 4) interchange
+layout.  One kernel, `_gram_eig`, lifts a native batch (over H to the
+complex adjoint of F. Zhang, Linear Algebra Appl. 251, 1997), forms and
+solves its Gram matrix, and serves the per-matrix functions as a batch
+of one as well as the batched ones.  Over H every eigenvalue of a
+lifted matrix comes twice, on the pair {x, Jx}.  `polar` returns the
+singular values it computes for its rank check, so a caller that needs
+both pays for one Gram eigensolve.  `svd` completes U by Householder
+QR, over H with quaternion reflectors.
 """
 
 from __future__ import annotations
@@ -36,8 +38,11 @@ from .errors import NotHermitianError, ShapeMismatchError
 
 @dataclass(frozen=True)
 class PolarFactors:
+    """Z = Q H, with lam the singular values of Z, non-increasing."""
+
     q: FMatrix
     h: FMatrix
+    lam: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -58,7 +63,7 @@ def _gram_eig(X, field, vectors=True):
     twice.
     """
     L = _lift(X, field)
-    G = np.swapaxes(L, -1, -2).conj() @ L
+    G = L.swapaxes(-1, -2).conj() @ L
     if vectors:
         w, V = np.linalg.eigh(G)
     else:
@@ -70,12 +75,12 @@ def _gram_eig(X, field, vectors=True):
 def _spectral(V, vals, n):
     """The first n columns of V diag(vals) V* over a batch of
     eigenvector matrices."""
-    return (V * vals[..., None, :]) @ np.conj(np.swapaxes(V[..., :n, :], -1, -2))
+    return (V * vals[..., None, :]) @ V[..., :n, :].swapaxes(-1, -2).conj()
 
 
 def _polar_frame(L, w, V, n):
     """Native polar frame L (L* L)^(-1/2) of a full-rank lifted batch."""
-    return L @ _spectral(V, 1.0 / np.sqrt(np.clip(w, 1e-300, None)), n)
+    return L @ _spectral(V, 1.0 / np.sqrt(np.maximum(w, 1e-300)), n)
 
 
 def _eig_desc(w, V, field):
@@ -88,7 +93,7 @@ def _eig_desc(w, V, field):
     order = np.argsort(-w)
     if field == "H":
         N = V.shape[0] // 2
-        B = _pick_pairs(V[:, :0], V[:, order], N, ordered=True)
+        B = _pick_pairs(V[:, order], N)
         return B[:, 0::2], w[order][0::2]
     return V[:, order], w[order]
 
@@ -105,51 +110,97 @@ def _with_partners(X):
     return out
 
 
+def _column_norms(X):
+    """np.linalg.norm(X, axis=0), the same bytes without its argument
+    handling, which costs more than the sum on these small arrays."""
+    return np.sqrt((X.conj() * X).real.sum(axis=0))
+
+
 def _project_off(B, X):
     """Residual of X off the span of the orthonormal columns B, with a
     second pass to restore orthogonality lost to cancellation."""
+    if not B.shape[1]:
+        return X
+    BH = B.conj().T
     for _ in range(2):
-        X = X - B @ (np.conj(B.T) @ X)
+        X = X - B @ (BH @ X)
     return X
 
 
-def _gram_schmidt(field, B, X, reject_tol):
-    """Extend the orthonormal native basis B by the columns of X in order.
+def _pick_pairs(E, count):
+    """A complex-adjoint basis of count quaternionic columns picked from
+    the orthonormal columns of E.
 
-    A column whose residual off span(B) is shorter than reject_tol is
-    dropped; an accepted one is normalized and appended, over H together
-    with its partner, so coefficients act from the right.  Returns (B,
-    accepted columns).
+    Step m takes, among the first 2m + 2 columns of E, the one with the
+    longest residual off the span B of the earlier picks, normalizes it
+    and appends it with its partner.  For eigenvectors sorted by
+    eigenvalue this keeps column m inside the m-th eigenvalue pair.  The
+    squared residuals of those columns sum to at least
+    2m + 2 - dim span(B) = 2, so the pick never degenerates.
     """
-    accepted = []
-    for l in range(X.shape[1]):
-        r = _project_off(B, X[:, l : l + 1])
-        norm = float(np.linalg.norm(r))
-        if norm < reject_tol:
-            continue
-        r = r / norm
-        accepted.append(r)
-        B = np.concatenate([B, _with_partners(r) if field == "H" else r], axis=1)
-    return B, accepted
-
-
-def _pick_pairs(B, E, count, ordered):
-    """Extend the complex-adjoint basis B by count quaternionic columns.
-
-    Step m takes the column of E with the longest residual off span(B),
-    normalizes it and appends it with its partner.  Over orthonormal
-    columns of E the squared residuals sum to at least their number
-    minus dim span(B), which is at least 2 at every step here, so the
-    pick never degenerates.  With ordered, step m looks only at the
-    first 2m + 2 columns of E: for eigenvectors sorted by eigenvalue this
-    keeps column m inside the m-th eigenvalue pair.
-    """
+    B = np.empty((E.shape[0], 2 * count), dtype=complex)
     for m in range(count):
-        R = _project_off(B, E[:, : 2 * m + 2] if ordered else E)
-        norms = np.linalg.norm(R, axis=0)
+        R = _project_off(B[:, : 2 * m], E[:, : 2 * m + 2])
+        norms = _column_norms(R)
         j = int(np.argmax(norms))
-        B = np.concatenate([B, _with_partners(R[:, j : j + 1] / norms[j])], axis=1)
+        B[:, 2 * m : 2 * m + 2] = _with_partners(R[:, j : j + 1] / norms[j])
     return B
+
+
+def _householder_unitary(field, X):
+    """A native unitary U over F whose first k columns are the k columns
+    of X made orthonormal in order, and whose other columns complete them.
+    The columns of X are unit vectors, orthonormal up to round-off, so no
+    r_jj below vanishes.
+
+    Householder QR X = Q R: column j of X off the span of the earlier
+    ones is Q e_j r_jj, so U is Q with its first k columns scaled on the
+    right by the unit scalars r_jj / |r_jj|.  R and C use LAPACK's QR.
+    Over H the reflectors I - 2 w w* (A. Bunse-Gerstner, R. Byers and V.
+    Mehrmann, Numer. Math. 55, 1989) act on native columns as
+    I - 2(u u* + Ju (Ju)*), u the native array of w.  Reflector j is built
+    from x, column j of X as reflected by the earlier ones and cut to
+    quaternion rows j and below (native rows j and N + j).  It maps x
+    onto row j times r_jj = -||x|| s, where s = x_j / |x_j| is the unit
+    quaternion of the pivot: its vector is x with x_j scaled by
+    1 + ||x|| / |x_j|, of squared norm 2 ||x|| (||x|| + |x_j|), so no
+    quaternion product is needed.  Q comes from the reflectors applied to
+    the identity in reverse order; its last N - k columns,
+    H_1 ... H_k [0; I_{N-k}], complete the frame.
+    """
+    k = X.shape[1]
+    if field != "H":
+        Q, R = np.linalg.qr(X, mode="complete")
+        r = R.diagonal()
+        Q[:, :k] *= r / np.abs(r)
+        return Q
+    N = X.shape[0] // 2
+    reflectors, phases = [], []
+    for j in range(k):
+        x = X[:, j].copy()
+        x[:j] = 0.0
+        x[N : N + j] = 0.0
+        norm = np.sqrt(np.vdot(x, x).real)
+        s1, s2 = x[j], x[N + j]
+        pivot = np.sqrt(abs(s1) ** 2 + abs(s2) ** 2)
+        s1, s2 = (s1 / pivot, s2 / pivot) if pivot > 0.0 else (1.0, 0.0)
+        x[j] += norm * s1
+        x[N + j] += norm * s2
+        x /= np.sqrt(2.0 * norm * (norm + pivot))
+        P = _with_partners(x[:, None])
+        P2, PH = 2.0 * P, P.conj().T
+        reflectors.append((P2, PH))
+        phases.append((s1, s2))
+        if j + 1 < k:
+            X = X - P2 @ (PH @ X)
+    U = np.eye(2 * N, N, dtype=complex)
+    for P2, PH in reversed(reflectors):
+        U = U - P2 @ (PH @ U)
+    if k:
+        s1, s2 = np.array(phases).T
+        Y = U[:, :k]
+        U[:, :k] = -(Y * s1 + _partner(Y) * s2)
+    return U
 
 
 def hermitian_eig(H, tol=1e-10):
@@ -179,29 +230,21 @@ def svd(Z):
     """Z = U Lambda V* with U, V unitary and Lambda the (N, n) diagonal."""
     if Z.N < Z.n:
         raise ShapeMismatchError("need N >= n")
-    N, n = Z.shape
+    n = Z.n
     L, _, w, V = _gram_eig(Z.native, Z.field)
     P, _ = _eig_desc(w, V, Z.field)
     # The singular values are the column norms of Z P, which keep a
     # collapsed one near eps ||Z||, where the root of its Gram
     # eigenvalue would sit near sqrt(eps) ||Z||.
     ZP = L @ P
-    lam = np.linalg.norm(ZP, axis=0)
+    lam = _column_norms(ZP)
     order = np.argsort(-lam, kind="stable")
     P, ZP, lam = P[:, order], ZP[:, order], lam[order]
-    cut = max(1.0, lam[0] if n else 1.0) * 1e-13
-    keep = lam > cut
-    cands = ZP[:, keep] / lam[keep]
-    # Columns of a numerically rank-deficient input collapse onto the
-    # leading ones; Gram-Schmidt rejection filters them out and the
-    # orthogonal complement completes the frame.
-    B, cols = _gram_schmidt(Z.field, cands[:, :0], cands, 0.5)
-    if Z.field == "H":
-        B = _pick_pairs(B, np.eye(2 * N), N - len(cols), ordered=False)
-        U = B[:, 0::2]
-    else:
-        Q, _ = np.linalg.qr(B, mode="complete")
-        U = np.concatenate([B, Q[:, len(cols) :]], axis=1)
+    # Z P is accurate to about eps ||Z||, so a column with lam at most
+    # 1e-13 max(1, lam_0) has collapsed onto round-off.  U takes the kept
+    # columns made orthonormal in order and completes them.
+    k = int(np.count_nonzero(lam > max(1.0, lam[0] if n else 1.0) * 1e-13))
+    U = _householder_unitary(Z.field, ZP[:, :k] / lam[:k])
     return SingularTriple(
         u=FMatrix._wrap(Z.field, U), lam=lam, v=FMatrix._wrap(Z.field, P)
     )
@@ -211,19 +254,22 @@ def polar(Z, rank_tol=1e-6):
     """Z = Q H with Q an orthonormal frame and H Hermitian PSD.
 
     Full-rank inputs use H = (Z* Z)^(1/2) and Q = Z H^(-1); otherwise
-    the frame comes from the SVD.
+    the frame comes from the SVD.  lam holds the singular values,
+    non-increasing: the roots of the Gram eigenvalues that the rank check
+    reads, or the SVD's on the rank-deficient branch.
     """
     if Z.N < Z.n:
         raise ShapeMismatchError("need N >= n")
     n = Z.n
     L, lam2, w, V = _gram_eig(Z.native, Z.field)
-    H = FMatrix._wrap(Z.field, _spectral(V, np.sqrt(np.clip(w, 0.0, None)), n))
-    lam = np.sqrt(np.clip(lam2, 0.0, None))
-    if n == 0 or lam[0] > rank_tol * max(1.0, lam[-1]):
-        return PolarFactors(q=FMatrix._wrap(Z.field, _polar_frame(L, w, V, n)), h=H)
+    H = FMatrix._wrap(Z.field, _spectral(V, np.sqrt(np.maximum(w, 0.0)), n))
+    lam = np.sqrt(np.maximum(lam2[::-1], 0.0))
+    if n == 0 or lam[-1] > rank_tol * max(1.0, lam[0]):
+        Q = FMatrix._wrap(Z.field, _polar_frame(L, w, V, n))
+        return PolarFactors(q=Q, h=H, lam=lam)
     t = svd(Z)
     Q = FMatrix._wrap(Z.field, t.u.native[:, :n]) @ t.v.adjoint()
-    return PolarFactors(q=Q, h=H)
+    return PolarFactors(q=Q, h=H, lam=t.lam)
 
 
 def dist_to_scaled_stiefel(Z, r):
@@ -259,7 +305,7 @@ def hopf_dist(Z, W):
 def singular_values_native(X, field):
     """Non-increasing singular values of a native batch, shape (..., n)."""
     w = _gram_eig(X, field, vectors=False)[1]
-    return np.sqrt(np.clip(w[..., ::-1], 0.0, None))
+    return np.sqrt(np.maximum(w[..., ::-1], 0.0))
 
 
 def polar_q_native(X, field):
@@ -274,12 +320,7 @@ def polar_q_native(X, field):
         safe = np.where(total > 0.0, total, 1.0)
         return X / safe[..., None, None], total
     L, lam2, w, V = _gram_eig(X, field)
-    return _polar_frame(L, w, V, n), np.sqrt(np.clip(lam2[..., 0], 0.0, None))
-
-
-def singular_values_batched(comps, field):
-    """singular_values_native of a batch (..., N, n, 4)."""
-    return singular_values_native(_to_native(comps, field), field)
+    return _polar_frame(L, w, V, n), np.sqrt(np.maximum(lam2[..., 0], 0.0))
 
 
 def polar_q_batched(comps, field):

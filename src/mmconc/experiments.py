@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bounds, concentration, gaussian, sampling, stats
 from .algebra import FMatrix, field_dim
-from .decomp import dist_to_scaled_stiefel, polar, singular_values
+from .decomp import dist_to_scaled_stiefel, polar
 from .errors import ConfigError
 
 TARGET_OBSDIAM = 1.3489795003921635  # twice the 0.75 normal quantile
@@ -312,8 +312,7 @@ def run_decomp_props(cfg):
             worst_recon = max(worst_recon, recon)
             dev = (p1.q.adjoint() @ p1.q - FMatrix.identity(field, n)).norm
             worst_frame = max(worst_frame, dev)
-            lam1 = singular_values(Z1)[-1]
-            lam2 = singular_values(Z2)[-1]
+            lam1, lam2 = p1.lam[-1], p2.lam[-1]
             if min(lam1, lam2) > 1e-6:
                 lhs = (Z1 - Z2).norm
                 rhs = min(lam1, lam2) * (p1.q - p2.q).norm

@@ -110,23 +110,27 @@ def annulus_upper_bound(m, eps):
     return math.exp(log_peak) * 2.0 * eps * math.sqrt(m - 1.0)
 
 
-def annulus_mass(m, eps, tol=1e-10):
+def annulus_mass(m, eps):
     """Mass of the annulus of radii (1 +- eps) * sqrt(m-1), with its bound.
 
-    The mass is adaptive quadrature of the radial density; the bound is
-    the width-times-peak estimate returned alongside for comparison.
+    The mass is one minus the two chi tails, 1 - Q(m/2, hi^2/2) -
+    P(m/2, lo^2/2), so no quadrature runs over a peak that narrows with
+    m; the bound is the width-times-peak estimate returned alongside for
+    comparison.
     """
     m = int(m)
     if m < 2:
         raise DomainError("annulus mass requires m >= 2")
     if eps < 0.0:
         raise DomainError("eps must be >= 0")
-    law = RadialLaw.of(m)
     root = math.sqrt(m - 1.0)
     lo = max(0.0, (1.0 - eps) * root)
     hi = (1.0 + eps) * root
-    mass = special.adaptive_quad(law.density, lo, hi, tol=tol)
-    return AnnulusMass(mass=min(mass, 1.0), upper_bound=annulus_upper_bound(m, eps))
+    a = m / 2.0
+    mass = 1.0 - special.reg_gamma_q(a, 0.5 * hi * hi) - special.reg_gamma_p(a, 0.5 * lo * lo)
+    return AnnulusMass(
+        mass=min(max(mass, 0.0), 1.0), upper_bound=annulus_upper_bound(m, eps)
+    )
 
 
 def tail_masses(m, eps):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -261,6 +262,16 @@ class TestVBound:
             sch = make_schedule(N, 2, condi())
             vals.append(v_bound(N, 2, sch, field="R").product_lower)
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+    def test_large_N_returns_fast(self):
+        # The annulus mass at dimension 2 * 10^5 comes from two incomplete
+        # gamma tails, not from quadrature over a peak of width O(1).
+        N = 100000
+        sch = make_schedule(N, 2, condi())
+        started = time.monotonic()
+        vb = v_bound(N, 2, sch, field="R")
+        assert time.monotonic() - started < 1.0
+        assert 0.0 <= vb.product_lower <= 1.0
 
     def test_schedule_mismatch(self):
         sch = make_schedule(100, 2, condi())

@@ -1,0 +1,45 @@
+"""tools/csv_digests.py covers every experiment and prints stable digests."""
+
+import importlib.util
+import os
+
+from mmconc import experiments
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _csv_digests():
+    spec = importlib.util.spec_from_file_location(
+        "csv_digests", os.path.join(ROOT, "tools", "csv_digests.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_runs_cover_every_experiment_and_sample_kind(tmp_path):
+    argvs = list(_csv_digests().runs(str(tmp_path)))
+    assert {argv[1] for argv in argvs if argv[0] == "run"} == set(experiments.EXPERIMENTS)
+    samples = {
+        (argv[argv.index("--kind") + 1], argv[argv.index("--field") + 1])
+        for argv in argvs
+        if argv[0] == "sample"
+    }
+    assert samples == {(kind, f) for kind in ("gaussian", "haar") for f in "rch"}
+    assert all(argv[argv.index("--seed") + 1] == "7" for argv in argvs)
+
+
+def test_digests_are_stable_and_skip_manifests(tmp_path, monkeypatch):
+    monkeypatch.delenv("MMCONC_SEED", raising=False)
+    module = _csv_digests()
+    small = ["--field", "r,h", "--N", "6", "--n", "const:2", "--samples", "1000"]
+    monkeypatch.setattr(module, "RUN_SETS", {"small": small})
+    monkeypatch.setattr(module, "SAMPLES", ["--N", "4", "--n", "2", "--count", "30"])
+    first = sorted(module.digests(str(tmp_path / "a")))
+    second = sorted(module.digests(str(tmp_path / "b")))
+    assert first == second
+    names = [name for _, name in first]
+    assert "run-mbdist-small/mbdist.csv" in names
+    assert "sample-haar-h.csv" in names
+    assert not any(name.endswith("manifest.json") for name in names)
+    assert all(len(digest) == 64 for digest, _ in first)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from componentwise import comp_adjoint, comp_matmul
-from mmconc.algebra import FMatrix, comp_mul, realify_comps
+from mmconc.algebra import FMatrix, _to_native, comp_mul, realify_comps
 from mmconc.decomp import (
     dist_to_scaled_stiefel,
     grassmann_dist,
@@ -12,7 +12,7 @@ from mmconc.decomp import (
     polar,
     polar_q_batched,
     singular_values,
-    singular_values_batched,
+    singular_values_native,
     svd,
 )
 from mmconc.errors import NotHermitianError, ShapeMismatchError
@@ -246,7 +246,7 @@ class TestBatchedKernels:
         for field, d in FIELDS:
             comps = np.zeros((6, 7, 3, 4))
             comps[..., :d] = rng.standard_normal((6, 7, 3, d))
-            lam_b = singular_values_batched(comps, field)
+            lam_b = singular_values_native(_to_native(comps, field), field)
             assert lam_b.shape == (6, 3)
             assert np.all(np.diff(lam_b, axis=-1) <= 1e-12)  # non-increasing
             q_b, lam_min = polar_q_batched(comps, field)
@@ -291,7 +291,7 @@ def test_kernels_match_componentwise_reference(sample):
     eye = np.zeros((n, n, 4))
     eye[np.arange(n), np.arange(n), 0] = 1.0
     q_b, lam_min = polar_q_batched(comps, field)
-    lam_b = singular_values_batched(comps, field)
+    lam_b = singular_values_native(_to_native(comps, field), field)
     for idx in np.ndindex(comps.shape[:-3]):
         Zc = comps[idx]
         tol = 1e-10 * max(1.0, float(np.sqrt(np.sum(Zc**2))))
@@ -310,3 +310,32 @@ def test_kernels_match_componentwise_reference(sample):
             comp_matmul(comp_adjoint(p.q.comps), p.q.comps), eye, rtol=0, atol=tol
         )
         np.testing.assert_allclose(q_b[idx], p.q.comps, rtol=0, atol=tol)
+
+
+@st.composite
+def _frames_with_repeats(draw):
+    field, d = draw(st.sampled_from(FIELDS))
+    N = draw(st.integers(1, 20))
+    n = draw(st.integers(1, min(N, 5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    comps = np.zeros((N, n, 4))
+    comps[..., :d] = rng.standard_normal((N, n, d))
+    if n > 1 and draw(st.booleans()):
+        comps[:, n - 1] = comps[:, 0]  # a repeated column: rank n - 1
+    return field, FMatrix(field, comps)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_frames_with_repeats())
+def test_svd_and_polar_spectrum_properties(sample):
+    field, Z = sample
+    N, n = Z.shape
+    t = svd(Z)
+    assert (t.u.adjoint() @ t.u - FMatrix.identity(field, N)).norm <= 1e-12 * N
+    rec = t.u @ diag_fmatrix(field, t.lam, N) @ t.v.adjoint()
+    assert (rec - Z).norm <= 1e-8 * max(1.0, Z.norm)
+    lam = polar(Z).lam
+    assert np.all(np.diff(lam) <= 0.0)
+    # Squares, since the root amplifies round-off near a zero singular value.
+    gap = np.abs(lam**2 - singular_values(Z) ** 2).max()
+    assert gap <= 1e-12 * max(1.0, Z.norm**2)

@@ -41,6 +41,16 @@ ANNULUS_CASES = [
     (200, 0.1, 0.95404751854511149),
     (2, 0.5, 0.55784443522624567),
 ]
+# scipy.special.gammainc(m/2, hi^2/2) - gammainc(m/2, lo^2/2), pinned,
+# up to m = 10^6.
+ANNULUS_SCIPY_CASES = [
+    (10, 0.05, 0.169553787362846),
+    (1000, 0.01, 0.3451462977700404),
+    (40000, 0.01, 0.9953216047845527),
+    (60000, 0.003, 0.7012992647515828),
+    (200000, 0.005, 0.998434526904538),
+    (1000000, 0.001, 0.8427006315188843),
+]
 BALL_CASES = [
     (1, 0.8, 0.57628920283320667),
     (2, 1.1, 0.45392557336029064),
@@ -91,6 +101,10 @@ class TestAnnulus:
     def test_mass_frozen(self):
         for m, eps, want in ANNULUS_CASES:
             assert annulus_mass(m, eps).mass == pytest.approx(want, rel=1e-9)
+
+    def test_mass_matches_scipy(self):
+        for m, eps, want in ANNULUS_SCIPY_CASES:
+            assert annulus_mass(m, eps).mass == pytest.approx(want, rel=1e-11)
 
     def test_two_route_tails(self):
         for m, eps in ((50, 0.15), (300, 0.08)):

@@ -1,0 +1,79 @@
+"""Print the sha256 of every output of a fixed set of mmconc runs at seed 7.
+
+    python3 tools/csv_digests.py
+
+Runs every `mmconc run` experiment over R, C and H on small fixed
+configurations, plus `mmconc sample` of both kinds over each field, in a
+temporary directory, and prints one `sha256  file` line per output,
+sorted by file.  The manifests are left out: they hold timestamps.  It
+imports mmconc from the `src/` of the checkout it sits in, so run it on
+two checkouts and diff the output to see which bytes a change moves.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
+from mmconc import cli, experiments  # noqa: E402
+
+SEED = "7"
+# Small, every field, one worker.  The second set runs fullmeas, whose
+# product_lower reads the annulus masses, and bounds at larger dimension.
+RUN_SETS = {
+    "small": ["--field", "r,c,h", "--N", "10,20", "--n", "const:2", "--samples", "2000"],
+    "large": ["--field", "r,c,h", "--N", "100,500", "--n", "const:2", "--samples", "2000"],
+}
+LARGE_ONLY = ("fullmeas", "bounds")
+SAMPLES = ["--N", "10", "--n", "3", "--count", "1500"]
+
+
+def runs(out):
+    """The mmconc arguments of every run, each writing under out."""
+    for name in sorted(experiments.EXPERIMENTS):
+        for tag, opts in RUN_SETS.items():
+            if tag == "large" and name not in LARGE_ONLY:
+                continue
+            where = os.path.join(out, "run-%s-%s" % (name, tag))
+            yield ["run", name, *opts, "--workers", "1", "--seed", SEED, "--out", where]
+    for kind in ("gaussian", "haar"):
+        for field in "rch":
+            where = os.path.join(out, "sample-%s-%s.csv" % (kind, field))
+            yield ["sample", "--kind", kind, "--field", field, *SAMPLES,
+                   "--seed", SEED, "--out", where]
+
+
+def digests(out):
+    """(sha256, path relative to out) of every output but the manifests."""
+    os.environ.pop("MMCONC_SEED", None)  # it would override every seed
+    for argv in runs(out):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        if code:
+            sys.exit("mmconc %s exited with %d" % (" ".join(argv), code))
+    for root, _, files in os.walk(out):
+        for name in files:
+            if name == "manifest.json":
+                continue
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                yield hashlib.sha256(fh.read()).hexdigest(), os.path.relpath(path, out)
+
+
+def main():
+    argparse.ArgumentParser(description=__doc__.split("\n")[0]).parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        lines = sorted(digests(tmp), key=lambda item: item[1])
+    for digest, name in lines:
+        print("%s  %s" % (digest, name))
+
+
+if __name__ == "__main__":
+    main()
