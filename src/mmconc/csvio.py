@@ -21,8 +21,19 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import queue
+import threading
 
 import numpy as np
+
+
+# Rendered bytes that write_csv hands to its writer thread at once: about
+# half of one padded sampler sub-block (sampling.BLOCK_BYTES of float64
+# values, about 28 bytes a value once rendered).  Two batches are alive,
+# the one the caller fills and the one the writer writes, so this bounds
+# what the pipeline adds to memory; fewer, larger batches cost fewer GIL
+# switches between the threads.
+HANDOFF_BYTES = 1 << 21
 
 
 def format_value(x):
@@ -209,40 +220,79 @@ def format_block(x):
 
 
 def render_rows(lead, x, seps):
-    """Bytes of len(lead) CSV lines of float cells.
+    """Lines of len(lead) CSV rows of float cells, padded with NUL bytes.
 
     Line r is lead[r], then for each cell j `"%.17g" % x[r, j]` followed
     by seps[j].  lead holds bytes; seps holds bytes of at most 4 bytes
-    each (the last one ends the line).
+    each (the last one ends the line).  Returns a uint8 array (k, width):
+    removing the NUL bytes from row r leaves exactly line r.  The NULs
+    stay for write_csv's writer thread to strip.
     """
     k, c = x.shape
     f = format_block(x).view(np.uint32).reshape(k, c, -1)
     f[:, :, -1] = np.array(seps, dtype="S4").view(np.uint32)
     width = -(-max(map(len, lead)) // 4) * 4
     prefix = np.array(lead, dtype="S%d" % width).view(np.uint32).reshape(k, -1)
-    return np.concatenate([prefix, f.reshape(k, -1)], axis=1).tobytes().translate(None, b"\0")
+    return np.concatenate([prefix, f.reshape(k, -1)], axis=1).view(np.uint8)
 
 
 def write_csv(path, header, rows):
     """Write rows under a header; returns the body digest.
 
-    A row is a sequence of cells, or bytes holding whole lines already
-    rendered (as from `render_rows`).  Each line or block is encoded once
-    and goes to both the file and the hash, so the body is never held in
-    memory as a whole.
+    A row is a sequence of cells, or a uint8 array of whole lines padded
+    with NUL bytes (as from `render_rows`).  The calling thread encodes
+    the rows and hands them in batches of about HANDOFF_BYTES to a
+    writer thread, which strips the NULs with numpy and feeds each
+    stripped buffer to both the file and the hash.  The strip, the write
+    and the hash release the GIL, so they overlap the caller's work.
+    The caller hands a batch on only once the writer has finished the
+    one before, so the body is never held in memory as a whole.  A
+    failure on either side stops the other; the writer is joined and
+    the file closed before this returns or raises.
     """
     h = hashlib.sha256()
+    pending = queue.Queue(1)
+    failed = []
+
     with open(path, "wb") as fh:
 
-        def emit(data):
-            fh.write(data)
-            h.update(data)
+        def write():
+            while (batch := pending.get()) is not None:
+                try:
+                    for data in batch:
+                        if failed:
+                            break
+                        if isinstance(data, np.ndarray):
+                            data = data[data != 0]
+                        fh.write(data)
+                        h.update(data)
+                except BaseException as exc:  # raised again by the caller
+                    failed.append(exc)
+                finally:
+                    batch.clear()
+                    pending.task_done()
 
-        emit((",".join(header) + "\n").encode())
-        for row in rows:
-            if not isinstance(row, bytes):
-                row = (",".join(map(format_value, row)) + "\n").encode()
-            emit(row)
+        writer = threading.Thread(target=write, name="csvio-writer", daemon=True)
+        writer.start()
+        try:
+            batch, size = [(",".join(header) + "\n").encode()], 0
+            for row in rows:
+                if failed:
+                    break
+                if not isinstance(row, np.ndarray):
+                    row = (",".join(map(format_value, row)) + "\n").encode()
+                size += len(row) if isinstance(row, bytes) else row.nbytes
+                batch.append(row)
+                if size >= HANDOFF_BYTES:
+                    pending.join()
+                    pending.put(batch)
+                    batch, size = [], 0
+            pending.put(batch)
+        finally:
+            pending.put(None)
+            writer.join()
+    if failed:
+        raise failed[0]
     return h.hexdigest()
 
 

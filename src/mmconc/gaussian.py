@@ -133,21 +133,6 @@ def annulus_mass(m, eps):
     )
 
 
-def tail_masses(m, eps):
-    """The two tail masses outside the annulus, via the chi CDF.
-
-    Independent of the quadrature route, so the identity
-    1 - annulus mass = lower tail + upper tail is a two-route check.
-    """
-    law = RadialLaw.of(m)
-    root = math.sqrt(m - 1.0)
-    lo = max(0.0, (1.0 - eps) * root)
-    hi = (1.0 + eps) * root
-    lower = float(law.cdf(lo))
-    upper = 1.0 - float(law.cdf(hi))
-    return lower, upper
-
-
 def ball_mass(dim, T):
     """Gaussian mass of the centered ball of radius T in dimension dim."""
     if dim not in (1, 2, 4):

@@ -23,7 +23,7 @@ per sub-block, and the statistics of `experiments` and `concentration`
 reduce each sub-block as it arrives.  `gaussian_chunk_native` and
 `haar_chunk_native` are their sub-blocks joined into one chunk.  The
 interchange functions (`gaussian_chunk`, `haar_chunk`, `iter_*_chunks`,
-`*_comps`, `write_samples_csv`) are each one conversion around those.
+`*_comps`) are each one conversion around those.
 
 STREAM names this construction.  It is folded into the run digest and
 written as "stream" to every manifest and sample sidecar, so output of
@@ -33,14 +33,17 @@ one stream cannot pass as output of another; any change to the draws
 
 from __future__ import annotations
 
+import contextlib
 import logging
+import queue
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
-from .algebra import FMatrix, _components, _from_native, _native, _to_native, field_dim
+from .algebra import FMatrix, _components, _from_native, _native, field_dim
 from .decomp import polar_q_native
 from .errors import DomainError, InfeasibleError, ShapeMismatchError
 
@@ -58,13 +61,14 @@ BLOCK_BYTES = 1 << 20
 # holds one after this many fresh draws points at a broken stream or kernel.
 MAX_RESAMPLES = 8
 
-# Values per block of rows that write_samples_csv renders in one pass:
+# Values per block of rows that write_native_samples_csv renders in one pass:
 # large enough to amortise the numpy calls, small enough to stay in cache.
-# A pass holds about 150 bytes of temporaries a value.  Freeing a 1 MB
+# A pass holds about 200 bytes a value at its peak.  Freeing a 1 MB
 # sub-block sets glibc's heap trim threshold to about 2 MB, so a pass of
 # 16384 values gave its memory back to the system and faulted it in again
-# each time (13x the page faults, and twice the system time, for 4096
-# complex Haar frames at N = 100, n = 5).
+# each time (30x the minor page faults of the export, and 5x the system
+# time, for 4096 complex Haar frames at N = 100, n = 5).  A line wider
+# than this is rendered alone.
 ROW_BLOCK_VALUES = 8192
 
 
@@ -296,29 +300,71 @@ def sample_restricted_gaussian(cfg, eps, theta_val=None, floor=1e-3, min_proposa
     )
 
 
-def write_samples_csv(path, cfg, blocks):
-    """write_native_samples_csv of (k, N, n, 4) component arrays.
+@contextlib.contextmanager
+def _draw_thread(blocks):
+    """Consume the iterable blocks on a draw thread and yield an iterator
+    over its items.
 
-    blocks is an iterable of them, cfg.count samples in all, such as
-    iter_haar_chunks(cfg), or one such array.
+    The thread computes the next item while the caller works on the
+    current one, and waits for the caller to take it before it starts on
+    another, so at most two items are alive.  The Philox fill and LAPACK
+    release the GIL, so the draws overlap the caller's work.  An
+    exception of the draw thread is raised by the iterator.  Leaving the
+    block, for whatever reason, stops the thread and joins it.
     """
-    if isinstance(blocks, np.ndarray):
-        blocks = [blocks]
-    return write_native_samples_csv(
-        path, cfg, (_to_native(block, cfg.field) for block in blocks)
-    )
+    ready = queue.Queue(1)
+    stop = threading.Event()
+
+    def draw():
+        try:
+            for block in blocks:
+                ready.put((block, None))
+                ready.join()
+                if stop.is_set():
+                    return
+        except BaseException as exc:  # raised again by the consumer
+            ready.put((None, exc))
+        else:
+            ready.put((None, None))
+
+    def drawn():
+        while True:
+            block, exc = ready.get()
+            ready.task_done()
+            if block is None:
+                if exc is not None:
+                    raise exc
+                return
+            yield block
+
+    thread = threading.Thread(target=draw, name="sampling-draw", daemon=True)
+    thread.start()
+    try:
+        yield drawn()
+    finally:
+        stop.set()
+        while thread.is_alive():  # a blocked handoff returns once taken
+            with contextlib.suppress(queue.Empty):
+                ready.get_nowait()
+                ready.task_done()
+            thread.join(0.01)
 
 
 def write_native_samples_csv(path, cfg, blocks):
     """Dump samples: idx, field, N, n, comp_0 ... comp_{4Nn-1}.
 
     blocks is an iterable of native (k, ...) arrays, cfg.count samples in
-    all, such as iter_blocks(cfg, haar_blocks).  It is consumed as the
-    file is written, so the samples are never held at once.  Component k
-    belongs to entry (k // 4 // n, k // 4 % n),
-    scalar slot k % 4; slots beyond the field dimension are left empty.
-    Rows are rendered by csvio.render_rows, about ROW_BLOCK_VALUES values
-    at a time.  A JSON sidecar records the config and the stream.
+    all, such as iter_blocks(cfg, haar_blocks).  Component k belongs to
+    entry (k // 4 // n, k // 4 % n), scalar slot k % 4; slots beyond the
+    field dimension are left empty.  A JSON sidecar records the config
+    and the stream.
+
+    The file is written by three stages on their own threads, with
+    bounded queues between them, so the samples are never held at once:
+    a draw thread consumes blocks (_draw_thread), the calling thread
+    renders the rows with csvio.render_rows, about ROW_BLOCK_VALUES
+    values at a time, and csvio.write_csv's writer thread strips, hashes
+    and writes them.  The bytes and their order are those of one thread.
     """
     from .csvio import render_rows, write_csv, write_json
 
@@ -332,9 +378,9 @@ def write_native_samples_csv(path, cfg, blocks):
     tag = (",%s,%d,%d," % (cfg.field, cfg.N, cfg.n)).encode()
     step = max(1, ROW_BLOCK_VALUES // (entries * d))
 
-    def lines():
+    def lines(drawn):
         idx = 0
-        for block in blocks:
+        for block in drawn:
             for start in range(0, len(block), step):
                 part = _components(block[start : start + step], cfg.field)
                 k = len(part)
@@ -342,7 +388,8 @@ def write_native_samples_csv(path, cfg, blocks):
                 yield render_rows(lead, part.reshape(k, -1), seps)
                 idx += k
 
-    digest = write_csv(path, header, lines())
+    with _draw_thread(blocks) as drawn:
+        digest = write_csv(path, header, lines(drawn))
     write_json(
         str(path) + ".json",
         {
@@ -357,7 +404,3 @@ def write_native_samples_csv(path, cfg, blocks):
         },
     )
     return digest
-
-
-def with_count(cfg, count):
-    return replace(cfg, count=count)

@@ -1,10 +1,14 @@
 import json
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from mmconc import cli, experiments, sampling
+from mmconc import cli, csvio, experiments, sampling
+from mmconc.algebra import _to_native
+from mmconc.errors import DomainError, InfeasibleError
 
 
 def run_cli(args):
@@ -244,8 +248,107 @@ def test_sample_streams_the_same_bytes(kind, tmp_path, capsys):
     assert run_cli(argv) == 0
     cfg = sampling.SamplerConfig("C", 4, 2, seed=3, count=sampling.CHUNK + 5)
     comps = (sampling.haar_comps if kind == "haar" else sampling.gaussian_comps)(cfg)
-    ref = sampling.write_samples_csv(str(tmp_path / "ref.csv"), cfg, comps)
+    ref = sampling.write_native_samples_csv(str(tmp_path / "ref.csv"), cfg, [_to_native(comps, "C")])
     assert json.load(open(out + ".json"))["csv_sha256"] == ref
     with open(out, "rb") as a, open(str(tmp_path / "ref.csv"), "rb") as b:
         assert a.read() == b.read()
     assert ref[:12] in capsys.readouterr().out
+
+
+# C, N = 400, n = 2: sub-blocks of 81 frames, each rendered to about 3.6 MB
+# of padded lines, so 400 frames pass through several handoffs per stage.
+PIPELINE = ["sample", "--kind", "haar", "--field", "c", "--N", "400", "--n", "2",
+            "--count", "400", "--seed", "5"]
+
+
+def _main_joined(argv, timeout=60.0):
+    """cli.main(argv) on a helper thread, joined with a timeout: a stage
+    left blocked on a full queue shows as a call that never returns."""
+    codes = []
+    caller = threading.Thread(target=lambda: codes.append(cli.main(argv)), daemon=True)
+    caller.start()
+    caller.join(timeout)
+    assert not caller.is_alive(), "mmconc %s did not return" % " ".join(argv)
+    return codes[0]
+
+
+class TestSamplePipeline:
+    """`mmconc sample` draws, renders and writes on three threads; none may
+    outlive cli.main, and a stage that fails stops the other two."""
+
+    def test_clean_calls_leave_no_thread(self, tmp_path):
+        before = threading.enumerate()
+        digests = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads as often as possible
+        try:
+            for name in ("a.csv", "b.csv"):
+                out = str(tmp_path / name)
+                assert _main_joined(PIPELINE + ["--out", out]) == 0
+                assert threading.enumerate() == before
+                digests.append(json.load(open(out + ".json"))["csv_sha256"])
+        finally:
+            sys.setswitchinterval(interval)
+        cfg = sampling.SamplerConfig("C", 400, 2, seed=5, count=400)
+        ref = str(tmp_path / "ref.csv")
+        whole = [sampling.haar_chunk_native(cfg, 0)[:400]]
+        assert digests == [sampling.write_native_samples_csv(ref, cfg, whole)] * 2
+
+    def test_draw_failure(self, tmp_path, monkeypatch, capsys):
+        real = sampling.haar_blocks
+
+        def failing(cfg, chunk_index):
+            for j, X in enumerate(real(cfg, chunk_index)):
+                if j == 2:
+                    raise InfeasibleError("injected after two sub-blocks")
+                yield X
+
+        monkeypatch.setattr(sampling, "haar_blocks", failing)
+        before = threading.enumerate()
+        assert _main_joined(PIPELINE + ["--out", str(tmp_path / "s.csv")]) == 3
+        assert threading.enumerate() == before
+        assert "infeasible: injected after two sub-blocks" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv.json").exists()
+
+    def test_render_failure(self, tmp_path, monkeypatch, capsys):
+        real = csvio.render_rows
+        calls = []
+
+        def failing(lead, x, seps):
+            calls.append(len(lead))
+            if len(calls) == 5:
+                raise DomainError("injected in the fifth render")
+            return real(lead, x, seps)
+
+        monkeypatch.setattr(csvio, "render_rows", failing)
+        before = threading.enumerate()
+        assert _main_joined(PIPELINE + ["--out", str(tmp_path / "s.csv")]) == 1
+        assert threading.enumerate() == before
+        assert "error: injected in the fifth render" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["missing-dir", "device-full"])
+    def test_unwritable_out(self, where, tmp_path, monkeypatch, capsys):
+        if where == "missing-dir":
+            out = str(tmp_path / "missing" / "s.csv")  # open fails
+        else:
+            out = "/dev/full"  # open succeeds, every write fails
+            if not os.path.exists(out):
+                pytest.skip("no /dev/full")
+        real = csvio.render_rows
+        calls = []
+
+        def counted(lead, x, seps):
+            calls.append(len(lead))
+            return real(lead, x, seps)
+
+        monkeypatch.setattr(csvio, "render_rows", counted)
+        before = threading.enumerate()
+        assert _main_joined(PIPELINE + ["--out", out]) == 1
+        assert threading.enumerate() == before
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not os.path.exists(out + ".json")
+        # The export takes 80 renders of 5 lines.  The renderer stops at
+        # most two write batches (of about 10 renders each) after the
+        # writer fails.
+        assert len(calls) <= 30

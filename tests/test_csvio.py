@@ -90,12 +90,16 @@ class TestRenderRows:
             lead[r] + b"".join(("%.17g" % x[r, j]).encode() + seps[j] for j in range(3))
             for r in range(2)
         )
-        assert render_rows(lead, x, seps) == expected
+        out = render_rows(lead, x, seps)
+        assert out.dtype == np.uint8 and out.shape[0] == 2
+        assert out.tobytes().replace(b"\0", b"") == expected
+        assert out[1].tobytes().replace(b"\0", b"") == expected[expected.index(b"17,R,") :]
 
 
 def test_write_csv_mixes_cells_and_rendered_lines(tmp_path):
     path = str(tmp_path / "t.csv")
-    digest = write_csv(path, ["a", "b"], [[1, 0.1], b"2,0.5\n", ["x", -2.0]])
+    rendered = np.frombuffer(b"\0\0002,0.5\0\n\0\0", np.uint8)  # padded as by render_rows
+    digest = write_csv(path, ["a", "b"], [[1, 0.1], rendered, ["x", -2.0]])
     body = b"a,b\n1,0.10000000000000001\n2,0.5\nx,-2\n"
     assert open(path, "rb").read() == body
     assert digest == hashlib.sha256(body).hexdigest()

@@ -16,7 +16,6 @@ from mmconc.gaussian import (
     radial_density,
     radial_peak,
     stirling_check,
-    tail_masses,
 )
 from mmconc.special import adaptive_quad
 
@@ -106,11 +105,14 @@ class TestAnnulus:
         for m, eps, want in ANNULUS_SCIPY_CASES:
             assert annulus_mass(m, eps).mass == pytest.approx(want, rel=1e-11)
 
-    def test_two_route_tails(self):
+    def test_mass_matches_quadrature(self):
+        # The incomplete-gamma closed form against the chi_m density
+        # integrated over the annulus (lo, hi).
         for m, eps in ((50, 0.15), (300, 0.08)):
-            lower, upper = tail_masses(m, eps)
-            mass = annulus_mass(m, eps).mass
-            assert mass + lower + upper == pytest.approx(1.0, abs=1e-9)
+            root = math.sqrt(m - 1.0)
+            lo, hi = (1.0 - eps) * root, (1.0 + eps) * root
+            quad = adaptive_quad(RadialLaw.of(m).density, lo, hi, tol=1e-13)
+            assert annulus_mass(m, eps).mass == pytest.approx(quad, abs=1e-11)
 
     def test_upper_bound_dominates(self):
         for m, eps in ((10, 0.05), (100, 0.02), (1000, 0.01), (100, 0.2)):

@@ -30,8 +30,7 @@ from mmconc.sampling import (
     sample_gaussian,
     sample_haar_stiefel,
     sample_restricted_gaussian,
-    with_count,
-    write_samples_csv,
+    write_native_samples_csv,
 )
 
 
@@ -280,7 +279,7 @@ class TestCsv:
         cfg = SamplerConfig("C", 3, 2, seed=7, count=4)
         comps = gaussian_comps(cfg)
         path = str(tmp_path / "s.csv")
-        digest = write_samples_csv(path, cfg, comps)
+        digest = write_native_samples_csv(path, cfg, [_to_native(comps, "C")])
         lines = open(path).read().splitlines()
         header = lines[0].split(",")
         assert header[:4] == ["idx", "field", "N", "n"]
@@ -298,7 +297,7 @@ class TestCsv:
         cfg = SamplerConfig("R", 2, 1, seed=8, count=2)
         comps = gaussian_comps(cfg)
         path = str(tmp_path / "s.csv")
-        write_samples_csv(path, cfg, comps)
+        write_native_samples_csv(path, cfg, [_to_native(comps, "R")])
         row = open(path).read().splitlines()[1].split(",")
         assert float(row[4]) == comps[0, 0, 0, 0]
 
@@ -333,14 +332,10 @@ class TestCsv:
             lines.append(",".join([str(i), field, str(N), str(n)] + vals))
         expected = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
         path = str(tmp_path / "s.csv")
-        assert write_samples_csv(path, cfg, comps) == expected
+        assert write_native_samples_csv(path, cfg, [_to_native(comps, field)]) == expected
         with open(path, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == expected
         if not inject:
             chunks = (iter_haar_chunks if kind == "haar" else iter_gaussian_chunks)(cfg)
-            assert write_samples_csv(path, cfg, chunks) == expected
-
-    def test_with_count(self):
-        cfg = SamplerConfig("R", 4, 1, seed=9, count=3)
-        assert with_count(cfg, 10).count == 10
-        assert with_count(cfg, 10).seed == cfg.seed
+            natives = (_to_native(chunk, field) for chunk in chunks)
+            assert write_native_samples_csv(path, cfg, natives) == expected
