@@ -8,6 +8,8 @@ The environment variable MMCONC_SEED overrides any configured seed.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import os
 import sys
 import time
@@ -16,6 +18,35 @@ from . import __version__, bounds, csvio, experiments, sampling
 from .errors import ConfigError, InfeasibleError, MmconcError
 
 FIELD_NAMES = {"r": "R", "c": "C", "h": "H"}
+
+# glibc's malloc serves a block above its mmap threshold with its own
+# mapping, and gives the top of the heap back to the system once more
+# than its trim threshold is free there.  By default both thresholds
+# follow the largest mapped block freed so far (up to 32 MB and 64 MB),
+# so the 1 to 2 MB sub-blocks of a run and the temporaries of its
+# kernels and CSV passes are mapped, or trimmed, and faulted in again on
+# every use.  Fixed values stop that: no block under 32 MB is mapped, and
+# up to 64 MB stays free in the heap for the next sub-block.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # from <malloc.h>
+_TRIM_THRESHOLD = 64 << 20
+_MMAP_THRESHOLD = 32 << 20
+
+
+@functools.cache
+def _fix_malloc_thresholds():
+    """Fix glibc's mmap and trim thresholds, once per process; a no-op
+    on any other C library."""
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        glibc = None
+    if not glibc:
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
 def _parse_fields(text):
@@ -296,6 +327,7 @@ def build_parser():
 
 
 def main(argv=None):
+    _fix_malloc_thresholds()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

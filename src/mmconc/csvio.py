@@ -223,14 +223,17 @@ def render_rows(lead, x, seps):
     """Lines of len(lead) CSV rows of float cells, padded with NUL bytes.
 
     Line r is lead[r], then for each cell j `"%.17g" % x[r, j]` followed
-    by seps[j].  lead holds bytes; seps holds bytes of at most 4 bytes
-    each (the last one ends the line).  Returns a uint8 array (k, width):
-    removing the NUL bytes from row r leaves exactly line r.  The NULs
-    stay for write_csv's writer thread to strip.
+    by seps[j].  lead holds bytes, or is None for no lead (the cells
+    continue a line); seps holds bytes of at most 4 bytes each (the last
+    one ends the line).  Returns a uint8 array (k, width): removing the
+    NUL bytes from row r leaves exactly line r.  The NULs stay for
+    write_csv's writer thread to strip.
     """
     k, c = x.shape
     f = format_block(x).view(np.uint32).reshape(k, c, -1)
     f[:, :, -1] = np.array(seps, dtype="S4").view(np.uint32)
+    if lead is None:
+        return f.reshape(k, -1).view(np.uint8)
     width = -(-max(map(len, lead)) // 4) * 4
     prefix = np.array(lead, dtype="S%d" % width).view(np.uint32).reshape(k, -1)
     return np.concatenate([prefix, f.reshape(k, -1)], axis=1).view(np.uint8)
@@ -239,8 +242,10 @@ def render_rows(lead, x, seps):
 def write_csv(path, header, rows):
     """Write rows under a header; returns the body digest.
 
-    A row is a sequence of cells, or a uint8 array of whole lines padded
-    with NUL bytes (as from `render_rows`).  The calling thread encodes
+    header is a sequence of cells, or None when the rows begin with the
+    header line.  A row is a sequence of cells, or a uint8 array of lines
+    padded with NUL bytes (as from `render_rows`); consecutive arrays may
+    split a line between them.  The calling thread encodes
     the rows and hands them in batches of about HANDOFF_BYTES to a
     writer thread, which strips the NULs with numpy and feeds each
     stripped buffer to both the file and the hash.  The strip, the write
@@ -275,7 +280,7 @@ def write_csv(path, header, rows):
         writer = threading.Thread(target=write, name="csvio-writer", daemon=True)
         writer.start()
         try:
-            batch, size = [(",".join(header) + "\n").encode()], 0
+            batch, size = [] if header is None else [(",".join(header) + "\n").encode()], 0
             for row in rows:
                 if failed:
                     break

@@ -250,13 +250,16 @@ def svd(Z):
     )
 
 
-def polar(Z, rank_tol=1e-6):
+def polar(Z, rank_tol=1e-3):
     """Z = Q H with Q an orthonormal frame and H Hermitian PSD.
 
-    Full-rank inputs use H = (Z* Z)^(1/2) and Q = Z H^(-1); otherwise
-    the frame comes from the SVD.  lam holds the singular values,
-    non-increasing: the roots of the Gram eigenvalues that the rank check
-    reads, or the SVD's on the rank-deficient branch.
+    Well-conditioned inputs use H = (Z* Z)^(1/2) and Q = Z H^(-1); when
+    the smallest singular value is at most rank_tol max(1, largest) the
+    frame comes from the SVD.  The Gram route loses orthonormality as
+    the square of the condition number, about 1e-16 cond^2, so it is kept
+    to cond <= 1e3, where Q* Q is within 1e-10 of I.  lam holds the
+    singular values, non-increasing: the roots of the Gram eigenvalues
+    that the check reads, or the SVD's on the other branch.
     """
     if Z.N < Z.n:
         raise ShapeMismatchError("need N >= n")

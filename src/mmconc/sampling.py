@@ -6,29 +6,32 @@ Determinism contract: output bytes depend on the seed and on STREAM,
 never on the worker count or on how a chunk is sub-blocked.  The sample
 index space is split into fixed-size chunks of 1024; chunk c draws its
 standard normals, in C order, with `Generator.standard_normal` (the
-ziggurat method of Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000) from a
-Philox generator seeded by (seed, spawn_key=(c,)).  One draw of shape
+ziggurat method of Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000) from an
+SFC64 generator seeded by SeedSequence(seed, spawn_key=(c,)), and a
+resample of attempt a from spawn_key=(c, a).  One draw of shape
 (1024, ...) equals, bit for bit, four consecutive (256, ...) draws from
 the same generator, and which worker consumes a chunk never changes it.
 
 A chunk is drawn and reduced in sub-blocks, consecutive slices of its one
 stream: `gaussian_blocks` draws k = BLOCK_BYTES // (8 N n d) matrices at a
 time (at least one, at most a chunk), d = 1, 2, 4 the field dimension, so
-memory does not grow with N.  Each (k, N, n, d) draw holds the field
-components of its entries; the samplers keep it as the native array of
-`algebra` (a view of the draw over R and C, one copy into [Z1; -conj Z2]
-over H) and compute on native arrays from there on: `haar_blocks` runs
-the polar factor per sub-block, the rejection sampler tests membership
-per sub-block, and the statistics of `experiments` and `concentration`
-reduce each sub-block as it arrives.  `gaussian_chunk_native` and
-`haar_chunk_native` are their sub-blocks joined into one chunk.  The
-interchange functions (`gaussian_chunk`, `haar_chunk`, `iter_*_chunks`,
-`*_comps`) are each one conversion around those.
+memory does not grow with N.  Each sub-block is drawn straight into the
+native array of `algebra`: R (k, N, n) float64, C (k, N, n) and H
+(k, 2N, n) complex128 from consecutive (real, imaginary) pairs, the H
+rows being [Z1; -conj Z2].  The samplers compute on native arrays from
+there on: `haar_blocks` runs the polar factor per sub-block, the
+rejection sampler tests membership per sub-block, and the statistics of
+`experiments` and `concentration` reduce each sub-block as it arrives.
+`gaussian_chunk_native` and `haar_chunk_native` are their sub-blocks
+joined into one chunk.  The interchange functions (`gaussian_chunk`,
+`haar_chunk`, `iter_*_chunks`, `*_comps`) are each one conversion around
+those.
 
-STREAM names this construction.  It is folded into the run digest and
-written as "stream" to every manifest and sample sidecar, so output of
-one stream cannot pass as output of another; any change to the draws
-(including one inside numpy's standard_normal) must bump it.
+STREAM names this construction: the generator, the normal transform and
+the native draw layout.  It is folded into the run digest and written as
+"stream" to every manifest and sample sidecar, so output of one stream
+cannot pass as output of another; any change to the draws (including one
+inside numpy's SFC64 or standard_normal) must bump it.
 """
 
 from __future__ import annotations
@@ -39,36 +42,36 @@ import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
-from .algebra import FMatrix, _components, _from_native, _native, field_dim
+from .algebra import FMatrix, _components, _from_native, field_dim
 from .decomp import polar_q_native
 from .errors import DomainError, InfeasibleError, ShapeMismatchError
 
 log = logging.getLogger(__name__)
 
 CHUNK = 1024
-STREAM = "philox-ziggurat-1"
+STREAM = "sfc64-native-1"
 
 # Float64 components per sub-block of a chunk, in bytes: one sub-block's
-# draw, its native copy and the kernel temporaries stay near this size
-# whatever N is.
+# draw and the kernel temporaries stay near this size whatever N is.
 BLOCK_BYTES = 1 << 20
 
 # Rank-deficient Gaussian draws have probability zero; a chunk that still
 # holds one after this many fresh draws points at a broken stream or kernel.
 MAX_RESAMPLES = 8
 
-# Values per block of rows that write_native_samples_csv renders in one pass:
-# large enough to amortise the numpy calls, small enough to stay in cache.
-# A pass holds about 200 bytes a value at its peak.  Freeing a 1 MB
-# sub-block sets glibc's heap trim threshold to about 2 MB, so a pass of
-# 16384 values gave its memory back to the system and faulted it in again
-# each time (30x the minor page faults of the export, and 5x the system
-# time, for 4096 complex Haar frames at N = 100, n = 5).  A line wider
-# than this is rendered alone.
+# Values that write_native_samples_csv renders in one pass: enough to
+# amortise the numpy calls, few enough that a pass, about 200 bytes a
+# value at its peak, stays near 1.6 MB.  A line wider than this is
+# rendered in column slices of this many values, so memory does not grow
+# with N.  Passes fault no pages because cli.main fixes glibc's mmap and
+# trim thresholds: at glibc's defaults, which start at 128 kB and rise
+# only with the largest mapped block freed so far, each pass maps or
+# trims its temporaries and faults them in again (360 faults a pass of
+# 8192 values in a fresh process).
 ROW_BLOCK_VALUES = 8192
 
 
@@ -102,7 +105,7 @@ class SamplerConfig:
 def chunk_generator(seed, chunk_index, attempt=0):
     key = (chunk_index,) if attempt == 0 else (chunk_index, attempt)
     ss = np.random.SeedSequence(seed, spawn_key=key)
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def block_size(cfg):
@@ -114,12 +117,22 @@ def block_size(cfg):
 
 def gaussian_blocks(cfg, chunk_index, attempt=0):
     """Yield one chunk of standard Gaussian matrices as native sub-blocks
-    (k, rows, n), k = block_size(cfg), in order from the chunk's stream."""
+    (k, rows, n), k = block_size(cfg), in order from the chunk's stream.
+
+    Each sub-block is drawn in its native layout: R (k, N, n) reals, C
+    (k, N, n) and H (k, 2N, n) complex entries, each the (real,
+    imaginary) pair of two consecutive normals.  Over H the lower half is
+    -conj Z2 for Z = Z1 + Z2 j, and the negated conjugate of a standard
+    complex normal is one too, so Z is standard Gaussian."""
     gen = chunk_generator(cfg.seed, chunk_index, attempt)
-    shape = (cfg.N, cfg.n, field_dim(cfg.field))
+    rows = 2 * cfg.N if cfg.field == "H" else cfg.N
     k = block_size(cfg)
     for start in range(0, CHUNK, k):
-        yield _native(gen.standard_normal((min(k, CHUNK - start),) + shape), cfg.field)
+        shape = (min(k, CHUNK - start), rows, cfg.n)
+        if cfg.field == "R":
+            yield gen.standard_normal(shape)
+        else:
+            yield gen.standard_normal(shape + (2,)).view(np.complex128)[..., 0]
 
 
 def iter_blocks(cfg, blocks):
@@ -307,7 +320,7 @@ def _draw_thread(blocks):
 
     The thread computes the next item while the caller works on the
     current one, and waits for the caller to take it before it starts on
-    another, so at most two items are alive.  The Philox fill and LAPACK
+    another, so at most two items are alive.  The SFC64 fill and LAPACK
     release the GIL, so the draws overlap the caller's work.  An
     exception of the draw thread is raised by the iterator.  Leaving the
     block, for whatever reason, stops the thread and joins it.
@@ -369,14 +382,26 @@ def write_native_samples_csv(path, cfg, blocks):
     from .csvio import render_rows, write_csv, write_json
 
     d = field_dim(cfg.field)
-    entries = cfg.N * cfg.n
-    header = ["idx", "field", "N", "n"] + ["comp_%d" % k for k in range(4 * entries)]
-    # A comma after each value; the last value of an entry also closes
-    # its empty slots, and the last one of a row ends the line.
-    seps = ([b","] * (d - 1) + [b"," * (5 - d)]) * entries
-    seps[-1] = seps[-1][:-1] + b"\n"
+    width = cfg.N * cfg.n * d  # values a line
+    columns = 4 * cfg.N * cfg.n
     tag = (",%s,%d,%d," % (cfg.field, cfg.N, cfg.n)).encode()
-    step = max(1, ROW_BLOCK_VALUES // (entries * d))
+    step = max(1, ROW_BLOCK_VALUES // width)
+    # A line wider than ROW_BLOCK_VALUES, and its header, go out in column
+    # slices, each continuing the one before; ROW_BLOCK_VALUES is a
+    # multiple of d, so every slice starts an entry.  A comma follows each
+    # value; the last value of an entry also closes its empty slots, and
+    # the last one of a line ends it.
+    seps = ([b","] * (d - 1) + [b"," * (5 - d)]) * (min(width, ROW_BLOCK_VALUES) // d)
+    tail = width - (width - 1) // ROW_BLOCK_VALUES * ROW_BLOCK_VALUES
+    last_seps = seps[: tail - 1] + [seps[tail - 1][:-1] + b"\n"]
+
+    def header():
+        text = "idx,field,N,n"
+        for col in range(0, columns, ROW_BLOCK_VALUES):
+            end = min(col + ROW_BLOCK_VALUES, columns)
+            text += "".join(",comp_%d" % k for k in range(col, end)) + "\n" * (end == columns)
+            yield np.frombuffer(text.encode(), np.uint8)
+            text = ""
 
     def lines(drawn):
         idx = 0
@@ -384,12 +409,17 @@ def write_native_samples_csv(path, cfg, blocks):
             for start in range(0, len(block), step):
                 part = _components(block[start : start + step], cfg.field)
                 k = len(part)
+                part = part.reshape(k, -1)
                 lead = [b"%d%s" % (i, tag) for i in range(idx, idx + k)]
-                yield render_rows(lead, part.reshape(k, -1), seps)
+                for col in range(0, width, ROW_BLOCK_VALUES):
+                    last = col + ROW_BLOCK_VALUES >= width
+                    cells = part[:, col : col + ROW_BLOCK_VALUES]
+                    yield render_rows(lead, cells, last_seps if last else seps)
+                    lead = None
                 idx += k
 
     with _draw_thread(blocks) as drawn:
-        digest = write_csv(path, header, lines(drawn))
+        digest = write_csv(path, None, chain(header(), lines(drawn)))
     write_json(
         str(path) + ".json",
         {

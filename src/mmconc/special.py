@@ -33,11 +33,12 @@ _SQRT2 = np.sqrt(2.0)
 
 def lgamma(x):
     """log Gamma(x) for x > 0 (Lanczos approximation, g = 7)."""
-    x = np.asarray(x, dtype=np.float64)
+    if not isinstance(x, float):
+        x = np.asarray(x, dtype=np.float64)
     if np.any(x <= 0.0):
         raise DomainError("lgamma requires x > 0")
     z = x - 1.0
-    acc = np.full(z.shape, _LANCZOS[0])
+    acc = _LANCZOS[0]
     for i in range(1, len(_LANCZOS)):
         acc = acc + _LANCZOS[i] / (z + i)
     t = z + _LANCZOS_G + 0.5
@@ -61,21 +62,27 @@ def _log_prefactor(a, x, c):
     1/(360 a^3) the Stirling correction of lgamma(a + 1), which is exact
     at x = a and loses only about |x - a| ulps elsewhere.
     """
+    large = a >= _STIRLING_A
     with np.errstate(divide="ignore"):
+        if np.all(large):
+            return _log_prefactor_stirling(a, x, c)
         logx = np.where(x > 0.0, np.log(np.maximum(x, 1e-300)), -np.inf)
         direct = a * logx - x - lgamma(a + c)
-        large = a >= _STIRLING_A
         if not np.any(large):
             return direct
-        b = np.where(large, a, _STIRLING_A)
-        t = (x - b) / b
-        stirling = (
-            b * (np.log1p(t) - t)
-            - 0.5 * np.log(2.0 * np.pi * b)
-            - (1.0 / 12.0 - 1.0 / (360.0 * b * b)) / b
-            + (1 - c) * np.log(b)
-        )
-    return np.where(large, stirling, direct)
+        stirling = _log_prefactor_stirling(np.where(large, a, _STIRLING_A), x, c)
+        return np.where(large, stirling, direct)
+
+
+def _log_prefactor_stirling(a, x, c):
+    """The Stirling form of _log_prefactor, for a >= _STIRLING_A."""
+    t = (x - a) / a
+    return (
+        a * (np.log1p(t) - t)
+        - 0.5 * np.log(2.0 * np.pi * a)
+        - (1.0 / 12.0 - 1.0 / (360.0 * a * a)) / a
+        + (1 - c) * np.log(a)
+    )
 
 
 def _iterations(base, a, per_root):
@@ -86,42 +93,60 @@ def _iterations(base, a, per_root):
 
 
 def _gamma_p_series(a, x):
-    """Series for the regularized lower incomplete gamma; good for x < a+1."""
-    a = np.asarray(a, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    term = np.ones(np.broadcast(a, x).shape)
-    total = term.copy()
-    denom = np.broadcast_to(a, total.shape).astype(np.float64).copy()
+    """Series for the regularized lower incomplete gamma; good for x < a+1.
+
+    a and x are floats or broadcastable arrays.  Floats run the loop on
+    Python floats, which costs a tenth of the same loop on one-element
+    arrays and rounds the same way."""
+    if isinstance(x, float):
+        term, denom, done = 1.0, a, bool
+    else:
+        a = np.asarray(a, dtype=np.float64)
+        x = np.asarray(x, dtype=np.float64)
+        term = np.ones(np.broadcast(a, x).shape)
+        denom = np.broadcast_to(a, term.shape).astype(np.float64)
+        done = np.all
+    total = term
     for k in range(_iterations(300, a, 10.0)):
         denom = denom + 1.0
         term = term * (x / denom)
         total = total + term
-        if k % 8 == 7 and np.all(term <= 1e-17 * total):
+        if k % 8 == 7 and done(term <= 1e-17 * total):
             break
     return np.where(x > 0.0, np.exp(_log_prefactor(a, x, 1.0)) * total, 0.0)
 
 
+_TINY = 1e-300
+
+
+def _floor_tiny(v):
+    """v with the entries of magnitude below _TINY replaced by _TINY."""
+    if isinstance(v, float):
+        return _TINY if abs(v) < _TINY else v
+    return np.where(np.abs(v) < _TINY, _TINY, v)
+
+
 def _gamma_q_cf(a, x):
-    """Continued fraction (modified Lentz) for the regularized upper gamma."""
-    a = np.asarray(a, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    shape = np.broadcast(a, x).shape
-    tiny = 1e-300
+    """Continued fraction (modified Lentz) for the regularized upper gamma;
+    floats or arrays, as in _gamma_p_series."""
+    if isinstance(x, float):
+        c, done = 1.0 / _TINY, bool
+    else:
+        a = np.asarray(a, dtype=np.float64)
+        x = np.asarray(x, dtype=np.float64)
+        c, done = np.full(np.broadcast(a, x).shape, 1.0 / _TINY), np.all
     b = x + 1.0 - a
-    c = np.full(shape, 1.0 / tiny)
-    d = 1.0 / np.where(np.abs(b) < tiny, tiny, b)
-    h = d.copy()
+    d = 1.0 / _floor_tiny(b)
+    h = d
     for i in range(1, _iterations(200, a, 4.0) + 1):
         an = -i * (i - a)
         b = b + 2.0
-        d = an * d + b
-        d = np.where(np.abs(d) < tiny, tiny, d)
-        c = b + an / c
-        c = np.where(np.abs(c) < tiny, tiny, c)
+        d = _floor_tiny(an * d + b)
+        c = _floor_tiny(b + an / c)
         d = 1.0 / d
         delta = d * c
         h = h * delta
-        if i % 8 == 0 and np.all(np.abs(delta - 1.0) < 1e-16):
+        if i % 8 == 0 and done(abs(delta - 1.0) < 1e-16):
             break
     return np.where(x > 0.0, np.exp(_log_prefactor(a, x, 0.0)) * h, 1.0)
 
@@ -140,6 +165,15 @@ def _reg_gamma(a, x, upper):
     if np.any(x < 0.0):
         raise DomainError("incomplete gamma requires x >= 0")
     shape = x.shape
+    if x.size == 1:  # one value: the loops run on floats
+        a, x = a.item(), x.item()
+        if x < a + 1.0:
+            p = float(_gamma_p_series(a, x))
+            out = 1.0 - p if upper else p
+        else:
+            q = float(_gamma_q_cf(a, x))
+            out = q if upper else 1.0 - q
+        return np.full(shape, out) if shape else out
     a, x = a.reshape(-1), x.reshape(-1)
     out = np.empty_like(x)
     series = x < a + 1.0

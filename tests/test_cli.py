@@ -1,5 +1,6 @@
 import json
 import os
+import subprocess
 import sys
 import threading
 
@@ -352,3 +353,43 @@ class TestSamplePipeline:
         # most two write batches (of about 10 renders each) after the
         # writer fails.
         assert len(calls) <= 30
+
+
+# Minor page faults of 50 format_block passes of 8192 values in a fresh
+# process, after cli.main has run or not.
+_PASS_FAULTS = """
+import resource, sys
+import numpy as np
+from mmconc import cli, csvio
+if sys.argv[1] == "main":
+    cli.main(["validate", "missing.ini"])
+x = np.random.default_rng(0).normal(size=8192)
+csvio.format_block(x)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    csvio.format_block(x)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _pass_faults(mode, tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    env["PYTHONPATH"] = src
+    proc = subprocess.run(
+        [sys.executable, "-c", _PASS_FAULTS, mode],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    return int(proc.stdout.split()[-1])
+
+
+@pytest.mark.skipif(
+    not (hasattr(os, "confstr") and "CS_GNU_LIBC_VERSION" in os.confstr_names),
+    reason="glibc only",
+)
+def test_main_fixes_malloc_thresholds(tmp_path):
+    # At glibc's default thresholds every pass maps or trims its
+    # temporaries and faults them in again (19600 faults on a 2-vCPU VM);
+    # cli.main fixes the thresholds, after which the passes fault none.
+    assert _pass_faults("plain", tmp_path) > 5000
+    assert _pass_faults("main", tmp_path) < 500

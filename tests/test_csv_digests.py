@@ -2,8 +2,10 @@
 
 import importlib.util
 import os
+import re
+import sys
 
-from mmconc import experiments
+from mmconc import experiments, sampling
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -43,3 +45,17 @@ def test_digests_are_stable_and_skip_manifests(tmp_path, monkeypatch):
     assert "sample-haar-h.csv" in names
     assert not any(name.endswith("manifest.json") for name in names)
     assert all(len(digest) == 64 for digest, _ in first)
+
+
+def test_listing_starts_with_the_stream(monkeypatch, capsys):
+    monkeypatch.delenv("MMCONC_SEED", raising=False)
+    module = _csv_digests()
+    small = ["--field", "c", "--N", "6", "--n", "const:2", "--samples", "1000"]
+    monkeypatch.setattr(module, "RUN_SETS", {"small": small})
+    monkeypatch.setattr(module, "SAMPLES", ["--N", "4", "--n", "2", "--count", "30"])
+    monkeypatch.setattr(sys, "argv", ["csv_digests.py"])
+    module.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "stream  " + sampling.STREAM
+    assert len(lines) > 1
+    assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines[1:])

@@ -339,3 +339,29 @@ def test_svd_and_polar_spectrum_properties(sample):
     # Squares, since the root amplifies round-off near a zero singular value.
     gap = np.abs(lam**2 - singular_values(Z) ** 2).max()
     assert gap <= 1e-12 * max(1.0, Z.norm**2)
+
+
+@st.composite
+def _nearly_repeated_columns(draw):
+    field, d = draw(st.sampled_from(FIELDS))
+    N = draw(st.integers(2, 20))
+    n = draw(st.integers(2, min(N, 5)))
+    i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    delta = 10.0 ** -draw(st.integers(4, 17))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    comps = np.zeros((N, n, 4))
+    comps[..., :d] = rng.standard_normal((N, n, d))
+    comps[:, j, :d] = comps[:, i, :d] + delta * rng.standard_normal((N, d))
+    return field, FMatrix(field, comps)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_nearly_repeated_columns())
+def test_polar_frame_orthonormal_near_rank_deficiency(sample):
+    # Column j is column i perturbed by 1e-4 to 1e-17: condition numbers
+    # from about 1e4 up to exact rank deficiency in floating point, where
+    # the Gram route Q = Z (Z* Z)^(-1/2) lost orthonormality (2.6e-4 over
+    # H at N = 5, n = 4 and a 1e-5 perturbation).
+    field, Z = sample
+    q = polar(Z).q
+    assert (q.adjoint() @ q - FMatrix.identity(field, Z.n)).norm <= 1e-8

@@ -34,8 +34,25 @@ def _run(*args):
              "--count", "128"],
             "samples.csv",
         ),
+        # one frame a sub-block; lines of 80000 and 200000 values go out
+        # in column slices of sampling.ROW_BLOCK_VALUES
+        *(
+            (
+                ["sample", "--kind", "haar", "--field", "h", "--N", N, "--n", "1",
+                 "--count", "12"],
+                "samples.csv",
+            )
+            for N in ("20000", "50000")
+        ),
     ],
-    ids=["prok-H-5000", "fullmeas-H-5000", "obsdiam-R-20000", "sample-haar-H-5000"],
+    ids=[
+        "prok-H-5000",
+        "fullmeas-H-5000",
+        "obsdiam-R-20000",
+        "sample-haar-H-5000",
+        "sample-haar-H-20000",
+        "sample-haar-H-50000",
+    ],
 )
 def test_traced_peak_is_bounded(argv, out, tmp_path, capsys):
     argv = argv + ["--out", str(tmp_path / out)]

@@ -6,7 +6,7 @@ import pytest
 
 from componentwise import comp_matmul
 from mmconc import sampling
-from mmconc.algebra import FMatrix, _lift, _native, _to_native, field_dim
+from mmconc.algebra import FMatrix, _lift, _to_native, field_dim
 from mmconc.concentration import _frame_distances, membership_native
 from mmconc.decomp import polar_q_native
 from mmconc.errors import DomainError, InfeasibleError, ShapeMismatchError
@@ -70,10 +70,13 @@ class TestDeterminism:
 
     def test_stream_pin(self):
         # Known answer: any change to the draws must come with a new STREAM.
-        chunk = gaussian_chunk(SamplerConfig("R", 4, 2, seed=0), 0)
-        assert (STREAM, hashlib.sha256(chunk.tobytes()).hexdigest()) == (
-            "philox-ziggurat-1",
-            "b7f4693d6512af5a211a813b4c1efa3c96e373d1ec897f75996b82c9a4b13da1",
+        # The chunks of all three fields cover the native H layout too.
+        h = hashlib.sha256()
+        for field in ("R", "C", "H"):
+            h.update(gaussian_chunk(SamplerConfig(field, 4, 2, seed=0), 0).tobytes())
+        assert (STREAM, h.hexdigest()) == (
+            "sfc64-native-1",
+            "6555e3d850995bcf7c60bf6406a721e1ea2acc0b88104fe511ec021f2152a809",
         )
 
     def test_sub_blocks_are_bit_identical(self):
@@ -105,6 +108,24 @@ class TestGaussian:
         for field, d in (("R", 1), ("C", 2), ("H", 4)):
             comps = gaussian_comps(SamplerConfig(field, 5, 2, seed=0, count=50))
             assert np.all(comps[..., d:] == 0.0)
+
+    @pytest.mark.parametrize("field", ["R", "C", "H"])
+    def test_native_draw_components_are_standard(self, field):
+        # Each sub-block is drawn straight into the native layout; read
+        # back as interchange components, each real component has mean 0
+        # and variance 1, and the slots beyond the field dimension stay 0.
+        # Bounds: five standard errors of 2^18 values.
+        cfg = SamplerConfig(field, 64, 4, seed=0)
+        comps = gaussian_chunk(cfg, 0)
+        d = field_dim(field)
+        assert np.all(comps[..., d:] == 0.0)
+        vals = comps[..., :d].reshape(-1, d)
+        m = len(vals)
+        assert np.abs(vals.mean(axis=0)).max() < 5.0 / np.sqrt(m)
+        assert np.abs(vals.var(axis=0) - 1.0).max() < 5.0 * np.sqrt(2.0 / m)
+        # Components of one entry are uncorrelated.
+        corr = np.corrcoef(vals.T) if d > 1 else np.eye(1)
+        assert np.abs(corr - np.eye(d)).max() < 5.0 / np.sqrt(m)
 
     def test_moments(self):
         comps = gaussian_chunk(SamplerConfig("R", 64, 4, seed=0), 0)
@@ -167,9 +188,14 @@ class TestHaar:
 
 
 def _whole_draw(cfg, chunk_index, attempt=0):
-    """A chunk of Gaussian matrices drawn at once from its stream, native."""
+    """A chunk of Gaussian matrices drawn at once from its stream, in the
+    native layout: (CHUNK, N, n) reals over R, and over C and H complex
+    entries from (real, imaginary) pairs, 2N rows over H."""
     gen = chunk_generator(cfg.seed, chunk_index, attempt)
-    return _native(gen.standard_normal((CHUNK, cfg.N, cfg.n, field_dim(cfg.field))), cfg.field)
+    rows = 2 * cfg.N if cfg.field == "H" else cfg.N
+    if cfg.field == "R":
+        return gen.standard_normal((CHUNK, rows, cfg.n))
+    return gen.standard_normal((CHUNK, rows, cfg.n, 2)).view(np.complex128)[..., 0]
 
 
 # 4800 component bytes a draw: sub-blocks of 218 matrices, so a chunk is
@@ -313,6 +339,10 @@ class TestCsv:
             # two sampler chunks, and fallback values in the rendered block
             pytest.param("haar", "H", 2, 1, CHUNK + 3, True, id="chunks-fallback-H-2-1"),
             pytest.param("gaussian", "C", 5, 3, 12, True, id="fallback-C-5-3"),
+            # lines wider than ROW_BLOCK_VALUES: 8800 values in two column
+            # slices, and 8400 values with a header of three slices
+            pytest.param("haar", "H", 1100, 2, 3, False, id="wide-lines-H-1100-2"),
+            pytest.param("gaussian", "C", 4200, 1, 2, True, id="wide-lines-fallback-C-4200-1"),
         ],
     )
     def test_same_bytes_as_per_value_formatter(self, tmp_path, kind, field, N, n, count, inject):

@@ -1,4 +1,5 @@
 import math
+import timeit
 
 import numpy as np
 import pytest
@@ -76,6 +77,31 @@ class TestGamma:
             a = float(rng.uniform(0.2, 80.0))
             x = float(rng.uniform(0.0, 120.0))
             assert reg_gamma_p(a, x) + reg_gamma_q(a, x) == pytest.approx(1.0, abs=1e-12)
+
+    def test_one_value_equals_the_array_loop(self):
+        # One value runs the loops on Python floats; the same value
+        # repeated in an array runs them on numpy arrays, for as many
+        # terms.  Both must round the same way, bit for bit.
+        rng = np.random.default_rng(3)
+        a = np.exp(rng.uniform(np.log(0.1), np.log(2e5), 300))
+        x = a * np.exp(rng.normal(0.0, 1.0, 300))
+        x[::50] = 0.0
+        for f in (reg_gamma_p, reg_gamma_q):
+            for ai, xi in zip(a.tolist(), x.tolist()):
+                one = f(ai, xi)
+                assert isinstance(one, float)
+                assert np.float64(one).tobytes() == f(np.full(3, ai), np.full(3, xi))[0].tobytes()
+            assert f(np.array([a[0]]), np.array([x[0]])).shape == (1,)
+
+    def test_annulus_mass_call_is_fast(self):
+        # A Gamma tail of one value must not pay numpy's per-call cost
+        # on every term: 0.1 to 0.2 ms a call on a 2-vCPU VM, about
+        # 1.5 ms when the loops ran on one-element arrays.
+        from mmconc.gaussian import annulus_mass
+
+        for m in (20, 2000, 20000):
+            best = min(timeit.repeat(lambda: annulus_mass(m, 0.1), number=20, repeat=5)) / 20
+            assert best < 0.6e-3, "annulus_mass(%d) took %.2f ms" % (m, best * 1e3)
 
     def test_domain(self):
         with pytest.raises(DomainError):

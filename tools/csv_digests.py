@@ -5,9 +5,11 @@
 Runs every `mmconc run` experiment over R, C and H on small fixed
 configurations, plus `mmconc sample` of both kinds over each field, in a
 temporary directory, and prints one `sha256  file` line per output,
-sorted by file.  The manifests are left out: they hold timestamps.  It
-imports mmconc from the `src/` of the checkout it sits in, so run it on
-two checkouts and diff the output to see which bytes a change moves.
+sorted by file.  The manifests are left out: they hold timestamps.  The
+first line, `stream  <sampling.STREAM>`, names the random stream, so the
+listings of two streams never diff as equal.  It imports mmconc from the
+`src/` of the checkout it sits in, so run it on two checkouts and diff
+the output to see which bytes a change moves.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from mmconc import cli, experiments  # noqa: E402
+from mmconc import cli, experiments, sampling  # noqa: E402
 
 SEED = "7"
 # Small, every field, one worker.  The second set runs fullmeas, whose
@@ -69,6 +71,7 @@ def digests(out):
 
 def main():
     argparse.ArgumentParser(description=__doc__.split("\n")[0]).parse_args()
+    print("stream  %s" % sampling.STREAM)
     with tempfile.TemporaryDirectory() as tmp:
         lines = sorted(digests(tmp), key=lambda item: item[1])
     for digest, name in lines:
