@@ -5,17 +5,19 @@ A matrix is held as its native array: R float64 (N, n), C complex128
 (2N, n) of the complex adjoint [[Z1, Z2], [-conj Z2, conj Z1]] (F.
 Zhang, Linear Algebra Appl. 251, 1997).  FMatrix stores that array and
 runs all of its arithmetic on it; a field scalar is a 1 x 1 FMatrix,
-as `trace` and `frobenius_inner` return it and `scalar_left` takes it.
-The samplers draw, and the batched kernels and statistics compute, on
-native arrays too, from the draw to the statistic.  Every helper
-accepts extra leading batch axes so hot loops stay vectorized.
+as `trace` returns it.  The samplers draw, and the batched kernels and
+statistics compute, on native arrays too, from the draw to the
+statistic.  Every helper accepts extra leading batch axes so hot loops
+stay vectorized.
 
 The componentwise interchange layout is read and written only at the
 boundary: `FMatrix(field, comps)` and `.comps`, the public batched
 interchange functions and the sample CSVs.  There a scalar is four
 reals (z0, z1, z2, z3) with z = z0 + z1*i + z2*j + z3*k and the unused
 components pinned at zero for R and C, and a matrix is a float64 array
-(N, n, 4).  Only this module converts between the two layouts.
+(N, n, 4).  Only this module converts between the two layouts;
+`realify_comps` gives the real matrix of a component array, the
+reference the tests check the native arithmetic against.
 """
 
 from __future__ import annotations
@@ -24,12 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    FieldMismatchError,
-    NotUnitaryError,
-    ShapeMismatchError,
-)
+from .errors import DomainError, FieldMismatchError, ShapeMismatchError
 
 FIELDS = {"R": 1, "C": 2, "H": 4}
 
@@ -264,31 +261,13 @@ class FMatrix:
             )
         return FMatrix._wrap(self.field, _lift(self.native, self.field) @ other.native)
 
-    def __add__(self, other):
-        self._check_like(other)
-        return FMatrix._wrap(self.field, self.native + other.native)
-
     def __sub__(self, other):
         self._check_like(other)
         return FMatrix._wrap(self.field, self.native - other.native)
 
-    def __neg__(self):
-        return FMatrix._wrap(self.field, -self.native)
-
     def scale(self, r):
         """Multiply by a real number."""
         return FMatrix._wrap(self.field, float(r) * self.native)
-
-    def scalar_left(self, t):
-        """Left scalar multiple t * Z for a 1 x 1 FMatrix t: the lift of
-        t, a 1 x 1 or 2 x 2 complex adjoint, acting on the blocks of the
-        native array."""
-        self._check_like(t, shapes=False)
-        if t.shape != (1, 1):
-            raise ShapeMismatchError("a scalar is a 1 x 1 matrix, got %r" % (t.shape,))
-        T = _lift(t.native, t.field)
-        X = self.native
-        return FMatrix._wrap(self.field, (T @ X.reshape(len(T), -1)).reshape(X.shape))
 
     def trace(self):
         if self.N != self.n:
@@ -297,17 +276,6 @@ class FMatrix:
         # of the 1 x 1 matrix tr Z.
         blocks = self.native.reshape(-1, self.n, self.n)
         return FMatrix._wrap(self.field, np.trace(blocks, axis1=-2, axis2=-1)[:, None])
-
-    def allclose(self, other, tol=1e-10):
-        self._check_like(other)
-        return bool(np.max(np.abs(_real_view(self.native - other.native))) <= tol)
-
-
-def frobenius_inner(Z, W):
-    """tr(Z* W) as a 1 x 1 FMatrix; its real part is the realified
-    Euclidean inner product."""
-    Z._check_like(W)
-    return (Z.adjoint() @ W).trace()
 
 
 # _UNITS[k] is the real 4 x 4 matrix of left multiplication by the unit
@@ -328,23 +296,3 @@ def realify_comps(comps, field):
     N, n = comps.shape[-3], comps.shape[-2]
     out = np.einsum("krc,...ijk->...ricj", _UNITS[:d, :d, :d], comps[..., :d])
     return out.reshape(comps.shape[:-3] + (d * N, d * n))
-
-
-def unitary_deviation(U):
-    """The defect norm of the frame property, ||U*U - I||."""
-    G = U.adjoint() @ U
-    return (G - FMatrix.identity(U.field, U.n)).norm
-
-
-def realify(U, tol=1e-10):
-    """Real orthogonal picture of a unitary matrix over R, C or H.
-
-    Checks unitarity first; the map is a group homomorphism sending the
-    adjoint to the transpose, so the output is orthogonal of size d*N.
-    """
-    if U.N != U.n:
-        raise ShapeMismatchError("realify needs a square matrix")
-    dev = unitary_deviation(U)
-    if dev > tol * max(1, U.N):
-        raise NotUnitaryError("input is not unitary", deviation=dev)
-    return realify_comps(U.comps, U.field)

@@ -83,15 +83,6 @@ class Schedule:
     sigma_N: float
     L_bound: float
 
-    @property
-    def lip_bound(self):
-        """(1 - L_bound)^(-1); defined only for L_bound < 1."""
-        if not self.L_bound < 1.0:
-            raise PreconditionError(
-                "Lipschitz bound undefined: L_bound = %.6g >= 1" % self.L_bound
-            )
-        return 1.0 / (1.0 - self.L_bound)
-
     def to_json(self):
         return {
             "N": self.N,
@@ -265,7 +256,7 @@ def parse_rule(text):
         return lambda N: k
     if kind == "power":
         p = _rule_float(arg)
-        return lambda N: max(1, int(math.floor(N**p)))
+        return _no_overflow(text, lambda N: max(1, int(math.floor(N**p))))
     if kind == "powerlog":
         p = _rule_float(arg)
 
@@ -274,7 +265,7 @@ def parse_rule(text):
                 raise ConfigError("powerlog rule needs N >= 2, got N = %d" % N)
             return max(1, int(math.floor((N / math.log(N)) ** p + 1.0)))
 
-        return powerlog
+        return _no_overflow(text, powerlog)
     if kind == "table":
         table = {}
         try:
@@ -349,9 +340,24 @@ def condition_check(rule, N_max, condition=None):
 
 def _rule_float(arg):
     try:
-        return float(arg)
+        p = float(arg)
     except ValueError:
         raise ConfigError("rule needs a numeric argument, got %r" % arg)
+    if not math.isfinite(p):
+        raise ConfigError("rule needs a finite exponent, got %r" % arg)
+    return p
+
+
+def _no_overflow(rule, n_of):
+    """n_of, with ConfigError where its power overflows a float."""
+
+    def checked(N):
+        try:
+            return n_of(N)
+        except OverflowError:
+            raise ConfigError("rule %s overflows a float at N = %d" % (rule, N))
+
+    return checked
 
 
 @dataclass(frozen=True)
@@ -374,13 +380,13 @@ def v_bound(N, n, schedule, field="R"):
         raise PreconditionError("schedule does not match (N, n)")
     d = field_dim(field)
     v = np.empty(n)
-    v[0] = 1.0 - gaussian.annulus_mass(N * d, schedule.eps_N).mass
+    v[0] = 1.0 - gaussian.annulus_mass(N * d, schedule.eps_N)
     for l in range(1, n):
         e = float(schedule.eps_l[l - 1])
         if e <= 0.0:
             v[l] = 1.0
             continue
         ball = gaussian.ball_mass(d, float(schedule.T_l[l - 1]))
-        ann = gaussian.annulus_mass((N - l) * d, e).mass
+        ann = gaussian.annulus_mass((N - l) * d, e)
         v[l] = 1.0 - ball**l * ann
     return VBound(v=v, product_lower=float(np.prod(1.0 - v)))

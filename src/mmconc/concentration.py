@@ -4,12 +4,12 @@ projection, the pushforward distribution test, and the Prohorov-style
 concentration estimate for the distance to the scaled frame manifold.
 
 The statistics run on the native arrays of `algebra` (R (..., N, n), C
-(..., N, n), H (..., 2N, n)): membership, column norms and pair overlaps
-come from one native Gram block, and `membership_native`, `phi_native`
-and `_frame_distances` take native batches straight from the samplers.
-The public functions on the (..., N, n, 4) interchange layout
-(`column_norms`, `pair_overlaps`, `membership_mask`, `phi_batched`) are
-each one conversion around the native implementation.
+(..., N, n), H (..., 2N, n)): membership reads the column norms and pair
+overlaps off one native Gram block, and `membership_native`,
+`phi_native` and `_frame_distances` take native batches straight from
+the samplers.  `membership_mask` is one conversion around
+`membership_native` for batches in the (..., N, n, 4) interchange
+layout.
 """
 
 from __future__ import annotations
@@ -21,18 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, sampling, stats
-from .algebra import (
-    FMatrix,
-    _frobenius,
-    _from_native,
-    _gram,
-    _native,
-    _real_view,
-    _to_native,
-    field_dim,
-)
+from .algebra import _frobenius, _gram, _native, _real_view, _to_native, field_dim
 from .decomp import polar_q_native, singular_values_native
-from .errors import DomainError, MembershipError, PreconditionError
+from .errors import DomainError, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -58,10 +49,6 @@ class ApproxSpaceParams:
         if not 0.0 < self.theta_val < 1.0:
             raise DomainError("theta must lie in (0, 1)")
 
-    @property
-    def radius(self):
-        return math.sqrt(self.N * field_dim(self.field) - 1.0)
-
 
 def _norms_overlaps(X, field):
     """Column norms (..., n) and normalized pair overlaps
@@ -75,16 +62,6 @@ def _norms_overlaps(X, field):
         mag = np.hypot(mag[..., :n, :], mag[..., n:, :])
     safe = np.where(norms > 0.0, norms, 1.0)
     return norms, mag / (safe[..., :, None] * safe[..., None, :])
-
-
-def column_norms(comps):
-    """Column norms of a batch (..., N, n, 4), shape (..., n)."""
-    return _norms_overlaps(_to_native(comps, "H"), "H")[0]
-
-
-def pair_overlaps(comps):
-    """Normalized pairwise overlaps |<z_l/|z_l|, z_m/|z_m|>|, (..., n, n)."""
-    return _norms_overlaps(_to_native(comps, "H"), "H")[1]
 
 
 def _radius(X, field):
@@ -108,76 +85,6 @@ def membership_native(X, field, eps, theta_val):
 def membership_mask(comps, field, eps, theta_val):
     """Boolean membership of each entry of a batch (S, N, n, 4)."""
     return membership_native(_to_native(comps, field), field, eps, theta_val)
-
-
-@dataclass(frozen=True)
-class MembershipResult:
-    ok: bool
-    column_norms: np.ndarray
-    max_overlap: float
-    violations: tuple
-
-    def __bool__(self):
-        return self.ok
-
-
-def membership(Z, params):
-    """Detailed membership check of a single matrix."""
-    if isinstance(Z, FMatrix):
-        if Z.field != params.field or Z.shape != (params.N, params.n):
-            raise DomainError("matrix does not match the space parameters")
-        X = Z.native
-    else:
-        X = _to_native(Z, params.field)
-    r = params.radius
-    norms, ov = _norms_overlaps(X, params.field)
-    violations = []
-    lo, hi = (1.0 - params.eps) * r, (1.0 + params.eps) * r
-    for l, v in enumerate(norms):
-        if not lo < v < hi:
-            violations.append(
-                "column %d norm %.6g outside (%.6g, %.6g)" % (l, v, lo, hi)
-            )
-    max_overlap = 0.0
-    if params.n > 1:
-        for l in range(params.n):
-            for m in range(l + 1, params.n):
-                if ov[l, m] >= max_overlap:
-                    max_overlap = float(ov[l, m])
-                if ov[l, m] >= params.theta_val:
-                    violations.append(
-                        "overlap (%d, %d) = %.6g >= theta = %.6g"
-                        % (l, m, ov[l, m], params.theta_val)
-                    )
-    return MembershipResult(
-        ok=not violations,
-        column_norms=norms,
-        max_overlap=max_overlap,
-        violations=tuple(violations),
-    )
-
-
-def phi_project(Z, params, require_certificate=False):
-    """Map a good draw to the scaled frame manifold via the polar factor.
-
-    With require_certificate=True the call additionally demands that the
-    best available Lipschitz certificate for these parameters is valid,
-    i.e. the infimum bound over admissible recursion offsets is < 1.
-    """
-    result = membership(Z, params)
-    if not result:
-        raise MembershipError(
-            "matrix is outside the approximation space", diagnostics=result
-        )
-    if require_certificate:
-        L = bounds.l_bound_min(params.n, params.eps)
-        if not L < 1.0:
-            raise PreconditionError(
-                "no Lipschitz certificate: infimum bound %.6g >= 1" % L
-            )
-    if isinstance(Z, FMatrix):
-        return FMatrix._wrap(Z.field, phi_native(Z.native, Z.field))
-    return phi_batched(Z, params.field)
 
 
 def _frame_distances(X, field):
@@ -207,11 +114,6 @@ def phi_native(X, field):
     q, _ = polar_q_native(X, field)
     q *= _radius(X, field)
     return q
-
-
-def phi_batched(comps, field):
-    """phi_native of a batch (..., N, n, 4), returned in that layout."""
-    return _from_native(phi_native(_to_native(comps, field), field), field)
 
 
 @dataclass(frozen=True)

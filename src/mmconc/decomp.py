@@ -1,8 +1,9 @@
 """Matrix decompositions over R, C and H.
 
-Hermitian eigendecomposition, SVD and polar factors, plus the distances
-built on them: distance to a scaled frame manifold, and the two quotient
-distances (right-unitary and unit-scalar orbits).
+SVD and polar factors, both from one Hermitian eigensolve of the Gram
+matrix, plus the distances built on them: distance to a scaled frame
+manifold, and the two quotient distances (right-unitary and unit-scalar
+orbits).
 
 The FMatrix functions read the native array of each argument and wrap
 native results, with no conversion or check on the way.  The native
@@ -33,7 +34,7 @@ from .algebra import (
     _partner,
     _to_native,
 )
-from .errors import NotHermitianError, ShapeMismatchError
+from .errors import ShapeMismatchError
 
 
 @dataclass(frozen=True)
@@ -201,22 +202,6 @@ def _householder_unitary(field, X):
         Y = U[:, :k]
         U[:, :k] = -(Y * s1 + _partner(Y) * s2)
     return U
-
-
-def hermitian_eig(H, tol=1e-10):
-    """Eigendecomposition of a Hermitian matrix over F.
-
-    Returns (P, sigma) with H = P diag(sigma) P*, sigma real and sorted
-    non-increasing, P unitary over F.
-    """
-    if H.N != H.n:
-        raise ShapeMismatchError("hermitian_eig needs a square matrix")
-    defect = (H - H.adjoint()).norm
-    if defect > tol * max(1.0, H.norm):
-        raise NotHermitianError("matrix is not Hermitian (defect %.3e)" % defect)
-    w, V = np.linalg.eigh(_lift(H.native, H.field))
-    P, sigma = _eig_desc(w, V, H.field)
-    return FMatrix._wrap(H.field, P), sigma
 
 
 def singular_values(Z):

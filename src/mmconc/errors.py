@@ -21,34 +21,10 @@ class DomainError(MmconcError):
     tag = "domain"
 
 
-class NotHermitianError(MmconcError):
-    tag = "not-hermitian"
-
-
-class NotUnitaryError(MmconcError):
-    """Carries the achieved deviation from unitarity."""
-
-    tag = "not-unitary"
-
-    def __init__(self, message, deviation=None):
-        super().__init__(message)
-        self.deviation = deviation
-
-
 class PreconditionError(MmconcError):
     """A documented hypothesis of an operation fails for the given input."""
 
     tag = "precondition"
-
-
-class MembershipError(MmconcError):
-    """Input is not a member of the required approximation space."""
-
-    tag = "not-a-member"
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics
 
 
 class InfeasibleError(MmconcError):

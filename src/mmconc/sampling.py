@@ -22,10 +22,9 @@ rows being [Z1; -conj Z2].  The samplers compute on native arrays from
 there on: `haar_blocks` runs the polar factor per sub-block, the
 rejection sampler tests membership per sub-block, and the statistics of
 `experiments` and `concentration` reduce each sub-block as it arrives.
-`gaussian_chunk_native` and `haar_chunk_native` are their sub-blocks
-joined into one chunk.  The interchange functions (`gaussian_chunk`,
-`haar_chunk`, `iter_*_chunks`, `*_comps`) are each one conversion around
-those.
+The interchange functions (`gaussian_chunk`, `haar_chunk`,
+`iter_haar_chunks`, `haar_comps`) join the sub-blocks of a chunk and
+convert them once to component arrays (..., N, n, 4).
 
 STREAM names this construction: the generator, the normal transform and
 the native draw layout.  It is folded into the run digest and written as
@@ -46,7 +45,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .algebra import FMatrix, _components, _from_native, field_dim
+from .algebra import _components, _from_native, field_dim
 from .decomp import polar_q_native
 from .errors import DomainError, InfeasibleError, ShapeMismatchError
 
@@ -147,14 +146,11 @@ def iter_blocks(cfg, blocks):
                 return
 
 
-def gaussian_chunk_native(cfg, chunk_index, attempt=0):
-    """One full chunk of standard Gaussian matrices, native."""
-    return np.concatenate(list(gaussian_blocks(cfg, chunk_index, attempt)))
-
-
 def gaussian_chunk(cfg, chunk_index, attempt=0):
-    """gaussian_chunk_native as component arrays (CHUNK, N, n, 4)."""
-    return _from_native(gaussian_chunk_native(cfg, chunk_index, attempt), cfg.field)
+    """One full chunk of standard Gaussian matrices as component arrays
+    (CHUNK, N, n, 4)."""
+    X = np.concatenate(list(gaussian_blocks(cfg, chunk_index, attempt)))
+    return _from_native(X, cfg.field)
 
 
 def iter_chunks(cfg, chunk, workers=1):
@@ -174,25 +170,6 @@ def iter_chunks(cfg, chunk, workers=1):
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(cut, range(len(starts)))
-
-
-def _fmatrices(cfg, chunk):
-    """The cfg.count matrices of a native chunk function as FMatrix."""
-    return [FMatrix._wrap(cfg.field, X) for X in np.concatenate(list(iter_chunks(cfg, chunk)))]
-
-
-def iter_gaussian_chunks(cfg):
-    """Gaussian samples as (k, N, n, 4) chunks, cfg.count in all."""
-    return iter_chunks(cfg, gaussian_chunk)
-
-
-def gaussian_comps(cfg):
-    """All requested Gaussian samples as one (count, N, n, 4) array."""
-    return np.concatenate(list(iter_gaussian_chunks(cfg)), axis=0)
-
-
-def sample_gaussian(cfg):
-    return _fmatrices(cfg, gaussian_chunk_native)
 
 
 def haar_blocks(cfg, chunk_index):
@@ -234,14 +211,10 @@ def haar_blocks(cfg, chunk_index):
         yield q
 
 
-def haar_chunk_native(cfg, chunk_index):
-    """One full chunk of (scaled) Haar frames, native."""
-    return np.concatenate(list(haar_blocks(cfg, chunk_index)))
-
-
 def haar_chunk(cfg, chunk_index):
-    """haar_chunk_native as component arrays (CHUNK, N, n, 4)."""
-    return _from_native(haar_chunk_native(cfg, chunk_index), cfg.field)
+    """One full chunk of (scaled) Haar frames as component arrays
+    (CHUNK, N, n, 4)."""
+    return _from_native(np.concatenate(list(haar_blocks(cfg, chunk_index))), cfg.field)
 
 
 def iter_haar_chunks(cfg):
@@ -253,21 +226,11 @@ def haar_comps(cfg):
     return np.concatenate(list(iter_haar_chunks(cfg)), axis=0)
 
 
-def sample_haar_stiefel(cfg):
-    return _fmatrices(cfg, haar_chunk_native)
-
-
 @dataclass(frozen=True)
 class RestrictedSample:
-    field: str
     native: np.ndarray
     acceptance_rate: float
     proposed: int
-
-    @property
-    def comps(self):
-        """The accepted samples as component arrays (count, N, n, 4)."""
-        return _from_native(self.native, self.field)
 
 
 def sample_restricted_gaussian(cfg, eps, theta_val=None, floor=1e-3, min_proposals=4096):
@@ -306,7 +269,6 @@ def sample_restricted_gaussian(cfg, eps, theta_val=None, floor=1e-3, min_proposa
             )
         chunk_index += 1
     return RestrictedSample(
-        field=cfg.field,
         native=np.concatenate(taken, axis=0),
         acceptance_rate=accepted / proposed,
         proposed=proposed,

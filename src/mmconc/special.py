@@ -1,8 +1,8 @@
-"""In-repo special functions: log-gamma, incomplete gamma, erf, the
+"""In-repo special functions: log-gamma, incomplete gamma, erfc, the
 standard normal CDF, adaptive quadrature and bisection.
 
 Everything here is pure numpy.  Accuracy targets: <= 1e-12 relative for
-erf/erfc and the regularized incomplete gamma on their tested ranges,
+erfc and the regularized incomplete gamma on their tested ranges,
 1e-10 absolute for the quadrature.
 """
 
@@ -224,29 +224,10 @@ def erfc(x):
     return out if out.shape else float(out)
 
 
-def erf(x):
-    x = np.asarray(x, dtype=np.float64)
-    pos = _erfc_nonneg(np.abs(x))
-    out = 1.0 - np.where(x >= 0.0, pos, 2.0 - pos)
-    # For small |x| the series for P(1/2, x^2) is the accurate route.
-    small = np.abs(x) < 0.5
-    if np.any(small):
-        xs = np.where(small, x, 0.5)
-        direct = np.sign(xs) * _gamma_p_series(0.5, np.square(xs))
-        out = np.where(small, direct, out)
-    return out if out.shape else float(out)
-
-
 def norm_cdf(r):
     """Standard normal cumulative distribution function."""
     r = np.asarray(r, dtype=np.float64)
     out = np.asarray(0.5 * erfc(-r / _SQRT2))
-    return out if out.shape else float(out)
-
-
-def norm_pdf(r):
-    r = np.asarray(r, dtype=np.float64)
-    out = np.exp(-0.5 * np.square(r)) / np.sqrt(2.0 * np.pi)
     return out if out.shape else float(out)
 
 

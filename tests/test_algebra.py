@@ -3,16 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from componentwise import comp_adjoint, comp_conj, comp_matmul, comp_norm
-from mmconc.algebra import (
-    FMatrix,
-    comp_mul,
-    field_dim,
-    frobenius_inner,
-    realify,
-    realify_comps,
-    unitary_deviation,
-)
-from mmconc.errors import DomainError, FieldMismatchError, NotUnitaryError, ShapeMismatchError
+from mmconc.algebra import FMatrix, comp_mul, field_dim, realify_comps
+from mmconc.errors import DomainError, FieldMismatchError, ShapeMismatchError
+from mmconc.sampling import SamplerConfig, haar_chunk
 
 
 def rand_comps(rng, shape, d):
@@ -65,7 +58,7 @@ class TestScalar:
         w = FMatrix("C", np.array([[[3.0, -1.0, 0.0, 0.0]]]))
         assert (z @ w).comps[0, 0, 0] == pytest.approx(5.0)
         assert (z @ w).comps[0, 0, 1] == pytest.approx(5.0)
-        assert (z + w).comps[0, 0, 0] == pytest.approx(4.0)
+        assert (z - w).comps[0, 0, 0] == pytest.approx(-2.0)
         assert z.adjoint().comps[0, 0, 1] == pytest.approx(-2.0)
         assert z.norm == pytest.approx(np.sqrt(5.0))
         with pytest.raises(FieldMismatchError):
@@ -83,28 +76,25 @@ class TestScalar:
         for field, d in (("R", 1), ("C", 2), ("H", 4)):
             a = rand_comps(rng, (3, 3), d)
             Z = FMatrix(field, a)
-            for t in (Z.trace(), frobenius_inner(Z, Z)):
+            for t in (Z.trace(), (Z.adjoint() @ Z).trace()):
                 assert isinstance(t, FMatrix)
                 assert (t.field, t.shape) == (field, (1, 1))
             np.testing.assert_allclose(
                 Z.trace().comps[0, 0], a[0, 0] + a[1, 1] + a[2, 2], rtol=0, atol=1e-12
             )
-            for bad in (Z, FMatrix.identity(field, 2), FMatrix.tall_identity(field, 2, 1)):
-                with pytest.raises(ShapeMismatchError):
-                    Z.scalar_left(bad)
-            other = "C" if field == "R" else "R"
-            with pytest.raises(FieldMismatchError):
-                Z.scalar_left(FMatrix.identity(other, 1))
+            with pytest.raises(ShapeMismatchError):
+                FMatrix.tall_identity(field, 2, 1).trace()
 
 
 class TestFMatrix:
     def test_shapes_and_identity(self):
         eye = FMatrix.identity("C", 3)
         assert eye.shape == (3, 3)
-        assert (eye @ eye).allclose(eye)
+        np.testing.assert_allclose((eye @ eye).native, eye.native, rtol=0, atol=1e-10)
         tall = FMatrix.tall_identity("H", 5, 2)
         assert tall.shape == (5, 2)
-        assert (tall.adjoint() @ tall).allclose(FMatrix.identity("H", 2))
+        eye2 = FMatrix.identity("H", 2)
+        np.testing.assert_allclose((tall.adjoint() @ tall).native, eye2.native, rtol=0, atol=1e-10)
 
     def test_matmul_vs_realified(self):
         rng = np.random.default_rng(2)
@@ -125,15 +115,19 @@ class TestFMatrix:
         )
 
     def test_frobenius_inner(self):
+        # tr(Z* W) is the Frobenius inner product; its real part is the
+        # realified Euclidean one.
         rng = np.random.default_rng(5)
         Z = FMatrix("C", rand_comps(rng, (4, 2), 2))
-        inner = frobenius_inner(Z, Z).comps[0, 0]
+        inner = (Z.adjoint() @ Z).trace().comps[0, 0]
         assert inner[0] == pytest.approx(Z.norm**2)
         assert abs(inner[1]) < 1e-12
         W = FMatrix("C", rand_comps(rng, (4, 2), 2))
         # <Z, W> = conj(<W, Z>)
         np.testing.assert_allclose(
-            frobenius_inner(Z, W).comps, frobenius_inner(W, Z).adjoint().comps, atol=1e-12
+            (Z.adjoint() @ W).trace().comps,
+            (W.adjoint() @ Z).trace().adjoint().comps,
+            atol=1e-12,
         )
 
     def test_norm_matches_realified(self):
@@ -163,7 +157,7 @@ class TestFMatrix:
         Z = FMatrix("R", np.zeros((3, 2, 4)))
         W = FMatrix("C", np.zeros((3, 2, 4)))
         with pytest.raises(FieldMismatchError):
-            Z + W
+            Z - W
         with pytest.raises(ShapeMismatchError):
             Z @ FMatrix("R", np.zeros((3, 2, 4)))
 
@@ -185,29 +179,24 @@ def _operands(draw):
     N, n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     a, b = rand_comps(rng, (2, N, n), d)
-    c, t = rand_comps(rng, (n, m), d), rand_comps(rng, (), d)
-    return field, a, b, c, t, draw(st.floats(-3.0, 3.0))
+    c = rand_comps(rng, (n, m), d)
+    return field, a, b, c, draw(st.floats(-3.0, 3.0))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_operands())
 def test_arithmetic_matches_componentwise_oracle(case):
-    # Sums, negation, real scaling and the adjoint move components
-    # exactly; products and norms agree to round-off.
-    field, a, b, c, t, r = case
+    # Differences, real scaling and the adjoint move components exactly;
+    # products, traces and norms agree to round-off.
+    field, a, b, c, r = case
     A, B, C = FMatrix(field, a), FMatrix(field, b), FMatrix(field, c)
     np.testing.assert_array_equal(A.comps, a)
-    np.testing.assert_array_equal((A + B).comps, a + b)
     np.testing.assert_array_equal((A - B).comps, a - b)
-    np.testing.assert_array_equal((-A).comps, -a)
     np.testing.assert_array_equal(A.scale(r).comps, r * a)
     np.testing.assert_array_equal(A.adjoint().comps, comp_adjoint(a))
     np.testing.assert_allclose((A @ C).comps, comp_matmul(a, c), rtol=0, atol=1e-12)
     np.testing.assert_allclose(
-        A.scalar_left(FMatrix(field, t[None, None])).comps, comp_mul(t, a), rtol=0, atol=1e-12
-    )
-    np.testing.assert_allclose(
-        frobenius_inner(A, B).comps[0, 0],
+        (A.adjoint() @ B).trace().comps[0, 0],
         comp_mul(comp_conj(a), b).sum(axis=(0, 1)),
         rtol=0,
         atol=1e-12,
@@ -217,16 +206,8 @@ def test_arithmetic_matches_componentwise_oracle(case):
 
 class TestRealify:
     def test_unitary_roundtrip(self):
-        from mmconc.sampling import SamplerConfig, sample_haar_stiefel
-
+        # The real picture of a unitary over F is orthogonal of size d N.
         for field in ("R", "C", "H"):
-            cfg = SamplerConfig(field, 5, 5, scaled=False, seed=11, count=1)
-            U = sample_haar_stiefel(cfg)[0]
-            R = realify(U)
+            cfg = SamplerConfig(field, 5, 5, scaled=False, seed=11)
+            R = realify_comps(haar_chunk(cfg, 0)[0], field)
             np.testing.assert_allclose(R.T @ R, np.eye(R.shape[0]), atol=1e-8)
-
-    def test_rejects_non_unitary(self):
-        Z = FMatrix("R", 2.0 * FMatrix.identity("R", 3).comps)
-        assert unitary_deviation(Z) > 1.0
-        with pytest.raises(NotUnitaryError):
-            realify(Z)

@@ -137,6 +137,29 @@ def test_bad_shape_exit_codes(argv, code, message, tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize(
+    "rule, message",
+    [
+        ("power:nan", "rule needs a finite exponent, got 'nan'"),
+        ("power:inf", "rule needs a finite exponent, got 'inf'"),
+        ("power:400", "rule power:400 overflows a float at N = 100"),
+        ("powerlog:nan", "rule needs a finite exponent, got 'nan'"),
+        ("powerlog:400", "rule powerlog:400 overflows a float at N = 100"),
+    ],
+)
+def test_unusable_exponent_is_config_error(command, rule, message, tmp_path, capsys):
+    if command == "run":
+        argv = ["run", "bounds", "--N", "100", "--n", rule, "--out", str(tmp_path / "out")]
+    else:
+        path = tmp_path / "cfg.ini"
+        path.write_text("experiment = bounds\nN = 100\nn = %s\n" % rule)
+        argv = ["validate", str(path)]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+
+
 class TestOutputPaths:
     def test_run_out_is_a_file(self, tmp_path, capsys):
         out = tmp_path / "taken"
@@ -248,7 +271,8 @@ def test_sample_streams_the_same_bytes(kind, tmp_path, capsys):
             "--count", str(sampling.CHUNK + 5), "--seed", "3", "--out", out]
     assert run_cli(argv) == 0
     cfg = sampling.SamplerConfig("C", 4, 2, seed=3, count=sampling.CHUNK + 5)
-    comps = (sampling.haar_comps if kind == "haar" else sampling.gaussian_comps)(cfg)
+    chunk = sampling.haar_chunk if kind == "haar" else sampling.gaussian_chunk
+    comps = np.concatenate(list(sampling.iter_chunks(cfg, chunk)))
     ref = sampling.write_native_samples_csv(str(tmp_path / "ref.csv"), cfg, [_to_native(comps, "C")])
     assert json.load(open(out + ".json"))["csv_sha256"] == ref
     with open(out, "rb") as a, open(str(tmp_path / "ref.csv"), "rb") as b:
@@ -292,7 +316,7 @@ class TestSamplePipeline:
             sys.setswitchinterval(interval)
         cfg = sampling.SamplerConfig("C", 400, 2, seed=5, count=400)
         ref = str(tmp_path / "ref.csv")
-        whole = [sampling.haar_chunk_native(cfg, 0)[:400]]
+        whole = [np.concatenate(list(sampling.iter_blocks(cfg, sampling.haar_blocks)))]
         assert digests == [sampling.write_native_samples_csv(ref, cfg, whole)] * 2
 
     def test_draw_failure(self, tmp_path, monkeypatch, capsys):

@@ -5,31 +5,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from componentwise import comp_adjoint, comp_matmul, comp_norm
-from mmconc.algebra import FMatrix, _to_native, field_dim
-from mmconc.bounds import l_bound_min, theta
+from mmconc.algebra import FMatrix, _from_native, _to_native, field_dim
+from mmconc.bounds import theta
 from mmconc.concentration import (
     ApproxSpaceParams,
     _frame_distances,
     _norms_overlaps,
-    column_norms,
     lipschitz_experiment,
-    membership,
     membership_mask,
     membership_native,
-    pair_overlaps,
-    phi_batched,
-    phi_project,
+    phi_native,
     prok_experiment,
     pushforward_test,
 )
-from mmconc.errors import DomainError, MembershipError, PreconditionError
+from mmconc.decomp import polar
+from mmconc.errors import DomainError
 from mmconc.sampling import (
     SamplerConfig,
     gaussian_blocks,
-    gaussian_comps,
+    gaussian_chunk,
+    haar_blocks,
     haar_comps,
     iter_blocks,
-    sample_haar_stiefel,
+    iter_chunks,
     sample_restricted_gaussian,
 )
 
@@ -51,7 +49,6 @@ class TestParams:
     def test_default_theta(self):
         p = ApproxSpaceParams("C", 20, 2, 0.1)
         assert p.theta_val == pytest.approx(theta(0.1), rel=1e-14)
-        assert p.radius == pytest.approx(math.sqrt(39.0))
 
 
 class TestMembership:
@@ -63,20 +60,20 @@ class TestMembership:
             assert mask.all()
 
     def test_zero_matrix_rejected(self):
-        p = ApproxSpaceParams("R", 10, 2, 0.3)
-        res = membership(np.zeros((10, 2, 4)), p)
-        assert not res
-        assert len(res.violations) == 2  # both column norms out of band
+        comps = np.zeros((1, 10, 2, 4))
+        norms, _ = _norms_overlaps(_to_native(comps, "R"), "R")
+        np.testing.assert_array_equal(norms, 0.0)  # both column norms out of band
+        assert not membership_mask(comps, "R", 0.3, theta(0.3)).any()
 
     def test_overlap_violation_reported(self):
-        p = ApproxSpaceParams("R", 10, 2, 0.9, theta_val=0.05)
-        comps = np.zeros((10, 2, 4))
-        comps[0, 0, 0] = p.radius
-        comps[0, 1, 0] = p.radius  # identical direction: overlap 1
-        res = membership(comps, p)
-        assert not res
-        assert res.max_overlap == pytest.approx(1.0, abs=1e-12)
-        assert any("overlap" in v for v in res.violations)
+        r = math.sqrt(10 - 1.0)  # the radius at N = 10 over R
+        comps = np.zeros((1, 10, 2, 4))
+        comps[0, 0, 0, 0] = r
+        comps[0, 0, 1, 0] = r  # identical direction: overlap 1
+        norms, ov = _norms_overlaps(_to_native(comps, "R"), "R")
+        np.testing.assert_allclose(norms, r, rtol=1e-15)
+        assert ov[0, 0, 1] == pytest.approx(1.0, abs=1e-12)
+        assert not membership_mask(comps, "R", 0.9, 0.05).any()
 
     def test_mask_invariant_under_isometries(self):
         # Left multiplication by a unitary preserves all column norms and
@@ -84,7 +81,7 @@ class TestMembership:
         # scalar acting on the right of that column).
         for field in ("R", "C", "H"):
             cfg = SamplerConfig(field, 12, 2, seed=2, count=100)
-            comps = gaussian_comps(cfg)
+            comps = gaussian_chunk(cfg, 0)[: cfg.count]
             mask = membership_mask(comps, field, 0.2, theta(0.2))
             U = unitary_comps(field, 12, 3)
             left = comp_matmul(U[None], comps)
@@ -96,11 +93,6 @@ class TestMembership:
             np.testing.assert_array_equal(
                 membership_mask(flipped, field, 0.2, theta(0.2)), mask
             )
-
-    def test_shape_guard(self):
-        p = ApproxSpaceParams("R", 10, 2, 0.3)
-        with pytest.raises(DomainError):
-            membership(FMatrix("R", np.zeros((9, 2, 4))), p)
 
 
 def _componentwise_stats(comps):
@@ -136,8 +128,6 @@ def test_native_membership_matches_componentwise_reference(case):
     norms, ov = _norms_overlaps(_to_native(comps, field), field)
     np.testing.assert_allclose(norms, ref_norms, rtol=1e-12, atol=0)
     np.testing.assert_allclose(ov, ref_ov, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(column_norms(comps), ref_norms, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(pair_overlaps(comps), ref_ov, rtol=0, atol=1e-12)
     # The masks agree wherever no statistic lies within round-off of a
     # threshold.
     r = math.sqrt(N * field_dim(field) - 1.0)
@@ -156,61 +146,45 @@ def test_native_membership_matches_componentwise_reference(case):
 
 
 class TestPhiProject:
+    """phi_native: the polar frame scaled to the manifold radius."""
+
     def test_fixes_scaled_frames(self):
         for field in ("R", "C", "H"):
-            p = ApproxSpaceParams(field, 15, 2, 0.3)
-            cfg = SamplerConfig(field, 15, 2, seed=5, count=3)
-            for Q in sample_haar_stiefel(cfg):
-                out = phi_project(Q, p)
-                assert out.allclose(Q, 1e-8)
-
-    def test_rejects_non_member(self):
-        p = ApproxSpaceParams("R", 10, 1, 0.1)
-        comps = np.zeros((10, 1, 4))
-        comps[0, 0, 0] = 10.0 * p.radius
-        with pytest.raises(MembershipError):
-            phi_project(comps, p)
+            cfg = SamplerConfig(field, 15, 2, seed=5)
+            Q = next(haar_blocks(cfg, 0))[:3]
+            np.testing.assert_allclose(phi_native(Q, field), Q, rtol=0, atol=1e-8)
 
     def test_array_input_matches_fmatrix(self):
+        # phi_native on a batch is the per-matrix polar frame of each
+        # entry, scaled to the radius.
         p = ApproxSpaceParams("C", 12, 2, 0.4)
         cfg = SamplerConfig("C", 12, 2, seed=6, count=50)
-        rs = sample_restricted_gaussian(cfg, p.eps, p.theta_val)
-        Z = rs.comps[0]
-        a = phi_project(Z, p)
-        b = phi_project(FMatrix("C", Z), p)
-        np.testing.assert_allclose(a, b.comps, atol=1e-10)
-
-    def test_certificate_flag(self):
-        # eps = 0.01 admits a contraction certificate; eps = 0.4 does not.
-        good = ApproxSpaceParams("R", 200, 2, 0.01)
-        assert l_bound_min(2, 0.01) < 1.0
-        cfg = SamplerConfig("R", 200, 2, seed=7, count=5)
-        rs = sample_restricted_gaussian(cfg, good.eps, good.theta_val)
-        phi_project(rs.comps[0], good, require_certificate=True)
-        bad = ApproxSpaceParams("R", 20, 2, 0.4)
-        cfg = SamplerConfig("R", 20, 2, seed=8, count=5)
-        rs = sample_restricted_gaussian(cfg, bad.eps, bad.theta_val)
-        with pytest.raises(PreconditionError):
-            phi_project(rs.comps[0], bad, require_certificate=True)
+        X = sample_restricted_gaussian(cfg, p.eps, p.theta_val).native[:3]
+        out = phi_native(X, "C")
+        for x, q in zip(_from_native(X, "C"), out):
+            ref = polar(FMatrix("C", x)).q.scale(math.sqrt(2 * 12 - 1.0))
+            np.testing.assert_allclose(q, ref.native, rtol=0, atol=1e-10)
 
     def test_equivariance(self):
         # Phi commutes with left isometries: Phi(U Z) = U Phi(Z).
         for field in ("R", "C", "H"):
-            cfg = SamplerConfig(field, 10, 2, seed=9, count=20)
-            comps = gaussian_comps(cfg)
+            cfg = SamplerConfig(field, 10, 2, seed=9)
+            comps = gaussian_chunk(cfg, 0)[:20]
             U = unitary_comps(field, 10, 10)
-            a = phi_batched(comp_matmul(U[None], comps), field)
-            b = comp_matmul(U[None], phi_batched(comps, field))
+
+            def phi(comps):
+                return _from_native(phi_native(_to_native(comps, field), field), field)
+
+            a = phi(comp_matmul(U[None], comps))
+            b = comp_matmul(U[None], phi(comps))
             np.testing.assert_allclose(a, b, atol=1e-8)
 
     def test_output_on_manifold(self):
-        p = ApproxSpaceParams("H", 8, 2, 0.4)
-        cfg = SamplerConfig("H", 8, 2, seed=11, count=30)
-        comps = gaussian_comps(cfg)
-        out = phi_batched(comps, "H")
-        norms = column_norms(out)
-        np.testing.assert_allclose(norms, p.radius, atol=1e-8)
-        ov = pair_overlaps(out)
+        r = math.sqrt(8 * 4 - 1.0)  # the radius at N = 8 over H
+        cfg = SamplerConfig("H", 8, 2, seed=11)
+        out = phi_native(next(gaussian_blocks(cfg, 0))[:30], "H")
+        norms, ov = _norms_overlaps(out, "H")
+        np.testing.assert_allclose(norms, r, atol=1e-8)
         assert np.abs(ov[:, 0, 1]).max() < 1e-8
 
 
@@ -265,8 +239,8 @@ class TestProk:
         # For one column the manifold distance collapses to | ||Z|| - r |.
         rep = prok_experiment(25, 1, "R", sample_size=2000, seed=1)
         cfg = SamplerConfig("R", 25, 1, seed=1, count=2000)
-        comps = gaussian_comps(cfg)
-        d = np.abs(column_norms(comps)[:, 0] - cfg.radius)
+        comps = np.concatenate(list(iter_chunks(cfg, gaussian_chunk)))
+        d = np.abs(np.sqrt(np.sum(np.square(comps), axis=(1, 2, 3))) - cfg.radius)
         assert rep.mean_distance == pytest.approx(float(d.mean()), rel=1e-12)
         assert rep.quantiles[50] == pytest.approx(float(np.quantile(d, 0.5)), rel=1e-10)
 

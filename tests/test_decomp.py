@@ -7,7 +7,6 @@ from mmconc.algebra import FMatrix, _to_native, comp_mul, realify_comps
 from mmconc.decomp import (
     dist_to_scaled_stiefel,
     grassmann_dist,
-    hermitian_eig,
     hopf_dist,
     polar,
     polar_q_batched,
@@ -15,7 +14,8 @@ from mmconc.decomp import (
     singular_values_native,
     svd,
 )
-from mmconc.errors import NotHermitianError, ShapeMismatchError
+from mmconc.errors import ShapeMismatchError
+from mmconc.sampling import SamplerConfig, haar_comps
 
 FIELDS = (("R", 1), ("C", 2), ("H", 4))
 
@@ -33,59 +33,66 @@ def diag_fmatrix(field, vals, N):
     return FMatrix(field, comps)
 
 
+def haar_frames(cfg):
+    """The cfg.count Haar frames of cfg as FMatrix."""
+    return [FMatrix(cfg.field, q) for q in haar_comps(cfg)]
+
+
+def scalar_left(t, Z):
+    """t Z for a scalar t given by its components (4,)."""
+    return FMatrix(Z.field, comp_mul(t, Z.comps))
+
+
+def assert_close(A, B, tol):
+    np.testing.assert_allclose(A.native, B.native, rtol=0, atol=tol)
+
+
 class TestHermitianEig:
+    """The Hermitian eigensolve inside svd: V diag(lam^2) V* is the
+    eigendecomposition of Z* Z, V unitary over F, lam non-increasing."""
+
     def test_reconstruction_all_fields(self):
         rng = np.random.default_rng(0)
         for field, d in FIELDS:
             A = rand_matrix(rng, field, d, 6, 6)
-            H = A + A.adjoint()
-            P, sig = hermitian_eig(H)
+            H = A.adjoint() @ A
+            t = svd(A)
+            P, sig = t.v, t.lam**2
             rec = P @ diag_fmatrix(field, sig, 6) @ P.adjoint()
-            assert rec.allclose(H, 1e-9)
+            assert_close(rec, H, 1e-9 * max(1.0, H.norm))
             eye = FMatrix.identity(field, 6)
-            assert (P.adjoint() @ P).allclose(eye, 1e-9)
+            assert_close(P.adjoint() @ P, eye, 1e-9)
             assert P.norm == pytest.approx(np.sqrt(6.0))
             assert np.all(np.diff(sig) <= 1e-12)  # non-increasing
 
     def test_matches_realified_spectrum(self):
         rng = np.random.default_rng(1)
         A = rand_matrix(rng, "H", 4, 5, 5)
-        H = A + A.adjoint()
-        _, sig = hermitian_eig(H)
+        H = A.adjoint() @ A
+        sig = svd(A).lam ** 2
         w = np.linalg.eigvalsh(realify_comps(H.comps, "H"))[::-1]
         # Quadruple degeneracy in the realified picture.
-        np.testing.assert_allclose(np.repeat(sig, 4), w, atol=1e-9)
+        np.testing.assert_allclose(np.repeat(sig, 4), w, atol=1e-9 * max(1.0, w[0]))
 
     def test_degenerate_spectrum(self):
-        H = FMatrix.identity("C", 4)
-        P, sig = hermitian_eig(H)
-        np.testing.assert_allclose(sig, np.ones(4), atol=1e-12)
-        assert (P.adjoint() @ P).allclose(FMatrix.identity("C", 4), 1e-10)
+        eye = FMatrix.identity("C", 4)
+        t = svd(eye)
+        np.testing.assert_allclose(t.lam, np.ones(4), atol=1e-12)
+        assert_close(t.v.adjoint() @ t.v, eye, 1e-10)
 
     def test_repeated_quaternion_eigenvalue(self):
-        # Each eigenvalue fills a 4-dimensional eigenspace of the complex
-        # adjoint; the eigenvectors picked from it must stay orthonormal
-        # over H, not merely over C.
-        from mmconc.sampling import SamplerConfig, sample_haar_stiefel
-
-        U = sample_haar_stiefel(SamplerConfig("H", 5, 5, scaled=False, seed=3, count=1))[0]
-        A = U @ diag_fmatrix("H", [2.0, 2.0, 1.0, 1.0, 0.0], 5) @ U.adjoint()
-        H = FMatrix("H", 0.5 * (A.comps + A.adjoint().comps))
-        P, sig = hermitian_eig(H)
-        np.testing.assert_allclose(sig, [2.0, 2.0, 1.0, 1.0, 0.0], atol=1e-12)
-        rec = P @ diag_fmatrix("H", sig, 5) @ P.adjoint()
-        assert rec.allclose(H, 1e-12)
-        assert (P.adjoint() @ P).allclose(FMatrix.identity("H", 5), 1e-12)
-
-    def test_rejects_non_hermitian(self):
-        rng = np.random.default_rng(2)
-        A = rand_matrix(rng, "R", 1, 4, 4)
-        with pytest.raises(NotHermitianError):
-            hermitian_eig(A + A)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ShapeMismatchError):
-            hermitian_eig(FMatrix("R", np.zeros((3, 2, 4))))
+        # Each eigenvalue of Z* Z fills a 4-dimensional eigenspace of the
+        # complex adjoint; the eigenvectors picked from it must stay
+        # orthonormal over H, not merely over C.
+        U = haar_frames(SamplerConfig("H", 5, 5, scaled=False, seed=3, count=1))[0]
+        lam = np.sqrt([2.0, 2.0, 1.0, 1.0, 0.0])
+        Z = diag_fmatrix("H", lam, 5) @ U.adjoint()
+        t = svd(Z)
+        np.testing.assert_allclose(t.lam, lam, atol=1e-12)
+        H = Z.adjoint() @ Z
+        rec = t.v @ diag_fmatrix("H", t.lam**2, 5) @ t.v.adjoint()
+        assert_close(rec, H, 1e-12)
+        assert_close(t.v.adjoint() @ t.v, FMatrix.identity("H", 5), 1e-12)
 
 
 def _rank_deficient_inputs():
@@ -117,12 +124,12 @@ class TestSvdPolar:
                 Z = rand_matrix(rng, field, d, N, n)
                 t = svd(Z)
                 rec = t.u @ diag_fmatrix(field, t.lam, N) @ t.v.adjoint()
-                assert rec.allclose(Z, 1e-8 * max(1.0, Z.norm))
-                assert (t.u.adjoint() @ t.u).allclose(FMatrix.identity(field, N), 1e-8)
-                assert (t.v.adjoint() @ t.v).allclose(FMatrix.identity(field, n), 1e-8)
+                assert_close(rec, Z, 1e-8 * max(1.0, Z.norm))
+                assert_close(t.u.adjoint() @ t.u, FMatrix.identity(field, N), 1e-8)
+                assert_close(t.v.adjoint() @ t.v, FMatrix.identity(field, n), 1e-8)
                 p = polar(Z)
-                assert (p.q @ p.h).allclose(Z, 1e-8 * max(1.0, Z.norm))
-                assert (p.q.adjoint() @ p.q).allclose(FMatrix.identity(field, n), 1e-8)
+                assert_close(p.q @ p.h, Z, 1e-8 * max(1.0, Z.norm))
+                assert_close(p.q.adjoint() @ p.q, FMatrix.identity(field, n), 1e-8)
 
     def test_singular_values_match_gram(self):
         rng = np.random.default_rng(4)
@@ -139,12 +146,12 @@ class TestSvdPolar:
             p = polar(Z)
             dev = (p.q.adjoint() @ p.q - FMatrix.identity(field, 3)).norm
             assert dev < 1e-8
-            assert (p.q @ p.h).allclose(Z, 1e-8 * max(1.0, Z.norm))
+            assert_close(p.q @ p.h, Z, 1e-8 * max(1.0, Z.norm))
             # The SVD completes U past the collapsed column.
             t = svd(Z)
-            assert (t.u.adjoint() @ t.u).allclose(FMatrix.identity(field, 8), 1e-12)
+            assert_close(t.u.adjoint() @ t.u, FMatrix.identity(field, 8), 1e-12)
             rec = t.u @ diag_fmatrix(field, t.lam, 8) @ t.v.adjoint()
-            assert rec.allclose(Z, 1e-8 * max(1.0, Z.norm))
+            assert_close(rec, Z, 1e-8 * max(1.0, Z.norm))
 
     def test_rank_deficient_svd_reconstructs(self):
         # The collapsed singular value comes out at round-off size, so
@@ -158,14 +165,12 @@ class TestSvdPolar:
             assert (rec - Z).norm <= 1e-12 * Z.norm
 
     def test_polar_of_frame_is_identity_factor(self):
-        from mmconc.sampling import SamplerConfig, sample_haar_stiefel
-
         for field in ("R", "C", "H"):
             cfg = SamplerConfig(field, 7, 3, scaled=False, seed=9, count=1)
-            Q = sample_haar_stiefel(cfg)[0]
+            Q = haar_frames(cfg)[0]
             p = polar(Q)
-            assert p.q.allclose(Q, 1e-9)
-            assert p.h.allclose(FMatrix.identity(field, 3), 1e-9)
+            assert_close(p.q, Q, 1e-9)
+            assert_close(p.h, FMatrix.identity(field, 3), 1e-9)
 
     def test_wide_matrix_rejected(self):
         with pytest.raises(ShapeMismatchError):
@@ -184,14 +189,12 @@ class TestDistances:
 
     def test_nearest_frame_optimality(self):
         rng = np.random.default_rng(9)
-        from mmconc.sampling import SamplerConfig, sample_haar_stiefel
-
         for field, d in FIELDS:
             Z = rand_matrix(rng, field, d, 8, 2)
             r = 3.0
             best = dist_to_scaled_stiefel(Z, r)
             cfg = SamplerConfig(field, 8, 2, scaled=False, seed=13, count=50)
-            for Q in sample_haar_stiefel(cfg):
+            for Q in haar_frames(cfg):
                 assert best <= (Z - Q.scale(r)).norm + 1e-9
 
     def test_quotient_distances_beat_search(self):
@@ -204,40 +207,33 @@ class TestDistances:
             assert g <= (Z - W).norm + 1e-12
             assert h <= (Z - W).norm + 1e-12
             # Right-unitary search can only stay above the closed form.
-            from mmconc.sampling import SamplerConfig, sample_haar_stiefel
-
             cfg = SamplerConfig(field, 2, 2, scaled=False, seed=17, count=200)
-            for U in sample_haar_stiefel(cfg):
+            for U in haar_frames(cfg):
                 assert g <= (Z - W @ U).norm + 1e-9
             # Unit-scalar search for the Hopf distance.
             for _ in range(200):
                 s = rng.standard_normal(4)
                 s[d:] = 0.0
                 s /= np.sqrt(np.sum(s**2))
-                t = FMatrix(field, s[None, None])
-                assert h <= (Z.scalar_left(t) - W).norm + 1e-9
+                assert h <= (scalar_left(s, Z) - W).norm + 1e-9
 
     def test_quotient_invariances(self):
         rng = np.random.default_rng(11)
-        from mmconc.sampling import SamplerConfig, sample_haar_stiefel
-
         field, d = "C", 2
         Z = rand_matrix(rng, field, d, 6, 2)
         W = rand_matrix(rng, field, d, 6, 2)
-        U = sample_haar_stiefel(SamplerConfig(field, 2, 2, scaled=False, seed=19, count=1))[0]
+        U = haar_frames(SamplerConfig(field, 2, 2, scaled=False, seed=19, count=1))[0]
         assert grassmann_dist(Z @ U, W) == pytest.approx(grassmann_dist(Z, W), abs=1e-9)
-        t = FMatrix(field, np.array([[[np.cos(0.7), np.sin(0.7), 0.0, 0.0]]]))
-        assert hopf_dist(Z.scalar_left(t), W) == pytest.approx(hopf_dist(Z, W), abs=1e-9)
+        t = np.array([np.cos(0.7), np.sin(0.7), 0.0, 0.0])
+        assert hopf_dist(scalar_left(t, Z), W) == pytest.approx(hopf_dist(Z, W), abs=1e-9)
 
     def test_zero_distance_on_same_orbit(self):
         rng = np.random.default_rng(12)
         Z = rand_matrix(rng, "H", 4, 5, 2)
-        from mmconc.sampling import SamplerConfig, sample_haar_stiefel
-
-        U = sample_haar_stiefel(SamplerConfig("H", 2, 2, scaled=False, seed=23, count=1))[0]
+        U = haar_frames(SamplerConfig("H", 2, 2, scaled=False, seed=23, count=1))[0]
         assert grassmann_dist(Z, Z @ U) == pytest.approx(0.0, abs=1e-6)
-        s = FMatrix("H", np.full((1, 1, 4), 0.5))
-        assert hopf_dist(Z, Z.scalar_left(s)) == pytest.approx(0.0, abs=1e-6)
+        s = np.full(4, 0.5)
+        assert hopf_dist(Z, scalar_left(s, Z)) == pytest.approx(0.0, abs=1e-6)
 
 
 class TestBatchedKernels:

@@ -4,19 +4,7 @@ import numpy as np
 import pytest
 
 from mmconc.errors import DomainError
-from mmconc.gaussian import (
-    RadialLaw,
-    annulus_mass,
-    annulus_upper_bound,
-    ball_mass,
-    chi_cdf,
-    g_func,
-    g_root,
-    norm_cdf,
-    radial_density,
-    radial_peak,
-    stirling_check,
-)
+from mmconc.gaussian import RadialLaw, annulus_mass, ball_mass, chi_cdf, norm_cdf
 from mmconc.special import adaptive_quad
 
 # Frozen reference values from a 30-digit arbitrary precision run.
@@ -60,7 +48,7 @@ BALL_CASES = [
 class TestRadialLaw:
     def test_density_frozen(self):
         for m, r, want in DENSITY_CASES:
-            assert radial_density(m, r) == pytest.approx(want, rel=1e-12)
+            assert RadialLaw.of(m).density(r) == pytest.approx(want, rel=1e-12)
 
     def test_density_normalized(self):
         for m in (1, 2, 7, 40):
@@ -73,14 +61,16 @@ class TestRadialLaw:
     def test_peak_location_and_value(self):
         for m, want in PEAK_CASES:
             law = RadialLaw.of(m)
-            assert law.peak() == pytest.approx(want, rel=1e-12)
             # The mode sits at sqrt(m - 1).
             mode = math.sqrt(m - 1.0)
+            assert law.density(mode) == pytest.approx(want, rel=1e-12)
             assert law.density(mode) >= law.density(mode * 0.99)
             assert law.density(mode) >= law.density(mode * 1.01)
 
     def test_peak_m1_half_normal(self):
-        assert radial_peak(1) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-13)
+        # The half-normal density peaks at 0, where it is its normalization.
+        peak = math.exp(RadialLaw.of(1).log_norm)
+        assert peak == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-13)
 
     def test_cdf_frozen_and_quantile_roundtrip(self):
         for m, t, want in CHI_CDF_CASES:
@@ -99,11 +89,11 @@ class TestRadialLaw:
 class TestAnnulus:
     def test_mass_frozen(self):
         for m, eps, want in ANNULUS_CASES:
-            assert annulus_mass(m, eps).mass == pytest.approx(want, rel=1e-9)
+            assert annulus_mass(m, eps) == pytest.approx(want, rel=1e-9)
 
     def test_mass_matches_scipy(self):
         for m, eps, want in ANNULUS_SCIPY_CASES:
-            assert annulus_mass(m, eps).mass == pytest.approx(want, rel=1e-11)
+            assert annulus_mass(m, eps) == pytest.approx(want, rel=1e-11)
 
     def test_mass_matches_quadrature(self):
         # The incomplete-gamma closed form against the chi_m density
@@ -112,13 +102,7 @@ class TestAnnulus:
             root = math.sqrt(m - 1.0)
             lo, hi = (1.0 - eps) * root, (1.0 + eps) * root
             quad = adaptive_quad(RadialLaw.of(m).density, lo, hi, tol=1e-13)
-            assert annulus_mass(m, eps).mass == pytest.approx(quad, abs=1e-11)
-
-    def test_upper_bound_dominates(self):
-        for m, eps in ((10, 0.05), (100, 0.02), (1000, 0.01), (100, 0.2)):
-            am = annulus_mass(m, eps)
-            assert am.mass <= am.upper_bound + 1e-12
-            assert am.upper_bound == pytest.approx(annulus_upper_bound(m, eps))
+            assert annulus_mass(m, eps) == pytest.approx(quad, abs=1e-11)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -147,32 +131,3 @@ class TestBall:
     def test_unsupported_dim(self):
         with pytest.raises(DomainError):
             ball_mass(3, 1.0)
-
-
-class TestGRoot:
-    def test_pinned_root(self):
-        t0 = g_root()
-        assert t0 == pytest.approx(0.30263084071157274, abs=1e-9)
-        assert g_func(t0) == pytest.approx(0.0, abs=1e-9)
-
-    def test_sign_change(self):
-        assert g_func(0.0) < 0.0
-        assert g_func(1.0) > 0.0
-
-    def test_g_matches_quadrature(self):
-        for t in (0.2, 0.7):
-            tail = adaptive_quad(lambda s: np.exp(-0.5 * s * s), t, 40.0, tol=1e-12)
-            assert g_func(t) == pytest.approx(math.exp(-0.5 * t * t) - tail, abs=1e-10)
-
-
-class TestStirling:
-    def test_frozen_rho(self):
-        assert stirling_check(1.0).rho == pytest.approx(0.081061466795327258, rel=1e-10)
-        assert stirling_check(5.0).rho == pytest.approx(0.016644691189821192, rel=1e-9)
-
-    def test_bracket(self):
-        for x in (0.5, 1.0, 3.0, 10.0, 250.0):
-            chk = stirling_check(x)
-            assert chk.in_bracket
-            assert 0.0 < chk.rho < 1.0 / (12.0 * x)
-

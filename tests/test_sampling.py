@@ -6,7 +6,8 @@ import pytest
 
 from componentwise import comp_matmul
 from mmconc import sampling
-from mmconc.algebra import FMatrix, _lift, _to_native, field_dim
+from mmconc.algebra import _lift, _to_native, field_dim
+from mmconc.bounds import theta
 from mmconc.concentration import _frame_distances, membership_native
 from mmconc.decomp import polar_q_native
 from mmconc.errors import DomainError, InfeasibleError, ShapeMismatchError
@@ -18,20 +19,24 @@ from mmconc.sampling import (
     chunk_generator,
     gaussian_blocks,
     gaussian_chunk,
-    gaussian_chunk_native,
-    gaussian_comps,
     haar_blocks,
-    haar_chunk_native,
     haar_comps,
     iter_blocks,
     iter_chunks,
-    iter_gaussian_chunks,
     iter_haar_chunks,
-    sample_gaussian,
-    sample_haar_stiefel,
     sample_restricted_gaussian,
     write_native_samples_csv,
 )
+
+
+def gaussian_draws(cfg):
+    """The cfg.count Gaussian draws of cfg as one (count, N, n, 4) array."""
+    return np.concatenate(list(iter_chunks(cfg, gaussian_chunk)))
+
+
+def whole_chunk(blocks, cfg, chunk_index):
+    """The native sub-blocks of one chunk joined into one array."""
+    return np.concatenate(list(blocks(cfg, chunk_index)))
 
 
 class TestConfig:
@@ -54,13 +59,13 @@ class TestConfig:
 class TestDeterminism:
     def test_chunks_are_independent_of_count(self):
         # Drawing 10 or 2000 samples must agree on the shared prefix.
-        a = gaussian_comps(SamplerConfig("C", 4, 2, seed=5, count=10))
-        b = gaussian_comps(SamplerConfig("C", 4, 2, seed=5, count=2000))
+        a = gaussian_draws(SamplerConfig("C", 4, 2, seed=5, count=10))
+        b = gaussian_draws(SamplerConfig("C", 4, 2, seed=5, count=2000))
         np.testing.assert_array_equal(a, b[:10])
 
     def test_seed_sensitivity(self):
-        a = gaussian_comps(SamplerConfig("R", 4, 2, seed=1, count=8))
-        b = gaussian_comps(SamplerConfig("R", 4, 2, seed=2, count=8))
+        a = gaussian_draws(SamplerConfig("R", 4, 2, seed=1, count=8))
+        b = gaussian_draws(SamplerConfig("R", 4, 2, seed=2, count=8))
         assert np.abs(a - b).max() > 0.1
 
     def test_chunk_generator_attempt_streams_differ(self):
@@ -92,21 +97,21 @@ class TestDeterminism:
         # The native chunk holds the same values, bit for bit, as the
         # component chunk converted to native.
         cfg = SamplerConfig(field, 5, 3, seed=4)
-        native = gaussian_chunk_native(cfg, 2)
+        native = whole_chunk(gaussian_blocks, cfg, 2)
         ref = _to_native(gaussian_chunk(cfg, 2), field)
         assert native.dtype == ref.dtype and native.shape == ref.shape
         assert native.tobytes() == ref.tobytes()
 
     def test_repeat_bit_identical(self):
         cfg = SamplerConfig("H", 6, 2, seed=42, count=100)
-        np.testing.assert_array_equal(gaussian_comps(cfg), gaussian_comps(cfg))
+        np.testing.assert_array_equal(gaussian_draws(cfg), gaussian_draws(cfg))
         np.testing.assert_array_equal(haar_comps(cfg), haar_comps(cfg))
 
 
 class TestGaussian:
     def test_component_purity(self):
         for field, d in (("R", 1), ("C", 2), ("H", 4)):
-            comps = gaussian_comps(SamplerConfig(field, 5, 2, seed=0, count=50))
+            comps = gaussian_draws(SamplerConfig(field, 5, 2, seed=0, count=50))
             assert np.all(comps[..., d:] == 0.0)
 
     @pytest.mark.parametrize("field", ["R", "C", "H"])
@@ -135,21 +140,16 @@ class TestGaussian:
         # Fourth moment of a standard normal is 3.
         assert np.mean(vals**4) == pytest.approx(3.0, abs=0.1)
 
-    def test_sample_gaussian_wraps(self):
-        out = sample_gaussian(SamplerConfig("C", 3, 1, seed=0, count=3))
-        assert len(out) == 3
-        assert all(isinstance(Z, FMatrix) and Z.shape == (3, 1) for Z in out)
-
 
 class TestHaar:
     def test_frames_on_manifold(self):
         for field in ("R", "C", "H"):
-            cfg = SamplerConfig(field, 6, 2, seed=1, count=5)
+            cfg = SamplerConfig(field, 6, 2, seed=1)
             r = cfg.radius
-            for Q in sample_haar_stiefel(cfg):
-                G = Q.adjoint() @ Q
-                target = FMatrix.identity(field, 2).scale(r * r)
-                assert G.allclose(target, 1e-8 * r * r)
+            Q = next(haar_blocks(cfg, 0))[:5]
+            L = _lift(Q, field)
+            G = np.swapaxes(L, -1, -2).conj() @ L
+            assert np.abs(G - r * r * np.eye(G.shape[-1])).max() <= 1e-8 * r * r
 
     def test_left_invariance_statistic(self):
         # The law of a fixed coordinate is invariant under a fixed
@@ -168,15 +168,15 @@ class TestHaar:
     @pytest.mark.parametrize("N, n", [(12, 3), (10, 8)])
     def test_native_frames_orthonormal(self, field, N, n):
         # Over H the lift [Q, JQ] is orthonormal exactly when Q is over H.
-        q = haar_chunk_native(SamplerConfig(field, N, n, scaled=False, seed=3), 0)
+        q = next(haar_blocks(SamplerConfig(field, N, n, scaled=False, seed=3), 0))
         L = _lift(q, field)
         G = np.swapaxes(L, -1, -2).conj() @ L
         assert np.abs(G - np.eye(G.shape[-1])).max() < 1e-12
 
     def test_unscaled_option(self):
         cfg = SamplerConfig("C", 5, 1, scaled=False, seed=4, count=3)
-        for Q in sample_haar_stiefel(cfg):
-            assert Q.norm == pytest.approx(1.0, abs=1e-10)
+        norms = np.sqrt(np.sum(np.square(haar_comps(cfg)), axis=(1, 2, 3)))
+        np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-10)
 
     def test_resampling_is_bounded(self, monkeypatch):
         def rank_deficient(X, field):
@@ -233,7 +233,7 @@ class TestSubBlocks:
         k = block_size(cfg)
         last, i = CHUNK // k, 5
         at = last * k + i
-        clean = haar_chunk_native(cfg, 2)
+        clean = whole_chunk(haar_blocks, cfg, 2)
         draw = sampling.gaussian_blocks
 
         def forced(cfg, chunk_index, attempt=0):
@@ -244,7 +244,7 @@ class TestSubBlocks:
                 yield X
 
         monkeypatch.setattr(sampling, "gaussian_blocks", forced)
-        frames = haar_chunk_native(cfg, 2)
+        frames = whole_chunk(haar_blocks, cfg, 2)
         fresh, lam_min = polar_q_native(_whole_draw(cfg, 2, attempt=1)[at : at + 1], field)
         assert lam_min[0] > 1e-8
         assert frames[at].tobytes() == (fresh[0] * cfg.radius).tobytes()
@@ -268,21 +268,16 @@ class TestSubBlocks:
         cfg = SamplerConfig("C", 150, 2, seed=8, count=count)
         blocks = list(iter_blocks(cfg, haar_blocks))
         assert max(map(len, blocks)) == min(count, block_size(cfg))
-        whole = np.concatenate(list(iter_chunks(cfg, haar_chunk_native)))
+        whole = _to_native(haar_comps(cfg), "C")
         assert np.concatenate(blocks).tobytes() == whole.tobytes()
 
 
 class TestRestricted:
     def test_members_and_rate(self):
-        from mmconc.concentration import membership_mask
-
         cfg = SamplerConfig("R", 40, 2, seed=6, count=300)
         rs = sample_restricted_gaussian(cfg, 0.5)
-        from mmconc.bounds import theta
-
-        mask = membership_mask(rs.comps, "R", 0.5, theta(0.5))
-        assert mask.all()
-        assert rs.comps.shape[0] == 300
+        assert membership_native(rs.native, "R", 0.5, theta(0.5)).all()
+        assert rs.native.shape == (300, 40, 2)
         assert 0.0 < rs.acceptance_rate <= 1.0
         # Whole-chunk accounting: rate is a deterministic function of
         # the seed, never of scheduling.
@@ -303,7 +298,7 @@ class TestRestricted:
 class TestCsv:
     def test_schema_and_sidecar(self, tmp_path):
         cfg = SamplerConfig("C", 3, 2, seed=7, count=4)
-        comps = gaussian_comps(cfg)
+        comps = gaussian_draws(cfg)
         path = str(tmp_path / "s.csv")
         digest = write_native_samples_csv(path, cfg, [_to_native(comps, "C")])
         lines = open(path).read().splitlines()
@@ -321,7 +316,7 @@ class TestCsv:
 
     def test_roundtrip_values(self, tmp_path):
         cfg = SamplerConfig("R", 2, 1, seed=8, count=2)
-        comps = gaussian_comps(cfg)
+        comps = gaussian_draws(cfg)
         path = str(tmp_path / "s.csv")
         write_native_samples_csv(path, cfg, [_to_native(comps, "R")])
         row = open(path).read().splitlines()[1].split(",")
@@ -348,7 +343,7 @@ class TestCsv:
     def test_same_bytes_as_per_value_formatter(self, tmp_path, kind, field, N, n, count, inject):
         # Reference: the per-value formatter the block writer replaced.
         cfg = SamplerConfig(field, N, n, seed=10, count=count)
-        comps = (haar_comps if kind == "haar" else gaussian_comps)(cfg)
+        comps = (haar_comps if kind == "haar" else gaussian_draws)(cfg)
         d, width = {"R": 1, "C": 2, "H": 4}[field], 4 * N * n
         if inject:
             specials = [0.0, -0.0, 1e-7, 1e20, np.inf, np.nan]
@@ -366,6 +361,9 @@ class TestCsv:
         with open(path, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == expected
         if not inject:
-            chunks = (iter_haar_chunks if kind == "haar" else iter_gaussian_chunks)(cfg)
+            if kind == "haar":
+                chunks = iter_haar_chunks(cfg)
+            else:
+                chunks = iter_chunks(cfg, gaussian_chunk)
             natives = (_to_native(chunk, field) for chunk in chunks)
             assert write_native_samples_csv(path, cfg, natives) == expected

@@ -8,11 +8,9 @@ from mmconc.errors import DomainError
 from mmconc.special import (
     adaptive_quad,
     bisect,
-    erf,
     erfc,
     lgamma,
     norm_cdf,
-    norm_pdf,
     reg_gamma_p,
     reg_gamma_q,
 )
@@ -113,20 +111,19 @@ class TestGamma:
 class TestErf:
     def test_frozen(self):
         for x, want in ERF_CASES:
-            assert erf(x) == pytest.approx(want, rel=1e-12)
+            assert erfc(x) == pytest.approx(1.0 - want, rel=1e-12)
         for x, want in ERFC_CASES:
             assert erfc(x) == pytest.approx(want, rel=1e-12)
 
     def test_symmetry(self):
         for x in (0.1, 0.9, 2.5, 4.0):
-            assert erf(-x) == pytest.approx(-erf(x), rel=1e-14)
             assert erfc(-x) == pytest.approx(2.0 - erfc(x), rel=1e-14)
 
     def test_vectorized(self):
         x = np.linspace(-5, 5, 101)
-        out = erf(x)
+        out = erfc(x)
         assert out.shape == x.shape
-        assert np.all(np.diff(out) > 0)
+        assert np.all(np.diff(out) < 0)
 
 
 class TestNormal:
@@ -136,7 +133,10 @@ class TestNormal:
         assert norm_cdf(0.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_pdf_normalization(self):
-        total = adaptive_quad(norm_pdf, -12.0, 12.0, tol=1e-12)
+        def density(x):
+            return np.exp(-0.5 * np.square(x)) / math.sqrt(2.0 * math.pi)
+
+        total = adaptive_quad(density, -12.0, 12.0, tol=1e-12)
         assert total == pytest.approx(1.0, abs=1e-11)
 
 class TestQuadrature:
