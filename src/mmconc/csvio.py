@@ -21,19 +21,9 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import queue
-import threading
+from itertools import chain
 
 import numpy as np
-
-
-# Rendered bytes that write_csv hands to its writer thread at once: about
-# half of one padded sampler sub-block (sampling.BLOCK_BYTES of float64
-# values, about 28 bytes a value once rendered).  Two batches are alive,
-# the one the caller fills and the one the writer writes, so this bounds
-# what the pipeline adds to memory; fewer, larger batches cost fewer GIL
-# switches between the threads.
-HANDOFF_BYTES = 1 << 21
 
 
 def format_value(x):
@@ -227,7 +217,7 @@ def render_rows(lead, x, seps):
     continue a line); seps holds bytes of at most 4 bytes each (the last
     one ends the line).  Returns a uint8 array (k, width): removing the
     NUL bytes from row r leaves exactly line r.  The NULs stay for
-    write_csv's writer thread to strip.
+    write_csv to strip.
     """
     k, c = x.shape
     f = format_block(x).view(np.uint32).reshape(k, c, -1)
@@ -245,59 +235,19 @@ def write_csv(path, header, rows):
     header is a sequence of cells, or None when the rows begin with the
     header line.  A row is a sequence of cells, or a uint8 array of lines
     padded with NUL bytes (as from `render_rows`); consecutive arrays may
-    split a line between them.  The calling thread encodes
-    the rows and hands them in batches of about HANDOFF_BYTES to a
-    writer thread, which strips the NULs with numpy and feeds each
-    stripped buffer to both the file and the hash.  The strip, the write
-    and the hash release the GIL, so they overlap the caller's work.
-    The caller hands a batch on only once the writer has finished the
-    one before, so the body is never held in memory as a whole.  A
-    failure on either side stops the other; the writer is joined and
-    the file closed before this returns or raises.
+    split a line between them.  Each row is encoded, or stripped of its
+    NULs with numpy, and fed to both the file and the hash in turn, so
+    the body is never held in memory as a whole.
     """
     h = hashlib.sha256()
-    pending = queue.Queue(1)
-    failed = []
-
     with open(path, "wb") as fh:
-
-        def write():
-            while (batch := pending.get()) is not None:
-                try:
-                    for data in batch:
-                        if failed:
-                            break
-                        if isinstance(data, np.ndarray):
-                            data = data[data != 0]
-                        fh.write(data)
-                        h.update(data)
-                except BaseException as exc:  # raised again by the caller
-                    failed.append(exc)
-                finally:
-                    batch.clear()
-                    pending.task_done()
-
-        writer = threading.Thread(target=write, name="csvio-writer", daemon=True)
-        writer.start()
-        try:
-            batch, size = [] if header is None else [(",".join(header) + "\n").encode()], 0
-            for row in rows:
-                if failed:
-                    break
-                if not isinstance(row, np.ndarray):
-                    row = (",".join(map(format_value, row)) + "\n").encode()
-                size += len(row) if isinstance(row, bytes) else row.nbytes
-                batch.append(row)
-                if size >= HANDOFF_BYTES:
-                    pending.join()
-                    pending.put(batch)
-                    batch, size = [], 0
-            pending.put(batch)
-        finally:
-            pending.put(None)
-            writer.join()
-    if failed:
-        raise failed[0]
+        for row in rows if header is None else chain([header], rows):
+            if isinstance(row, np.ndarray):
+                data = row[row != 0]
+            else:
+                data = (",".join(map(format_value, row)) + "\n").encode()
+            fh.write(data)
+            h.update(data)
     return h.hexdigest()
 
 

@@ -38,13 +38,13 @@ class RadialLaw:
         return cls(m, log_norm)
 
     def log_density(self, r):
+        """log g_m(r); -inf for r < 0, and at r = 0 unless m = 1."""
         r = np.asarray(r, dtype=np.float64)
-        with np.errstate(divide="ignore"):
-            logr = np.where(r > 0.0, np.log(np.maximum(r, 1e-300)), -np.inf)
-        out = self.log_norm + (self.m - 1) * logr - 0.5 * np.square(r)
-        if self.m == 1:
-            out = np.where(r >= 0.0, self.log_norm - 0.5 * np.square(r), out)
-        return out
+        out = self.log_norm - 0.5 * np.square(r)
+        if self.m > 1:  # r^0 = 1 at m = 1, also at r = 0
+            with np.errstate(divide="ignore"):
+                out = out + (self.m - 1) * np.log(np.maximum(r, 0.0))
+        return np.where(r < 0.0, -np.inf, out)
 
     def density(self, r):
         r = np.asarray(r, dtype=np.float64)

@@ -37,8 +37,6 @@ from __future__ import annotations
 
 import contextlib
 import logging
-import queue
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -72,6 +70,15 @@ MAX_RESAMPLES = 8
 # trims its temporaries and faults them in again (360 faults a pass of
 # 8192 values in a fresh process).
 ROW_BLOCK_VALUES = 8192
+
+# Bytes of rendered lines that write_native_samples_csv hands from its
+# render thread to the writing thread at once: about half of one padded
+# sub-block (BLOCK_BYTES of float64 values, about 28 bytes a value once
+# rendered).  Two batches are alive, the one being rendered and the one
+# being written, so this bounds what the pipeline adds to memory; fewer,
+# larger batches cost fewer GIL switches between the threads (handing on
+# each render pass alone made the export a third slower on 2 vCPUs).
+HANDOFF_BYTES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -276,53 +283,36 @@ def sample_restricted_gaussian(cfg, eps, theta_val=None, floor=1e-3, min_proposa
 
 
 @contextlib.contextmanager
-def _draw_thread(blocks):
-    """Consume the iterable blocks on a draw thread and yield an iterator
-    over its items.
+def _prefetch(items):
+    """Yield an iterator over items that computes each next item on a
+    worker thread while the caller works on the current one.
 
-    The thread computes the next item while the caller works on the
-    current one, and waits for the caller to take it before it starts on
-    another, so at most two items are alive.  The SFC64 fill and LAPACK
-    release the GIL, so the draws overlap the caller's work.  An
-    exception of the draw thread is raised by the iterator.  Leaving the
-    block, for whatever reason, stops the thread and joins it.
+    The worker runs at most one item ahead of the item the caller holds:
+    the next item is queued when the caller asks for the current one, so
+    at most two are alive.  The SFC64 fill, LAPACK, large numpy
+    passes, file writes and hashing release the GIL, so the worker
+    overlaps the caller's work.  An exception of the worker is raised by
+    the iterator at the item where it occurred.  Leaving the block, for
+    whatever reason, waits for the item in progress and joins the worker.
     """
-    ready = queue.Queue(1)
-    stop = threading.Event()
+    items = iter(items)
+    done = object()
+    with ThreadPoolExecutor(max_workers=1) as pool:
 
-    def draw():
-        try:
-            for block in blocks:
-                ready.put((block, None))
-                ready.join()
-                if stop.is_set():
+        def fetched():
+            future = pool.submit(next, items, done)
+            while True:
+                # Queued before the wait: the worker goes on to it as soon
+                # as the current item is done, not once the caller wakes.
+                after = pool.submit(next, items, done)
+                item = future.result()
+                if item is done:
                     return
-        except BaseException as exc:  # raised again by the consumer
-            ready.put((None, exc))
-        else:
-            ready.put((None, None))
+                future = after
+                yield item
+                del item  # the caller is done with it
 
-    def drawn():
-        while True:
-            block, exc = ready.get()
-            ready.task_done()
-            if block is None:
-                if exc is not None:
-                    raise exc
-                return
-            yield block
-
-    thread = threading.Thread(target=draw, name="sampling-draw", daemon=True)
-    thread.start()
-    try:
-        yield drawn()
-    finally:
-        stop.set()
-        while thread.is_alive():  # a blocked handoff returns once taken
-            with contextlib.suppress(queue.Empty):
-                ready.get_nowait()
-                ready.task_done()
-            thread.join(0.01)
+        yield fetched()
 
 
 def write_native_samples_csv(path, cfg, blocks):
@@ -334,12 +324,13 @@ def write_native_samples_csv(path, cfg, blocks):
     field dimension are left empty.  A JSON sidecar records the config
     and the stream.
 
-    The file is written by three stages on their own threads, with
-    bounded queues between them, so the samples are never held at once:
-    a draw thread consumes blocks (_draw_thread), the calling thread
-    renders the rows with csvio.render_rows, about ROW_BLOCK_VALUES
-    values at a time, and csvio.write_csv's writer thread strips, hashes
-    and writes them.  The bytes and their order are those of one thread.
+    The file is written by three concurrent stages, each handing on only
+    what the next has taken, so the samples are never held at once: a
+    worker thread draws blocks, a second one renders them with
+    csvio.render_rows, about ROW_BLOCK_VALUES values a pass, into batches
+    of about HANDOFF_BYTES of lines, and the calling thread strips, hashes
+    and writes each batch with csvio.write_csv (both workers run under
+    _prefetch).  The bytes and their order are those of one thread.
     """
     from .csvio import render_rows, write_csv, write_json
 
@@ -380,8 +371,18 @@ def write_native_samples_csv(path, cfg, blocks):
                     lead = None
                 idx += k
 
-    with _draw_thread(blocks) as drawn:
-        digest = write_csv(path, None, chain(header(), lines(drawn)))
+    def batches(rows):
+        batch, size = [], 0
+        for row in rows:
+            batch.append(row)
+            size += row.nbytes
+            if size >= HANDOFF_BYTES:
+                yield batch
+                batch, size = [], 0
+        yield batch
+
+    with _prefetch(blocks) as drawn, _prefetch(batches(chain(header(), lines(drawn)))) as rendered:
+        digest = write_csv(path, None, chain.from_iterable(rendered))
     write_json(
         str(path) + ".json",
         {

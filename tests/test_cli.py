@@ -379,6 +379,22 @@ class TestSamplePipeline:
         assert len(calls) <= 30
 
 
+def test_one_worker_runs_start_no_thread(tmp_path, monkeypatch):
+    started = []
+    real = threading.Thread.start
+
+    def counted(self):
+        started.append(self.name)
+        real(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    assert run_cli(["run", "bounds", "--field", "r", "--N", "50", "--n", "const:2",
+                    "--out", str(tmp_path / "b")]) == 0
+    assert run_cli(["run", "mbdist", "--field", "r", "--N", "20", "--samples", "2000",
+                    "--workers", "1", "--out", str(tmp_path / "m")]) == 0
+    assert started == []
+
+
 # Minor page faults of 50 format_block passes of 8192 values in a fresh
 # process, after cli.main has run or not.
 _PASS_FAULTS = """

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,23 @@ class TestRadialLaw:
         # The half-normal density peaks at 0, where it is its normalization.
         peak = math.exp(RadialLaw.of(1).log_norm)
         assert peak == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-13)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_log_density_off_support_is_minus_inf_without_warnings(self, m):
+        law = RadialLaw.of(m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            at_zero = law.density(0.0)
+            logs = law.log_density(np.array([-1.0, -0.0, 0.0, 0.5]))
+            assert law.log_density(-1.0) == -np.inf
+        assert logs[0] == -np.inf
+        if m == 1:
+            assert at_zero == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-13)
+            assert list(logs[1:3]) == [law.log_norm] * 2
+        else:
+            assert at_zero == 0.0
+            assert list(logs[1:3]) == [-np.inf] * 2
+        assert logs[3] == pytest.approx(math.log(law.density(0.5)), rel=1e-13)
 
     def test_cdf_frozen_and_quantile_roundtrip(self):
         for m, t, want in CHI_CDF_CASES:

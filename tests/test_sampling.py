@@ -1,5 +1,7 @@
 import hashlib
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from mmconc.sampling import (
     CHUNK,
     STREAM,
     SamplerConfig,
+    _prefetch,
     block_size,
     chunk_generator,
     gaussian_blocks,
@@ -293,6 +296,59 @@ class TestRestricted:
         cfg = SamplerConfig("R", 10, 1, seed=0, count=1)
         with pytest.raises(DomainError):
             sample_restricted_gaussian(cfg, 1.5)
+
+
+class TestPrefetch:
+    """_prefetch computes the next item on one worker thread while the
+    caller holds the current one."""
+
+    @staticmethod
+    def counted(n, produced, fail_at=None):
+        for i in range(n):
+            if i == fail_at:
+                raise InfeasibleError("item %d" % i)
+            produced.append(i)
+            yield i
+
+    def test_items_in_order(self):
+        with _prefetch(iter(range(50))) as items:
+            assert list(items) == list(range(50))
+        with _prefetch([]) as items:
+            assert list(items) == []
+
+    def test_at_most_one_item_ahead(self):
+        produced = []
+        with _prefetch(self.counted(20, produced)) as items:
+            for i, item in enumerate(items):
+                assert item == i
+                time.sleep(0.002)  # time for the worker to run ahead
+                assert len(produced) <= i + 2
+        assert len(produced) == 20
+
+    def test_worker_exception_raised_where_it_occurred(self):
+        got = []
+        before = threading.enumerate()
+        with pytest.raises(InfeasibleError, match="item 3"):
+            with _prefetch(self.counted(10, [], fail_at=3)) as items:
+                for item in items:
+                    got.append(item)
+        assert got == [0, 1, 2]
+        assert threading.enumerate() == before
+
+    def test_leaving_early_leaves_no_thread(self):
+        before = threading.enumerate()
+        produced = []
+        with _prefetch(self.counted(100, produced)) as items:
+            for item in items:
+                if item == 4:
+                    break
+        assert threading.enumerate() == before
+        assert len(produced) <= 6
+        with pytest.raises(KeyError):
+            with _prefetch(self.counted(100, [])) as items:
+                next(items)
+                raise KeyError("caller")
+        assert threading.enumerate() == before
 
 
 class TestCsv:
