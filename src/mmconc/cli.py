@@ -110,6 +110,8 @@ def build_config(args):
         raise ConfigError("kappa must lie in (0, 1)")
     if cfg.workers < 1:
         raise ConfigError("workers must be >= 1")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be >= 0")
     return cfg
 
 
@@ -266,9 +268,7 @@ def cmd_sample(args):
         blocks = sampling.gaussian_blocks
     else:
         blocks = sampling.haar_blocks
-    digest = sampling.write_native_samples_csv(
-        args.out, cfg, sampling.iter_blocks(cfg, blocks)
-    )
+    digest = sampling.write_native_samples_csv(args.out, cfg, sampling.draws(cfg, blocks))
     print("wrote %d %s samples to %s (sha256 %s...)" % (
         args.count, args.kind, args.out, digest[:12],
     ))

@@ -219,7 +219,7 @@ def pushforward_test(
         seed=seed + 1,
         count=sample_size,
     )
-    reference = np.concatenate(list(sampling.iter_blocks(ref_cfg, sampling.haar_blocks)))
+    reference = np.concatenate(list(sampling.draws(ref_cfg, sampling.haar_blocks)))
     direction = _panel_direction(params.field, params.N, params.n, seed)
     sa = _panel_statistics(pushed, params.field, direction)
     sb = _panel_statistics(reference, params.field, direction)
@@ -263,10 +263,7 @@ def prok_experiment(N, n, field, sample_size=100000, seed=0, workers=1):
     Prohorov gap between the Gaussian law and its projection from below.
     """
     cfg = sampling.SamplerConfig(field, N, n, seed=seed, count=sample_size)
-
-    def chunk_distances(cfg, chunk_index):
-        return np.concatenate(
-            [_frame_distances(X, cfg.field) for X in sampling.gaussian_blocks(cfg, chunk_index)]
-        )
-
-    return prok_report(np.concatenate(list(sampling.iter_chunks(cfg, chunk_distances, workers))))
+    d = sampling.draws(
+        cfg, sampling.gaussian_blocks, lambda X: _frame_distances(X, field), workers
+    )
+    return prok_report(np.concatenate(list(d)))

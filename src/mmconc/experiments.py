@@ -1,11 +1,12 @@
 """Named Monte Carlo experiments behind the CLI.
 
 Each experiment resolves a config into deterministic CSV rows plus
-per-(N, n, field) summary lines.  Sampling is chunked on a fixed grid of
-1024 draws keyed by (seed, chunk); a worker pool only changes who
-computes a chunk, never its content, so output bytes are independent of
-the worker count.  Each chunk is reduced sub-block by sub-block as
-`sampling` draws it, so memory does not grow with N.
+per-(N, n, field) summary lines.  A sampling experiment hands
+`sampling.draws` a per-draw reduction (a coordinate, a membership mask, a
+distance); `sampling` alone walks the fixed grid of 1024-draw chunks keyed
+by (seed, chunk) and reduces each sub-block as it draws it, so memory
+does not grow with N.  A worker pool only changes who reduces a chunk,
+never its content, so output bytes are independent of the worker count.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from . import bounds, concentration, gaussian, sampling, stats
 from .algebra import FMatrix, field_dim
 from .decomp import dist_to_scaled_stiefel, polar
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 
 TARGET_OBSDIAM = 1.3489795003921635  # twice the 0.75 normal quantile
 
@@ -47,7 +48,10 @@ class ExperimentConfig:
         if self.condition == "condi":
             return bounds.condi()
         if self.condition == "ass":
-            return bounds.ass(self.a)
+            try:
+                return bounds.ass(self.a)
+            except DomainError as exc:
+                raise ConfigError(str(exc))
         raise ConfigError("unknown condition %r" % self.condition)
 
     def digest(self):
@@ -81,12 +85,11 @@ class ExperimentResult:
 def _haar_coordinates(cfg, field, N, n):
     """Real part of the first entry of cfg.samples scaled Haar frames."""
     scfg = sampling.SamplerConfig(field, N, n, seed=cfg.seed, count=cfg.samples)
-
-    def chunk_coord(scfg, i):
-        # A copy per sub-block, so no frame outlives its sub-block.
-        return np.concatenate([Q[:, 0, 0].real.copy() for Q in sampling.haar_blocks(scfg, i)])
-
-    return np.concatenate(list(sampling.iter_chunks(scfg, chunk_coord, cfg.workers)))
+    # A copy per sub-block, so no frame outlives its sub-block.
+    coords = sampling.draws(
+        scfg, sampling.haar_blocks, lambda Q: Q[:, 0, 0].real.copy(), cfg.workers
+    )
+    return np.concatenate(list(coords))
 
 
 def run_mbdist(cfg):
@@ -116,16 +119,13 @@ def run_fullmeas(cfg):
             n = cfg.n_for(N)
             sch = bounds.make_schedule(N, n, cond)
             scfg = sampling.SamplerConfig(field, N, n, seed=cfg.seed, count=cfg.samples)
-
-            def chunk_hits(scfg, i, sch=sch):
-                return np.concatenate(
-                    [
-                        concentration.membership_native(X, scfg.field, sch.eps_N, sch.theta_N)
-                        for X in sampling.gaussian_blocks(scfg, i)
-                    ]
-                )
-
-            mask = np.concatenate(list(sampling.iter_chunks(scfg, chunk_hits, cfg.workers)))
+            hits = sampling.draws(
+                scfg,
+                sampling.gaussian_blocks,
+                lambda X: concentration.membership_native(X, field, sch.eps_N, sch.theta_N),
+                cfg.workers,
+            )
+            mask = np.concatenate(list(hits))
             mass = float(mask.mean())
             vb = bounds.v_bound(N, n, sch, field=field)
             for stat, value in (

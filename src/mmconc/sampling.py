@@ -19,12 +19,13 @@ memory does not grow with N.  Each sub-block is drawn straight into the
 native array of `algebra`: R (k, N, n) float64, C (k, N, n) and H
 (k, 2N, n) complex128 from consecutive (real, imaginary) pairs, the H
 rows being [Z1; -conj Z2].  The samplers compute on native arrays from
-there on: `haar_blocks` runs the polar factor per sub-block, the
-rejection sampler tests membership per sub-block, and the statistics of
-`experiments` and `concentration` reduce each sub-block as it arrives.
-The interchange functions (`gaussian_chunk`, `haar_chunk`,
-`iter_haar_chunks`, `haar_comps`) join the sub-blocks of a chunk and
-convert them once to component arrays (..., N, n, 4).
+there on: `haar_blocks` runs the polar factor per sub-block and the
+rejection sampler tests membership per sub-block.  `draws` is the one
+walk over the chunk grid: it yields the sub-blocks of chunks 0, 1, ...
+cut to the sample count, each reduced by a per-draw function such as a
+statistic of `experiments` or `concentration`, on a thread pool if asked.
+The interchange functions (`gaussian_chunk`, `haar_chunk`, `haar_comps`)
+convert sub-blocks to component arrays (..., N, n, 4).
 
 STREAM names this construction: the generator, the normal transform and
 the native draw layout.  It is folded into the run digest and written as
@@ -96,6 +97,8 @@ class SamplerConfig:
             raise ShapeMismatchError("need 1 <= n <= N")
         if self.count < 1:
             raise DomainError("count must be >= 1")
+        if self.seed < 0:
+            raise DomainError("seed must be >= 0")
         if self.scaled and self.N * field_dim(self.field) == 1:
             raise DomainError(
                 "the scaled frame radius sqrt(N^F - 1) is 0 at N^F = 1; "
@@ -141,42 +144,11 @@ def gaussian_blocks(cfg, chunk_index, attempt=0):
             yield gen.standard_normal(shape + (2,)).view(np.complex128)[..., 0]
 
 
-def iter_blocks(cfg, blocks):
-    """Yield blocks(cfg, 0), then blocks(cfg, 1), ... sub-block by
-    sub-block, cut to cfg.count samples."""
-    left = cfg.count
-    for chunk_index in range(-(-cfg.count // CHUNK)):
-        for X in blocks(cfg, chunk_index):
-            yield X[:left]
-            left -= len(X)
-            if left <= 0:
-                return
-
-
 def gaussian_chunk(cfg, chunk_index, attempt=0):
     """One full chunk of standard Gaussian matrices as component arrays
     (CHUNK, N, n, 4)."""
     X = np.concatenate(list(gaussian_blocks(cfg, chunk_index, attempt)))
     return _from_native(X, cfg.field)
-
-
-def iter_chunks(cfg, chunk, workers=1):
-    """Yield chunk(cfg, 0), chunk(cfg, 1), ... cut to cfg.count samples.
-
-    With workers > 1 a thread pool computes the chunks, and they are
-    still yielded in index order, so the output never depends on the
-    worker count; with one worker the chunks are computed as consumed.
-    """
-    starts = range(0, cfg.count, CHUNK)
-
-    def cut(chunk_index):
-        return chunk(cfg, chunk_index)[: cfg.count - starts[chunk_index]]
-
-    if workers <= 1:
-        yield from map(cut, range(len(starts)))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(cut, range(len(starts)))
 
 
 def haar_blocks(cfg, chunk_index):
@@ -224,13 +196,37 @@ def haar_chunk(cfg, chunk_index):
     return _from_native(np.concatenate(list(haar_blocks(cfg, chunk_index))), cfg.field)
 
 
-def iter_haar_chunks(cfg):
-    """(Scaled) Haar frames as (k, N, n, 4) chunks, cfg.count in all."""
-    return iter_chunks(cfg, haar_chunk)
+def draws(cfg, blocks, reduce=None, workers=1):
+    """Yield reduce(X) for each sub-block X of blocks(cfg, 0), then
+    blocks(cfg, 1), ..., cut to cfg.count draws in all; without reduce,
+    yield X.
+
+    No sub-block past cfg.count is drawn.  With one worker each sub-block
+    is drawn as the caller consumes it.  With workers > 1 a thread pool
+    reduces one whole chunk per task, and the results are still yielded
+    in chunk order, so they never depend on the worker count.
+    """
+
+    def chunk(chunk_index):
+        left = cfg.count - chunk_index * CHUNK
+        for X in blocks(cfg, chunk_index):
+            yield X[:left] if reduce is None else reduce(X[:left])
+            left -= len(X)
+            if left <= 0:
+                return
+
+    chunks = range(-(-cfg.count // CHUNK))
+    if workers <= 1:
+        yield from chain.from_iterable(map(chunk, chunks))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for reduced in pool.map(lambda c: list(chunk(c)), chunks):
+                yield from reduced
 
 
 def haar_comps(cfg):
-    return np.concatenate(list(iter_haar_chunks(cfg)), axis=0)
+    """cfg.count (scaled) Haar frames as component arrays (count, N, n, 4)."""
+    return np.concatenate(list(draws(cfg, haar_blocks, lambda Q: _from_native(Q, cfg.field))))
 
 
 @dataclass(frozen=True)
@@ -319,7 +315,7 @@ def write_native_samples_csv(path, cfg, blocks):
     """Dump samples: idx, field, N, n, comp_0 ... comp_{4Nn-1}.
 
     blocks is an iterable of native (k, ...) arrays, cfg.count samples in
-    all, such as iter_blocks(cfg, haar_blocks).  Component k belongs to
+    all, such as draws(cfg, haar_blocks).  Component k belongs to
     entry (k // 4 // n, k // 4 % n), scalar slot k % 4; slots beyond the
     field dimension are left empty.  A JSON sidecar records the config
     and the stream.

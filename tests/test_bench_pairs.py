@@ -1,8 +1,10 @@
-"""tools/bench_pairs.py stops on the first run that fails."""
+"""tools/bench_pairs.py stops on the first run that fails and records the
+parent commit it measured."""
 
 import importlib.util
 import json
 import os
+import subprocess
 
 import pytest
 
@@ -49,3 +51,26 @@ def test_failing_run_stops_the_script(tmp_path, failed, correct, code):
 def test_passing_run_returns_its_result(tmp_path):
     result = {"correct": True, "attempted": 4, "failed": 0, "metrics": {}}
     assert _bench_pairs().bench(_fake_tree(tmp_path, result, 0), "w", 1, 1, 0) == result
+
+
+def _git(cwd, *args):
+    return subprocess.run(
+        ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+        cwd=cwd, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+
+
+def test_parent_ref_resolves_to_its_commit(tmp_path):
+    # HEAD is recorded as the commit it names, which stays the parent
+    # measured after HEAD moves on.
+    repo = str(tmp_path)
+    _git(repo, "init", "-q")
+    _git(repo, "commit", "-q", "--allow-empty", "-m", "parent")
+    first = _git(repo, "log", "-1", "--format=%H")
+    bench_pairs = _bench_pairs()
+    assert bench_pairs.resolve_commit("HEAD", cwd=repo) == first
+    _git(repo, "commit", "-q", "--allow-empty", "-m", "change")
+    assert bench_pairs.resolve_commit("HEAD~1", cwd=repo) == first
+    assert bench_pairs.resolve_commit("HEAD", cwd=repo) != first
+    with pytest.raises(SystemExit, match="names no commit"):
+        bench_pairs.resolve_commit("no-such-ref", cwd=repo)

@@ -95,7 +95,12 @@ class TestRun:
         assert run_cli(["run", "mbdist", "--n", "bogus:1"]) == 2
         assert run_cli(["run", "mbdist", "--samples", "0"]) == 2
         assert run_cli(["run", "mbdist", "--eps", "1.5"]) == 2
-        assert "config error" in capsys.readouterr().err
+        assert run_cli(["run", "mbdist", "--seed", "-1"]) == 2
+        assert run_cli(["run", "bounds", "--seed", "-1"]) == 2
+        assert run_cli(["run", "bounds", "--condition", "ass", "--a", "2"]) == 2
+        assert run_cli(["sample", "--N", "4", "--n", "1", "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error") == 8 and "Traceback" not in err
 
     def test_infeasible_exit_code(self, tmp_path, capsys):
         code = run_cli(
@@ -109,6 +114,11 @@ class TestRun:
         monkeypatch.setenv("MMCONC_SEED", "abc")
         assert run_cli(["run", "mbdist", "--N", "10", "--samples", "100"]) == 2
         assert "MMCONC_SEED" in capsys.readouterr().err
+        # An integer, but not one a seed sequence takes.
+        monkeypatch.setenv("MMCONC_SEED", "-3")
+        assert run_cli(["run", "mbdist", "--N", "10", "--samples", "100"]) == 2
+        assert run_cli(["sample", "--N", "4", "--n", "1", "--count", "4"]) == 2
+        assert capsys.readouterr().err.count("config error: seed must be >= 0") == 2
 
 
 @pytest.mark.parametrize(
@@ -221,6 +231,20 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "bogus" in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("condition = ass\na = 2\n", "'ass' needs a in (0, 1)"),
+            ("seed = -1\n", "seed must be >= 0"),
+        ],
+        ids=["a", "seed"],
+    )
+    def test_out_of_range_value(self, text, message, tmp_path, capsys):
+        path = self.write(tmp_path, "experiment = bounds\n" + text)
+        assert run_cli(["validate", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+
 
 class TestSample:
     def test_gaussian_csv(self, tmp_path, capsys):
@@ -272,7 +296,7 @@ def test_sample_streams_the_same_bytes(kind, tmp_path, capsys):
     assert run_cli(argv) == 0
     cfg = sampling.SamplerConfig("C", 4, 2, seed=3, count=sampling.CHUNK + 5)
     chunk = sampling.haar_chunk if kind == "haar" else sampling.gaussian_chunk
-    comps = np.concatenate(list(sampling.iter_chunks(cfg, chunk)))
+    comps = np.concatenate([chunk(cfg, 0), chunk(cfg, 1)[:5]])
     ref = sampling.write_native_samples_csv(str(tmp_path / "ref.csv"), cfg, [_to_native(comps, "C")])
     assert json.load(open(out + ".json"))["csv_sha256"] == ref
     with open(out, "rb") as a, open(str(tmp_path / "ref.csv"), "rb") as b:
@@ -316,7 +340,7 @@ class TestSamplePipeline:
             sys.setswitchinterval(interval)
         cfg = sampling.SamplerConfig("C", 400, 2, seed=5, count=400)
         ref = str(tmp_path / "ref.csv")
-        whole = [np.concatenate(list(sampling.iter_blocks(cfg, sampling.haar_blocks)))]
+        whole = [np.concatenate(list(sampling.draws(cfg, sampling.haar_blocks)))]
         assert digests == [sampling.write_native_samples_csv(ref, cfg, whole)] * 2
 
     def test_draw_failure(self, tmp_path, monkeypatch, capsys):

@@ -22,12 +22,11 @@ from mmconc.decomp import polar
 from mmconc.errors import DomainError
 from mmconc.sampling import (
     SamplerConfig,
+    draws,
     gaussian_blocks,
     gaussian_chunk,
     haar_blocks,
     haar_comps,
-    iter_blocks,
-    iter_chunks,
     sample_restricted_gaussian,
 )
 
@@ -239,7 +238,7 @@ class TestProk:
         # For one column the manifold distance collapses to | ||Z|| - r |.
         rep = prok_experiment(25, 1, "R", sample_size=2000, seed=1)
         cfg = SamplerConfig("R", 25, 1, seed=1, count=2000)
-        comps = np.concatenate(list(iter_chunks(cfg, gaussian_chunk)))
+        comps = np.concatenate([gaussian_chunk(cfg, 0), gaussian_chunk(cfg, 1)])[: cfg.count]
         d = np.abs(np.sqrt(np.sum(np.square(comps), axis=(1, 2, 3))) - cfg.radius)
         assert rep.mean_distance == pytest.approx(float(d.mean()), rel=1e-12)
         assert rep.quantiles[50] == pytest.approx(float(np.quantile(d, 0.5)), rel=1e-10)
@@ -252,7 +251,7 @@ class TestProk:
         # The distances prok sorts, bit for bit: the level can be one of
         # them, and a route that rounds it an ulp higher puts it on the
         # other side.  test_n1_distance_is_norm_gap checks the values.
-        blocks = iter_blocks(cfg, gaussian_blocks)
+        blocks = draws(cfg, gaussian_blocks)
         d = np.sort(np.concatenate([_frame_distances(X, "R") for X in blocks]))
         eps = rep.dP_lower
         frac = np.searchsorted(d, eps, side="left") / d.size

@@ -8,7 +8,7 @@ import pytest
 
 from componentwise import comp_matmul
 from mmconc import sampling
-from mmconc.algebra import _lift, _to_native, field_dim
+from mmconc.algebra import _from_native, _lift, _to_native, field_dim
 from mmconc.bounds import theta
 from mmconc.concentration import _frame_distances, membership_native
 from mmconc.decomp import polar_q_native
@@ -20,13 +20,11 @@ from mmconc.sampling import (
     _prefetch,
     block_size,
     chunk_generator,
+    draws,
     gaussian_blocks,
     gaussian_chunk,
     haar_blocks,
     haar_comps,
-    iter_blocks,
-    iter_chunks,
-    iter_haar_chunks,
     sample_restricted_gaussian,
     write_native_samples_csv,
 )
@@ -34,7 +32,7 @@ from mmconc.sampling import (
 
 def gaussian_draws(cfg):
     """The cfg.count Gaussian draws of cfg as one (count, N, n, 4) array."""
-    return np.concatenate(list(iter_chunks(cfg, gaussian_chunk)))
+    return np.concatenate(list(draws(cfg, gaussian_blocks, lambda X: _from_native(X, cfg.field))))
 
 
 def whole_chunk(blocks, cfg, chunk_index):
@@ -52,6 +50,8 @@ class TestConfig:
             SamplerConfig("X", 3, 1)
         with pytest.raises(DomainError):
             SamplerConfig("R", 1, 1)  # scaled radius sqrt(1 - 1) = 0
+        with pytest.raises(DomainError):
+            SamplerConfig("R", 3, 1, seed=-1)  # SeedSequence takes no negative seed
         assert SamplerConfig("R", 1, 1, scaled=False).N == 1
 
     def test_radius(self):
@@ -267,12 +267,52 @@ class TestSubBlocks:
         assert rs.proposed == chunk_index * CHUNK
 
     @pytest.mark.parametrize("count", [3, CHUNK + 230])
-    def test_iter_blocks_cuts_to_count(self, count):
+    def test_draws_cuts_to_count(self, count):
         cfg = SamplerConfig("C", 150, 2, seed=8, count=count)
-        blocks = list(iter_blocks(cfg, haar_blocks))
+        blocks = list(draws(cfg, haar_blocks))
         assert max(map(len, blocks)) == min(count, block_size(cfg))
         whole = _to_native(haar_comps(cfg), "C")
         assert np.concatenate(blocks).tobytes() == whole.tobytes()
+
+
+class TestDraws:
+    """draws walks the (seed, chunk) grid: the same reductions at every
+    worker count, and no sub-block drawn past cfg.count."""
+
+    @pytest.mark.parametrize(
+        "blocks, reduce",
+        [
+            (gaussian_blocks, lambda X: _frame_distances(X, "R")),
+            (haar_blocks, lambda Q: Q[:, 0, 0].copy()),
+        ],
+        ids=["gaussian", "haar"],
+    )
+    def test_reductions_independent_of_workers(self, blocks, reduce):
+        # Not a multiple of CHUNK: the last chunk ends 37 draws in, inside
+        # its first sub-block of 218.
+        cfg = SamplerConfig("R", 300, 2, seed=9, count=2 * CHUNK + 37)
+        one = list(draws(cfg, blocks, reduce))
+        three = list(draws(cfg, blocks, reduce, workers=3))
+        assert [len(x) for x in one] == [218] * 4 + [152] + [218] * 4 + [152] + [37]
+        assert [x.tobytes() for x in one] == [x.tobytes() for x in three]
+        whole = np.concatenate(list(draws(cfg, blocks)))
+        assert np.concatenate(one).tobytes() == reduce(whole).tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("count, asked", [(3, [0]), (CHUNK + 3, [0] * 5 + [1])])
+    def test_no_sub_block_past_count(self, workers, count, asked):
+        cfg = SamplerConfig("R", 300, 2, seed=9, count=count)
+        assert block_size(cfg) == 218  # five sub-blocks a chunk
+        got = []
+
+        def counted(cfg, chunk_index):
+            for X in gaussian_blocks(cfg, chunk_index):
+                got.append(chunk_index)
+                yield X
+
+        out = list(draws(cfg, counted, workers=workers))
+        assert sorted(got) == asked  # two workers draw the chunks at once
+        assert sum(map(len, out)) == count
 
 
 class TestRestricted:
@@ -417,9 +457,5 @@ class TestCsv:
         with open(path, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == expected
         if not inject:
-            if kind == "haar":
-                chunks = iter_haar_chunks(cfg)
-            else:
-                chunks = iter_chunks(cfg, gaussian_chunk)
-            natives = (_to_native(chunk, field) for chunk in chunks)
-            assert write_native_samples_csv(path, cfg, natives) == expected
+            blocks = haar_blocks if kind == "haar" else gaussian_blocks
+            assert write_native_samples_csv(path, cfg, draws(cfg, blocks)) == expected

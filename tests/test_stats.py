@@ -4,9 +4,10 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
+from mmconc.algebra import _from_native
 from mmconc.errors import DomainError
 from mmconc.gaussian import RadialLaw, norm_cdf
-from mmconc.sampling import SamplerConfig, gaussian_chunk, iter_chunks
+from mmconc.sampling import SamplerConfig, draws, gaussian_blocks
 from mmconc.stats import (
     ObsDiamReport,
     Witness,
@@ -129,6 +130,11 @@ class TestKs:
         assert ks_two_sample(x, y + 0.2) > crit
 
 
+def gaussian_comps(cfg):
+    """The cfg.count Gaussian draws of cfg as one (count, N, n, 4) array."""
+    return np.concatenate(list(draws(cfg, gaussian_blocks, lambda X: _from_native(X, cfg.field))))
+
+
 def _norm(c, axis):
     return np.sqrt(np.sum(np.square(c), axis=axis))
 
@@ -136,7 +142,7 @@ def _norm(c, axis):
 class TestWitnesses:
     def test_family_is_one_lipschitz(self):
         cfg = SamplerConfig("C", 8, 2, seed=10, count=400)
-        comps = np.concatenate(list(iter_chunks(cfg, gaussian_chunk)))
+        comps = gaussian_comps(cfg)
         Zs, Ws = comps[:200], comps[200:]
         z0 = comps[0]
         fam = WitnessFamily.of(
@@ -161,7 +167,7 @@ class TestWitnesses:
 class TestObsDiam:
     def test_report_structure(self):
         cfg = SamplerConfig("R", 10, 1, seed=12, count=500)
-        comps = np.concatenate(list(iter_chunks(cfg, gaussian_chunk)))
+        comps = gaussian_comps(cfg)
         rep = obs_diam_lower(
             comps,
             WitnessFamily.of(
@@ -178,7 +184,7 @@ class TestObsDiam:
         # A fixed coordinate of a Gaussian matrix is standard normal, so
         # the witness value approaches the exact dim-1 partial diameter.
         cfg = SamplerConfig("R", 50, 1, seed=13, count=40000)
-        comps = np.concatenate(list(iter_chunks(cfg, gaussian_chunk)))
+        comps = gaussian_comps(cfg)
         rep = obs_diam_lower(comps, [Witness("coordinate", lambda c: c[..., 3, 0, 0])], 0.5)
         want = 2.0 * 0.67448975019608174  # central half-mass window
         assert rep.per_witness["coordinate"] == pytest.approx(want, rel=0.05)

@@ -4,12 +4,14 @@
         --pairs sample-export=10,haar-polar=6 --traced sample-export \
         --what "<one line>" --out BENCH_<tag>.json
 
-The parent tree is exported with `git archive` into <dir>/parent; the
-change is the checkout this script runs from.  For each traced workload
-both sides run `perfbench/run.py --seed 1 --trace 1` once.  For each
-workload in --pairs, seeds 1..P run `--trace 0` on both sides, the parent
-first on odd seeds and the change first on even ones.  The JSON keeps
-every run's figures, their medians and quartiles, and how many pairs the
+The parent ref is resolved to its commit, which the JSON records as
+`parent_commit`, so a ref such as HEAD still names the commit measured
+once HEAD moves.  That commit's tree is exported with `git archive` into
+<dir>/parent; the change is the checkout this script runs from.  For
+each traced workload both sides run `perfbench/run.py --seed 1 --trace 1`
+once.  For each workload in --pairs, seeds 1..P run `--trace 0` on both
+sides, the parent first on odd seeds and the change first on even ones.
+The JSON keeps every run's figures, their medians and quartiles, and how many pairs the
 change won (lower is better for every end-to-end metric).  A run that
 fails stops the script with exit code 1 and writes no JSON: one that
 exits non-zero, reports failed operations or reads `correct: false`.
@@ -61,6 +63,15 @@ def bench(tree, workload, seed, seconds, trace):
     return result
 
 
+def resolve_commit(ref, cwd=ROOT):
+    """The full hash of the commit that ref names in the repository at cwd."""
+    proc = subprocess.run(["git", "rev-parse", "--verify", "--quiet", ref + "^{commit}"],
+                          cwd=cwd, capture_output=True, text=True)
+    if proc.returncode:
+        sys.exit("--parent %r names no commit" % ref)
+    return proc.stdout.strip()
+
+
 def summary(runs):
     q1, _, q3 = statistics.quantiles(runs, n=4)
     return {"median": statistics.median(runs), "q1": q1, "q3": q3, "runs": runs}
@@ -105,12 +116,14 @@ def main():
     parent = os.path.join(os.path.abspath(args.scratch), "parent")
     shutil.rmtree(parent, ignore_errors=True)
     os.makedirs(parent)
-    archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT, capture_output=True, check=True)
+    commit = resolve_commit(args.parent)
+    archive = subprocess.run(["git", "archive", commit], cwd=ROOT, capture_output=True, check=True)
     subprocess.run(["tar", "-x", "-C", parent], input=archive.stdout, check=True)
 
     traced = [w for w in args.traced.split(",") if w]
     result = {
         "what": args.what,
+        "parent_commit": commit,
         "machine": "%d-CPU %s, Python %s, numpy %s; BLAS pinned to one thread by perfbench" % (
             os.cpu_count(), platform.machine(), platform.python_version(), np.__version__),
         # The scratch location does not affect the figures.
