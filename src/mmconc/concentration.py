@@ -7,13 +7,17 @@ The statistics run on the native arrays of `algebra` (R (..., N, n), C
 (..., N, n), H (..., 2N, n)): membership reads the column norms and pair
 overlaps off one native Gram block, and `membership_native`,
 `phi_native` and `_frame_distances` take native batches straight from
-the samplers.  `membership_mask` is one conversion around
-`membership_native` for batches in the (..., N, n, 4) interchange
-layout.
+the samplers.  Membership and the distances read only the Gram matrix,
+so fullmeas and prok hand them the compressed draws of
+`sampling.compressed_blocks`, n rows at every N; N is therefore an
+argument of theirs, not the row count.  `membership_mask` is one
+conversion around `membership_native` for batches in the (..., N, n, 4)
+interchange layout.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -64,16 +68,22 @@ def _norms_overlaps(X, field):
     return norms, mag / (safe[..., :, None] * safe[..., None, :])
 
 
-def _radius(X, field):
-    """The scaled frame radius sqrt(N^F - 1) for a native batch X."""
-    N = X.shape[-2] // (2 if field == "H" else 1)
+def _radius(N, field):
+    """The scaled frame radius sqrt(N^F - 1) in F^N."""
     return math.sqrt(N * field_dim(field) - 1.0)
 
 
-def membership_native(X, field, eps, theta_val):
-    """Boolean membership of each entry of a native batch."""
+def membership_native(X, field, eps, theta_val, N):
+    """Boolean membership in the approximation space of F^{N x n} of each
+    entry of a native batch.
+
+    Membership reads only the column norms and overlaps, that is the Gram
+    matrix, so X may be a full N-row draw or any batch with the same Gram
+    law, such as the compressed draws of sampling.compressed_blocks.  N is
+    the caller's, never the row count of X, and sets the band's radius.
+    """
     n = X.shape[-1]
-    r = _radius(X, field)
+    r = _radius(N, field)
     norms, ov = _norms_overlaps(X, field)
     ok = np.all((norms > (1.0 - eps) * r) & (norms < (1.0 + eps) * r), axis=-1)
     if n > 1:
@@ -84,14 +94,19 @@ def membership_native(X, field, eps, theta_val):
 
 def membership_mask(comps, field, eps, theta_val):
     """Boolean membership of each entry of a batch (S, N, n, 4)."""
-    return membership_native(_to_native(comps, field), field, eps, theta_val)
+    return membership_native(_to_native(comps, field), field, eps, theta_val, comps.shape[-3])
 
 
-def _frame_distances(X, field):
-    """Distance of each draw of a native batch to the frames scaled by
-    sqrt(N^F - 1): | |z| - r | for one column, otherwise from the
-    singular values."""
-    r = _radius(X, field)
+def _frame_distances(X, field, N):
+    """Distance of each draw of a native batch to the N x n frames scaled
+    by sqrt(N^F - 1): | |z| - r | for one column, otherwise from the
+    singular values.
+
+    The distance reads only the singular values, the roots of the Gram
+    eigenvalues, so X may be a full N-row draw or a compressed one (see
+    membership_native); N is the caller's and sets the radius.
+    """
+    r = _radius(N, field)
     if X.shape[-1] == 1:
         return np.abs(_frobenius(X) - r)
     lam = singular_values_native(X, field)
@@ -112,7 +127,7 @@ def _dp_lower(d):
 def phi_native(X, field):
     """Polar frames scaled to the manifold radius for a native batch."""
     q, _ = polar_q_native(X, field)
-    q *= _radius(X, field)
+    q *= _radius(X.shape[-2] // (2 if field == "H" else 1), field)
     return q
 
 
@@ -261,9 +276,14 @@ def prok_experiment(N, n, field, sample_size=100000, seed=0, workers=1):
     dP_lower is the smallest eps with an empirical (1 - eps) fraction of
     Gaussian draws within distance eps of the manifold; it bounds the
     Prohorov gap between the Gaussian law and its projection from below.
+    The distances are those of compressed draws (p = 0): the singular
+    values of the n x n Bartlett factor have the law of the full draw's.
     """
     cfg = sampling.SamplerConfig(field, N, n, seed=seed, count=sample_size)
     d = sampling.draws(
-        cfg, sampling.gaussian_blocks, lambda X: _frame_distances(X, field), workers
+        cfg,
+        functools.partial(sampling.compressed_blocks, p=0),
+        lambda X: _frame_distances(X, field, N),
+        workers,
     )
     return prok_report(np.concatenate(list(d)))

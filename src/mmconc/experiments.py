@@ -5,12 +5,16 @@ per-(N, n, field) summary lines.  A sampling experiment hands
 `sampling.draws` a per-draw reduction (a coordinate, a membership mask, a
 distance); `sampling` alone walks the fixed grid of 1024-draw chunks keyed
 by (seed, chunk) and reduces each sub-block as it draws it, so memory
-does not grow with N.  A worker pool only changes who reduces a chunk,
-never its content, so output bytes are independent of the worker count.
+does not grow with N.  fullmeas, prok, mbdist and obsdiam read only the
+Gram matrix or the top row of a Haar frame, so they reduce compressed
+draws (`sampling.compressed_blocks`), whose cost does not grow with N
+at all.  A worker pool only changes who reduces a chunk, never its
+content, so output bytes are independent of the worker count.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -82,12 +86,22 @@ class ExperimentResult:
     extra_json: dict = dc_field(default_factory=dict)
 
 
-def _haar_coordinates(cfg, field, N, n):
-    """Real part of the first entry of cfg.samples scaled Haar frames."""
-    scfg = sampling.SamplerConfig(field, N, n, seed=cfg.seed, count=cfg.samples)
-    # A copy per sub-block, so no frame outlives its sub-block.
+def _haar_coordinates(cfg, field, N):
+    """Real part of the first entry z_11 of cfg.samples scaled Haar frames
+    in F^N.
+
+    z_11 reads only the frame's first column, and the first column of a
+    Haar frame, whatever its n, is uniform on the sphere of F^N (of radius
+    sqrt(N^F - 1) once scaled).  So one column suffices, and its top entry
+    comes from the top row of a compressed one-column frame (haar_blocks
+    with p = 1): a draw of two numbers at every N and n.
+    """
+    scfg = sampling.SamplerConfig(field, N, 1, seed=cfg.seed, count=cfg.samples)
     coords = sampling.draws(
-        scfg, sampling.haar_blocks, lambda Q: Q[:, 0, 0].real.copy(), cfg.workers
+        scfg,
+        functools.partial(sampling.haar_blocks, p=1),
+        lambda Q: Q[:, 0, 0].real,
+        cfg.workers,
     )
     return np.concatenate(list(coords))
 
@@ -99,7 +113,7 @@ def run_mbdist(cfg):
     for field in cfg.fields:
         for N in cfg.N_list:
             n = cfg.n_for(N)
-            ks = stats.ks_statistic(_haar_coordinates(cfg, field, N, n), gaussian.norm_cdf)
+            ks = stats.ks_statistic(_haar_coordinates(cfg, field, N), gaussian.norm_cdf)
             rows.append([N, n, field, cfg.samples, "ks_vs_normal", ks])
             summaries.append(
                 "mbdist field=%s N=%d n=%d ks=%.5f" % (field, N, n, ks)
@@ -121,8 +135,8 @@ def run_fullmeas(cfg):
             scfg = sampling.SamplerConfig(field, N, n, seed=cfg.seed, count=cfg.samples)
             hits = sampling.draws(
                 scfg,
-                sampling.gaussian_blocks,
-                lambda X: concentration.membership_native(X, field, sch.eps_N, sch.theta_N),
+                functools.partial(sampling.compressed_blocks, p=0),
+                lambda X: concentration.membership_native(X, field, sch.eps_N, sch.theta_N, N),
                 cfg.workers,
             )
             mask = np.concatenate(list(hits))
@@ -232,7 +246,7 @@ def run_obsdiam(cfg):
     for field in cfg.fields:
         for N in cfg.N_list:
             n = cfg.n_for(N)
-            coords = _haar_coordinates(cfg, field, N, n)
+            coords = _haar_coordinates(cfg, field, N)
             # Samples carry the sqrt(N^F - 1) radius; dividing it out and
             # multiplying by sqrt(N^F) lands on the dimension-free target.
             NF = N * field_dim(field)

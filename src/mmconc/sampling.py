@@ -1,6 +1,6 @@
-"""Seeded samplers: Gaussian matrices, Haar frames via the polar factor,
-and the rejection sampler for the Gaussian law conditioned on the
-approximation space.
+"""Seeded samplers: Gaussian matrices, compressed Gaussian draws, Haar
+frames via the polar factor, and the rejection sampler for the Gaussian
+law conditioned on the approximation space.
 
 Determinism contract: output bytes depend on the seed and on STREAM,
 never on the worker count or on how a chunk is sub-blocked.  The sample
@@ -27,11 +27,23 @@ statistic of `experiments` or `concentration`, on a thread pool if asked.
 The interchange functions (`gaussian_chunk`, `haar_chunk`, `haar_comps`)
 convert sub-blocks to component arrays (..., N, n, 4).
 
-STREAM names this construction: the generator, the normal transform and
-the native draw layout.  It is folded into the run digest and written as
-"stream" to every manifest and sample sidecar, so output of one stream
-cannot pass as output of another; any change to the draws (including one
-inside numpy's SFC64 or standard_normal) must bump it.
+A statistic that reads only the Gram matrix X* X, or only the top p rows
+of the Haar frame, runs on `compressed_blocks` instead: the (p + m) x n
+draw [X_p; R], m = min(N - p, n), with X_p the first p rows of the
+Gaussian matrix and R the upper-trapezoidal Bartlett factor of the other
+N - p rows.  Its Gram matrix has the law of X* X, and the top p rows of
+its polar frame (`haar_blocks` with p) the law of the Haar frame's, so a
+draw costs the same at every N.  It fills its draws from the chunk's
+stream as gaussian_blocks does, and the chi-square diagonal of R from the
+chunk's second stream, spawn_key=(c, a, 1) (a = 0 for the first draw),
+so its bytes do not depend on the sub-block size either.
+
+STREAM names this construction: the generator, the normal transform, the
+native draw layout, and the compressed draw with its two keys.  It is
+folded into the run digest and written as "stream" to every manifest and
+sample sidecar, so output of one stream cannot pass as output of another;
+any change to the draws (including one inside numpy's SFC64,
+standard_normal or standard_gamma) must bump it.
 """
 
 from __future__ import annotations
@@ -51,7 +63,7 @@ from .errors import DomainError, InfeasibleError, ShapeMismatchError
 log = logging.getLogger(__name__)
 
 CHUNK = 1024
-STREAM = "sfc64-native-1"
+STREAM = "sfc64-bartlett-1"
 
 # Float64 components per sub-block of a chunk, in bytes: one sub-block's
 # draw and the kernel temporaries stay near this size whatever N is.
@@ -111,37 +123,94 @@ class SamplerConfig:
         return float(np.sqrt(self.N * field_dim(self.field) - 1.0))
 
 
-def chunk_generator(seed, chunk_index, attempt=0):
+def chunk_generator(seed, chunk_index, attempt=0, stream=0):
+    """The SFC64 generator of a chunk: spawn_key (c,) for its draw, (c, a)
+    for resample attempt a >= 1, and (c, a, s) for its second stream s = 1
+    (the chi-square diagonal of compressed_blocks)."""
     key = (chunk_index,) if attempt == 0 else (chunk_index, attempt)
+    if stream:
+        key = (chunk_index, attempt, stream)
     ss = np.random.SeedSequence(seed, spawn_key=key)
     return np.random.Generator(np.random.SFC64(ss))
 
 
-def block_size(cfg):
-    """Matrices per sub-block: as many as BLOCK_BYTES of components hold,
-    at least one and at most a chunk."""
+def block_size(cfg, rows=None):
+    """Matrices per sub-block: as many as BLOCK_BYTES of components of
+    rows x n matrices (rows = N by default) hold, at least one and at most
+    a chunk."""
     d = field_dim(cfg.field)
-    return min(CHUNK, max(1, BLOCK_BYTES // (8 * cfg.N * cfg.n * d)))
+    rows = cfg.N if rows is None else rows
+    return min(CHUNK, max(1, BLOCK_BYTES // (8 * rows * cfg.n * d)))
 
 
-def gaussian_blocks(cfg, chunk_index, attempt=0):
-    """Yield one chunk of standard Gaussian matrices as native sub-blocks
-    (k, rows, n), k = block_size(cfg), in order from the chunk's stream.
+def _normal_blocks(gen, cfg, rows):
+    """Yield one chunk of standard Gaussian rows x n matrices over
+    cfg.field as native sub-blocks (k, ., n), k = block_size(cfg, rows),
+    in order from gen.
 
-    Each sub-block is drawn in its native layout: R (k, N, n) reals, C
-    (k, N, n) and H (k, 2N, n) complex entries, each the (real,
+    Each sub-block is drawn in its native layout: R (k, rows, n) reals, C
+    (k, rows, n) and H (k, 2 rows, n) complex entries, each the (real,
     imaginary) pair of two consecutive normals.  Over H the lower half is
     -conj Z2 for Z = Z1 + Z2 j, and the negated conjugate of a standard
     complex normal is one too, so Z is standard Gaussian."""
-    gen = chunk_generator(cfg.seed, chunk_index, attempt)
-    rows = 2 * cfg.N if cfg.field == "H" else cfg.N
-    k = block_size(cfg)
+    native_rows = 2 * rows if cfg.field == "H" else rows
+    k = block_size(cfg, rows)
     for start in range(0, CHUNK, k):
-        shape = (min(k, CHUNK - start), rows, cfg.n)
+        shape = (min(k, CHUNK - start), native_rows, cfg.n)
         if cfg.field == "R":
             yield gen.standard_normal(shape)
         else:
             yield gen.standard_normal(shape + (2,)).view(np.complex128)[..., 0]
+
+
+def gaussian_blocks(cfg, chunk_index, attempt=0):
+    """Yield one chunk of standard Gaussian N x n matrices as native
+    sub-blocks (k, rows, n), k = block_size(cfg), in order from the
+    chunk's stream (see _normal_blocks)."""
+    yield from _normal_blocks(chunk_generator(cfg.seed, chunk_index, attempt), cfg, cfg.N)
+
+
+def compressed_blocks(cfg, chunk_index, p, attempt=0):
+    """Yield one chunk of compressed Gaussian draws [X_p; R] as native
+    sub-blocks of (p + m) x n matrices, m = min(N - p, n).
+
+    X_p is p rows of standard F-normals.  R is the m x n upper-trapezoidal
+    Bartlett factor of the other N - p rows Y: Y* Y has the law of R* R
+    when R_ii^2 ~ chi^2_{d(N - p - i)} and the entries above the
+    diagonal are standard F-normals, all independent, every real
+    component of unit variance as in every draw here (R. J. Muirhead, Aspects of Multivariate
+    Statistical Theory, Wiley 1982, Thm 3.2.14; I. Dumitriu and A.
+    Edelman, J. Math. Phys. 43, 2002, for C and H).  With m = N - p < n,
+    R is the first N - p rows of that triangle.  So the Gram matrix of
+    [X_p; R] has the law of the full draw's, and the top p rows of its
+    polar frame, X_p (X_p* X_p + W)^(-1/2) with W = Y* Y independent of
+    X_p, have the law of the Haar frame's.  A draw costs O((p + n) n)
+    numbers whatever N is.
+
+    The normals fill whole (p + m) x n draws from the chunk's stream, in
+    the order of gaussian_blocks; the entries of R below its diagonal are
+    then zeroed, and its diagonal is overwritten with the roots of
+    2 Gamma(d(N - p - i) / 2) draws, in (draw, i) order from the chunk's
+    second stream, chunk_generator(seed, chunk, attempt, 1).  Both streams
+    are read in draw order, so the bytes do not depend on the sub-block
+    size.
+    """
+    m = min(cfg.N - p, cfg.n)
+    rows = p + m
+    shape = field_dim(cfg.field) * (cfg.N - p - np.arange(m)) / 2.0
+    below = np.tri(m, cfg.n, -1, dtype=bool)
+    i = np.arange(m)
+    chi = chunk_generator(cfg.seed, chunk_index, attempt, 1)
+    for X in _normal_blocks(chunk_generator(cfg.seed, chunk_index, attempt), cfg, rows):
+        R = X[:, p:rows]
+        R[:, below] = 0.0
+        R[:, i, i] = np.sqrt(2.0 * chi.standard_gamma(shape, (len(X), m)))
+        if cfg.field == "H":
+            # The -conj Z2 half of R: zero on and below the diagonal.
+            R = X[:, rows + p :]
+            R[:, below] = 0.0
+            R[:, i, i] = 0.0
+        yield X
 
 
 def gaussian_chunk(cfg, chunk_index, attempt=0):
@@ -151,20 +220,29 @@ def gaussian_chunk(cfg, chunk_index, attempt=0):
     return _from_native(X, cfg.field)
 
 
-def haar_blocks(cfg, chunk_index):
+def haar_blocks(cfg, chunk_index, p=None):
     """Yield one chunk of (scaled) Haar frames as native sub-blocks, the
     polar frames of gaussian_blocks(cfg, chunk_index).
 
     The Gaussian law is invariant under left unitaries and the polar
     frame is equivariant, so the frame law inherits left invariance and
-    is the Haar measure.  A rank-deficient draw (probability zero up to
-    floating point) in sub-block j is replaced by the draw at the same
-    place in sub-block j of the derived stream of attempt 1, 2, ..., at
-    most MAX_RESAMPLES times before InfeasibleError, and logged.  Every
-    stream equals its sub-blocks in order, so this is the same as
-    resampling from whole chunks.
+    is the Haar measure.  With p, the frames are those of
+    compressed_blocks(cfg, chunk_index, p) instead: (p + m)-row frames
+    whose top p rows have the law of the top p rows of a Haar frame in
+    F^N, and whose other rows mean nothing.  A rank-deficient draw
+    (probability zero up to floating point) in sub-block j is replaced by
+    the draw at the same place in sub-block j of the derived stream of
+    attempt 1, 2, ..., at most MAX_RESAMPLES times before InfeasibleError,
+    and logged.  Every stream equals its sub-blocks in order, so this is
+    the same as resampling from whole chunks.
     """
-    for j, X in enumerate(gaussian_blocks(cfg, chunk_index)):
+
+    def draw(attempt):
+        if p is None:
+            return gaussian_blocks(cfg, chunk_index, attempt)
+        return compressed_blocks(cfg, chunk_index, p, attempt)
+
+    for j, X in enumerate(draw(0)):
         q, lam_min = polar_q_native(X, cfg.field)
         bad = lam_min < 1e-8
         attempt = 1
@@ -179,7 +257,7 @@ def haar_blocks(cfg, chunk_index):
                 int(bad.sum()),
                 chunk_index,
             )
-            fresh = next(islice(gaussian_blocks(cfg, chunk_index, attempt), j, None))
+            fresh = next(islice(draw(attempt), j, None))
             qf, lf = polar_q_native(fresh, cfg.field)
             q[bad] = qf[bad]
             lam_min[bad] = lf[bad]
@@ -258,7 +336,7 @@ def sample_restricted_gaussian(cfg, eps, theta_val=None, floor=1e-3, min_proposa
     chunk_index = 0
     while got < cfg.count:
         for X in gaussian_blocks(cfg, chunk_index):
-            mask = concentration.membership_native(X, cfg.field, eps, theta_val)
+            mask = concentration.membership_native(X, cfg.field, eps, theta_val, cfg.N)
             accepted += int(mask.sum())
             good = X[mask][: cfg.count - got]
             if good.shape[0]:

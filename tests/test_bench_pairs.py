@@ -74,3 +74,61 @@ def test_parent_ref_resolves_to_its_commit(tmp_path):
     assert bench_pairs.resolve_commit("HEAD", cwd=repo) != first
     with pytest.raises(SystemExit, match="names no commit"):
         bench_pairs.resolve_commit("no-such-ref", cwd=repo)
+
+
+@pytest.mark.parametrize(
+    "text, bad",
+    [
+        ("gaussian-mass=1", "gaussian-mass=1"),
+        ("haar-polar=4,gaussian-mass", "gaussian-mass"),
+        ("haar-polar=x", "haar-polar=x"),
+        ("=3", "=3"),
+    ],
+)
+def test_bad_pairs_item_is_named(text, bad):
+    with pytest.raises(SystemExit) as exc:
+        _bench_pairs().parse_pairs(text)
+    assert repr(bad) in str(exc.value.code)
+
+
+def test_pairs_are_checked_before_any_run(tmp_path, monkeypatch):
+    # A count of 1 used to run every pair and then fail in the quartiles,
+    # writing no JSON; now main stops before it exports or runs anything.
+    bench_pairs = _bench_pairs()
+    ran = []
+    monkeypatch.setattr(bench_pairs, "bench", lambda *a: ran.append(a))
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **k: ran.append(a))
+    monkeypatch.setattr(
+        "sys.argv",
+        ["bench_pairs.py", "--parent", "HEAD", "--scratch", str(tmp_path),
+         "--pairs", "gaussian-mass=1", "--what", "x", "--out", str(tmp_path / "b.json")],
+    )
+    with pytest.raises(SystemExit, match="'gaussian-mass=1'"):
+        bench_pairs.main()
+    assert ran == [] and not (tmp_path / "b.json").exists()
+    assert bench_pairs.parse_pairs("haar-polar=10,gaussian-mass=2") == [
+        ("haar-polar", 10), ("gaussian-mass", 2)
+    ]
+
+
+def _side(runs):
+    return _bench_pairs().summary(runs)
+
+
+@pytest.mark.parametrize(
+    "parent, change, met",
+    [
+        # Ten wins out of ten, medians 0.20 against 0.08: met.
+        ([0.20 + 0.001 * i for i in range(10)], [0.08 + 0.001 * i for i in range(10)], True),
+        # Nine of ten, with a gap above the parent's quartile spread: met.
+        ([0.20] * 9 + [0.05], [0.10] * 10, True),
+        # Eight of ten: not met, whatever the gap.
+        ([0.20] * 8 + [0.05] * 2, [0.10] * 10, False),
+        # Every pair won, but by less than the parent's quartile spread.
+        ([0.10, 0.20, 0.30, 0.40], [0.09, 0.19, 0.29, 0.39], False),
+    ],
+    ids=["all-wins", "nine-of-ten", "eight-of-ten", "inside-spread"],
+)
+def test_claim_met(parent, change, met):
+    wins = sum(c < p for p, c in zip(parent, change))
+    assert _bench_pairs().claim_met(_side(parent), _side(change), wins, len(parent)) is met

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from mmconc.decomp import polar
 from mmconc.errors import DomainError
 from mmconc.sampling import (
     SamplerConfig,
+    compressed_blocks,
     draws,
     gaussian_blocks,
     gaussian_chunk,
@@ -138,7 +140,7 @@ def test_native_membership_matches_componentwise_reference(case):
     if n > 1:
         margin = np.minimum(margin, np.min(np.abs(ref_ov[..., off] - theta_val), axis=-1))
     decided = margin > 1e-9 * max(1.0, r)
-    mask = membership_native(_to_native(comps, field), field, eps, theta_val)
+    mask = membership_native(_to_native(comps, field), field, eps, theta_val, N)
     assert mask.shape == comps.shape[:-3]
     np.testing.assert_array_equal(mask[decided], ref_mask[decided])
     np.testing.assert_array_equal(membership_mask(comps, field, eps, theta_val), mask)
@@ -238,8 +240,8 @@ class TestProk:
         # For one column the manifold distance collapses to | ||Z|| - r |.
         rep = prok_experiment(25, 1, "R", sample_size=2000, seed=1)
         cfg = SamplerConfig("R", 25, 1, seed=1, count=2000)
-        comps = np.concatenate([gaussian_chunk(cfg, 0), gaussian_chunk(cfg, 1)])[: cfg.count]
-        d = np.abs(np.sqrt(np.sum(np.square(comps), axis=(1, 2, 3))) - cfg.radius)
+        Z = np.concatenate(list(draws(cfg, partial(compressed_blocks, p=0))))
+        d = np.abs(np.sqrt(np.sum(np.square(Z), axis=(1, 2))) - cfg.radius)
         assert rep.mean_distance == pytest.approx(float(d.mean()), rel=1e-12)
         assert rep.quantiles[50] == pytest.approx(float(np.quantile(d, 0.5)), rel=1e-10)
 
@@ -251,8 +253,8 @@ class TestProk:
         # The distances prok sorts, bit for bit: the level can be one of
         # them, and a route that rounds it an ulp higher puts it on the
         # other side.  test_n1_distance_is_norm_gap checks the values.
-        blocks = draws(cfg, gaussian_blocks)
-        d = np.sort(np.concatenate([_frame_distances(X, "R") for X in blocks]))
+        blocks = draws(cfg, partial(compressed_blocks, p=0))
+        d = np.sort(np.concatenate([_frame_distances(X, "R", 25) for X in blocks]))
         eps = rep.dP_lower
         frac = np.searchsorted(d, eps, side="left") / d.size
         assert frac >= 1.0 - eps

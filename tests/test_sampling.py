@@ -83,7 +83,7 @@ class TestDeterminism:
         for field in ("R", "C", "H"):
             h.update(gaussian_chunk(SamplerConfig(field, 4, 2, seed=0), 0).tobytes())
         assert (STREAM, h.hexdigest()) == (
-            "sfc64-native-1",
+            "sfc64-bartlett-1",
             "6555e3d850995bcf7c60bf6406a721e1ea2acc0b88104fe511ec021f2152a809",
         )
 
@@ -217,11 +217,11 @@ class TestSubBlocks:
         assert CHUNK % k
         whole = _whole_draw(cfg, 2)
         assert np.concatenate(blocks).tobytes() == whole.tobytes()
-        mask = membership_native(whole, field, EPS, THETA)
+        mask = membership_native(whole, field, EPS, THETA, N)
         assert mask.any() and not mask.all()
         for stat in (
-            lambda X: membership_native(X, field, EPS, THETA),
-            lambda X: _frame_distances(X, field),
+            lambda X: membership_native(X, field, EPS, THETA, N),
+            lambda X: _frame_distances(X, field, N),
         ):
             assert np.concatenate([stat(X) for X in blocks]).tobytes() == stat(whole).tobytes()
         q, _ = polar_q_native(whole, field)
@@ -261,7 +261,7 @@ class TestSubBlocks:
         taken, chunk_index = [], 0
         while sum(map(len, taken)) < cfg.count:
             X = _whole_draw(cfg, chunk_index)
-            taken.append(X[membership_native(X, field, EPS, THETA)])
+            taken.append(X[membership_native(X, field, EPS, THETA, N)])
             chunk_index += 1
         assert rs.native.tobytes() == np.concatenate(taken)[: cfg.count].tobytes()
         assert rs.proposed == chunk_index * CHUNK
@@ -282,7 +282,7 @@ class TestDraws:
     @pytest.mark.parametrize(
         "blocks, reduce",
         [
-            (gaussian_blocks, lambda X: _frame_distances(X, "R")),
+            (gaussian_blocks, lambda X: _frame_distances(X, "R", 300)),
             (haar_blocks, lambda Q: Q[:, 0, 0].copy()),
         ],
         ids=["gaussian", "haar"],
@@ -319,7 +319,7 @@ class TestRestricted:
     def test_members_and_rate(self):
         cfg = SamplerConfig("R", 40, 2, seed=6, count=300)
         rs = sample_restricted_gaussian(cfg, 0.5)
-        assert membership_native(rs.native, "R", 0.5, theta(0.5)).all()
+        assert membership_native(rs.native, "R", 0.5, theta(0.5), 40).all()
         assert rs.native.shape == (300, 40, 2)
         assert 0.0 < rs.acceptance_rate <= 1.0
         # Whole-chunk accounting: rate is a deterministic function of

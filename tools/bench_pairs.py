@@ -11,8 +11,11 @@ once HEAD moves.  That commit's tree is exported with `git archive` into
 each traced workload both sides run `perfbench/run.py --seed 1 --trace 1`
 once.  For each workload in --pairs, seeds 1..P run `--trace 0` on both
 sides, the parent first on odd seeds and the change first on even ones.
-The JSON keeps every run's figures, their medians and quartiles, and how many pairs the
-change won (lower is better for every end-to-end metric).  A run that
+The JSON keeps every run's figures, their medians and quartiles, how many pairs the
+change won (lower is better for every end-to-end metric), and `claim_met`: whether
+the change won at least nine tenths of the pairs and its median beats the parent's
+by more than the parent's quartile spread.  --pairs is checked before any run:
+each item is workload=count with count >= 2, as quartiles need two runs.  A run that
 fails stops the script with exit code 1 and writes no JSON: one that
 exits non-zero, reports failed operations or reads `correct: false`.
 The script then prints the run's side, workload, seed and exit code with
@@ -77,6 +80,26 @@ def summary(runs):
     return {"median": statistics.median(runs), "q1": q1, "q3": q3, "runs": runs}
 
 
+def parse_pairs(text):
+    """[(workload, count)] of a --pairs value; exits naming the first bad
+    item."""
+    out = []
+    for item in text.split(","):
+        workload, sep, count = item.partition("=")
+        if not (workload and sep and count.isdigit() and int(count) >= 2):
+            sys.exit("--pairs item %r is not workload=count with count >= 2" % item)
+        out.append((workload, int(count)))
+    return out
+
+
+def claim_met(parent, change, wins, count):
+    """Whether a claimed gain holds: the change won at least nine tenths of
+    the pairs, and the parent's median exceeds the change's by more than
+    the parent's quartile spread."""
+    gap = parent["median"] - change["median"]
+    return 10 * wins >= 9 * count and gap > parent["q3"] - parent["q1"]
+
+
 def pairs(parent, workload, count, seconds):
     sides = {"parent": [], "change": []}
     for seed in range(1, count + 1):
@@ -92,12 +115,15 @@ def pairs(parent, workload, count, seconds):
     for name, meta in sides["change"][0]["metrics"].items():
         p = [r["metrics"][name]["value"] for r in sides["parent"]]
         c = [r["metrics"][name]["value"] for r in sides["change"]]
+        wins = int(sum(b < a for a, b in zip(p, c)))
+        ps, cs = summary(p), summary(c)
         out["metrics"][name] = {
             "unit": meta["unit"],
-            "parent": summary(p),
-            "change": summary(c),
+            "parent": ps,
+            "change": cs,
             "pairs": count,
-            "change_wins": int(sum(b < a for a, b in zip(p, c))),
+            "change_wins": wins,
+            "claim_met": claim_met(ps, cs, wins, count),
         }
     return out
 
@@ -112,6 +138,7 @@ def main():
     ap.add_argument("--what", required=True)
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
+    todo = parse_pairs(args.pairs)
 
     parent = os.path.join(os.path.abspath(args.scratch), "parent")
     shutil.rmtree(parent, ignore_errors=True)
@@ -138,9 +165,8 @@ def main():
     for workload in traced:
         result["traced"]["parent"][workload] = bench(parent, workload, 1, args.seconds, 1)
         result["traced"]["change"][workload] = bench(ROOT, workload, 1, args.seconds, 1)
-    for item in args.pairs.split(","):
-        workload, count = item.split("=")
-        result["untraced_pairs"][workload] = pairs(parent, workload, int(count), args.seconds)
+    for workload, count in todo:
+        result["untraced_pairs"][workload] = pairs(parent, workload, count, args.seconds)
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=1, sort_keys=True)
         fh.write("\n")
