@@ -315,19 +315,21 @@ def condition_check(rule, N_max, condition=None):
     N_max = int(N_max)
     if N_max < 4:
         raise DomainError("need N_max >= 4")
-    dense = np.arange(3, min(N_max, 2000) + 1)
-    grid = dense
+    grid = np.arange(3, min(N_max, 2000) + 1)
     if N_max > 2000:
-        coarse = np.unique(
-            np.geomspace(2000, N_max, 400).astype(np.int64)
-        )
-        grid = np.unique(np.concatenate([dense, coarse]))
+        # Both parts are nondecreasing and meet at 2000, so dropping
+        # repeats of the previous point gives np.unique's grid.
+        grid = np.concatenate([grid, np.geomspace(2000, N_max, 400).astype(np.int64)])
+        grid = grid[np.concatenate(([True], np.diff(grid) > 0))]
     vals = np.array(
         [condition.expression(int(N), max(1, int(n_of(int(N))))) for N in grid]
     )
     k = int(np.argmax(vals))
-    tail = vals[-max(8, len(vals) // 10) :]
-    prev = vals[-max(16, len(vals) // 5) : -max(8, len(vals) // 10)]
+    if len(vals) < 16:  # the windows below would leave prev short or empty
+        tail, prev = vals[len(vals) // 2 :], vals[: len(vals) // 2]
+    else:
+        tail = vals[-max(8, len(vals) // 10) :]
+        prev = vals[-max(16, len(vals) // 5) : -max(8, len(vals) // 10)]
     trend = "increasing" if tail.mean() > prev.mean() + 1e-9 else "bounded"
     return ConditionReport(
         sup_value=float(vals[k]),

@@ -257,14 +257,34 @@ class ProkReport:
     mean_distance: float
 
 
+def _sorted_quantile(d, q):
+    """np.quantile(d, q) of a sorted 1-d array d, bit for bit: numpy's
+    default linear rule (Hyndman-Fan type 7) in its own rounding.  With
+    h = (S - 1) q and t its fractional part, the value between a = d[floor h]
+    and the next b is b - (b - a)(1 - t) for t >= 0.5, else a + (b - a) t;
+    from h >= S - 1 on it is d[-1]."""
+    h = (d.size - 1) * q
+    i = math.floor(h)
+    if i >= d.size - 1:
+        return float(d[-1])
+    a, b = float(d[i]), float(d[i + 1])
+    t = h - i
+    return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
+
+
 def prok_report(d):
     """The prok statistics of an array of distances to the scaled frame
     manifold: dP_lower, the 5, 25, 50, 75 and 95 percent quantiles, the
-    sample size and the mean."""
+    sample size and the mean.
+
+    The quantiles are read off the sorted distances by `_sorted_quantile`
+    rather than `np.quantile`, which sorts again and, through `np.unique`,
+    imports all of `numpy.ma` on its first call: about a third of a short
+    run's CPU.  The values are the same bytes."""
     d = np.sort(d)
     return ProkReport(
         dP_lower=_dp_lower(d),
-        quantiles={p: float(np.quantile(d, p / 100.0)) for p in (5, 25, 50, 75, 95)},
+        quantiles={p: _sorted_quantile(d, p / 100.0) for p in (5, 25, 50, 75, 95)},
         sample_size=d.size,
         mean_distance=float(np.mean(d)),
     )

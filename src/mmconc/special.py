@@ -3,10 +3,14 @@ standard normal CDF, adaptive quadrature and bisection.
 
 Everything here is pure numpy.  Accuracy targets: <= 1e-12 relative for
 erfc and the regularized incomplete gamma on their tested ranges,
-1e-10 absolute for the quadrature.
+1e-10 absolute for the quadrature.  The quadrature's Gauss-Legendre
+nodes are built on its first call, so importing this module loads no
+`numpy.polynomial`.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -231,16 +235,23 @@ def norm_cdf(r):
     return out if out.shape else float(out)
 
 
-_GL10_X, _GL10_W = np.polynomial.legendre.leggauss(10)
-_GL21_X, _GL21_W = np.polynomial.legendre.leggauss(21)
+@functools.cache
+def _gauss_legendre():
+    """The 10- and 21-point Gauss-Legendre (nodes, weights), built on the
+    first quadrature rather than at import: `leggauss` loads all of
+    `numpy.polynomial`, which no experiment reads."""
+    from numpy.polynomial.legendre import leggauss
+
+    return leggauss(10), leggauss(21)
 
 
-def _panel(f, a, b):
+def _panel(f, a, b, rules):
     """Low- and high-order Gauss estimates on one panel."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    lo = half * float(np.dot(_GL10_W, f(mid + half * _GL10_X)))
-    hi = half * float(np.dot(_GL21_W, f(mid + half * _GL21_X)))
+    (x10, w10), (x21, w21) = rules
+    lo = half * float(np.dot(w10, f(mid + half * x10)))
+    hi = half * float(np.dot(w21, f(mid + half * x21)))
     return lo, hi
 
 
@@ -253,11 +264,12 @@ def adaptive_quad(f, a, b, tol=1e-10, max_depth=48):
     """
     if b <= a:
         return 0.0
+    rules = _gauss_legendre()
     total = 0.0
     stack = [(float(a), float(b), tol, 0)]
     while stack:
         lo_x, hi_x, t, depth = stack.pop()
-        lo, hi = _panel(f, lo_x, hi_x)
+        lo, hi = _panel(f, lo_x, hi_x, rules)
         if abs(hi - lo) <= t or depth >= max_depth:
             total += hi
         else:

@@ -1,5 +1,7 @@
 import math
 import time
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -242,6 +244,32 @@ class TestConditionCheck:
         report = condition_check("powerlog:1.0", 10**6, ass(0.5))
         assert report.trend in ("increasing", "bounded")
         assert math.isfinite(report.sup_value)
+
+    @pytest.mark.parametrize("N_max", [2001, 10**5, 10**6, 10**9])
+    def test_grid_is_the_unique_grid(self, N_max):
+        report = condition_check("const:1", N_max, condi())
+        dense = np.arange(3, 2001)
+        coarse = np.unique(np.geomspace(2000, N_max, 400).astype(np.int64))
+        want = np.unique(np.concatenate([dense, coarse]))
+        assert report.grid.dtype == want.dtype
+        assert np.array_equal(report.grid, want)
+
+    @pytest.mark.parametrize("N_max", [4, 10, 17])
+    def test_short_grid_compares_two_halves(self, N_max):
+        # Below 16 grid points the fixed windows leave the earlier one
+        # short, and at N_max <= 10 empty: its mean of nothing warned,
+        # and every trend read bounded.
+        up = SimpleNamespace(expression=lambda N, n: N)
+        down = SimpleNamespace(expression=lambda N, n: -N)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            flat = condition_check("const:2", N_max, condi())
+            rising = condition_check("const:1", N_max, up)
+            falling = condition_check("const:1", N_max, down)
+        assert len(flat.grid) == N_max - 2
+        assert math.isfinite(flat.sup_value)
+        assert rising.trend == "increasing"
+        assert falling.trend == "bounded"
 
 
 class TestVBound:

@@ -12,6 +12,7 @@ from mmconc.concentration import (
     ApproxSpaceParams,
     _frame_distances,
     _norms_overlaps,
+    _sorted_quantile,
     lipschitz_experiment,
     membership_mask,
     membership_native,
@@ -260,6 +261,22 @@ class TestProk:
         assert frac >= 1.0 - eps
         frac_lo = np.searchsorted(d, eps * 0.99, side="left") / d.size
         assert frac_lo < 1.0 - eps * 0.99 + 1e-9
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.one_of(
+            st.lists(st.floats(-1e6, 1e6, allow_subnormal=False), min_size=1, max_size=5000),
+            # few distinct values, so ties and long runs of repeats
+            st.lists(st.sampled_from([0.0, 0.1, 0.25, 1.0, 3.5]), min_size=1, max_size=5000),
+            st.lists(st.floats(0.0, 2.0), min_size=1, max_size=2),
+        )
+    )
+    def test_sorted_quantile_is_numpys_bit_for_bit(self, values):
+        d = np.sort(np.array(values, dtype=np.float64))
+        for p in (5, 25, 50, 75, 95):
+            got = _sorted_quantile(d, p / 100.0)
+            want = float(np.quantile(d, p / 100.0))
+            assert got.hex() == want.hex(), (d.size, p)
 
     def test_quantiles_ordered(self):
         rep = prok_experiment(30, 2, "C", sample_size=1000, seed=2)

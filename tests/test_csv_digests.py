@@ -59,3 +59,22 @@ def test_listing_starts_with_the_stream(monkeypatch, capsys):
     assert lines[0] == "stream  " + sampling.STREAM
     assert len(lines) > 1
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines[1:])
+
+
+def test_values_lines_do_not_move_with_the_stream(tmp_path, monkeypatch):
+    monkeypatch.delenv("MMCONC_SEED", raising=False)
+    module = _csv_digests()
+    small = ["--field", "c", "--N", "6", "--n", "const:2", "--samples", "1000"]
+    monkeypatch.setattr(module, "RUN_SETS", {"small": small})
+    monkeypatch.setattr(module, "SAMPLES", ["--N", "4", "--n", "2", "--count", "30"])
+    before = dict((name, digest) for digest, name in module.digests(str(tmp_path / "a")))
+    monkeypatch.setattr(sampling, "STREAM", sampling.STREAM + "-renamed")
+    after = dict((name, digest) for digest, name in module.digests(str(tmp_path / "b")))
+    assert before.keys() == after.keys()
+    values = [name for name in before if name.endswith("#values")]
+    assert "run-prok-small/prok.csv#values" in values
+    assert "sample-haar-c.csv.json#values" in values
+    assert all(before[name] == after[name] for name in values)
+    # The whole files name the stream, so each of them moved.
+    moved = {name for name in before if before[name] != after[name]}
+    assert moved == {name[: -len("#values")] for name in values}

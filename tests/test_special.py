@@ -155,6 +155,13 @@ class TestQuadrature:
         got = adaptive_quad(lambda x: np.exp(-((x - 0.3) ** 2) * 1e4), 0.0, 1.0, tol=1e-12)
         assert got == pytest.approx(math.sqrt(math.pi) * 1e-2, rel=1e-9)
 
+    def test_values_pinned(self):
+        # The bytes of two integrals from when the Gauss-Legendre nodes
+        # were built at import; building them on first use keeps them.
+        got = adaptive_quad(lambda x: np.exp(-x * x), 0.0, 3.0)
+        assert got.hex() == "0x1.c5bcf8347fc1ep-1"
+        assert adaptive_quad(np.sin, 0.0, 2.5, tol=1e-12).hex() == "0x1.cd17bf7c2c5c5p+0"
+
     def test_bisect(self):
         root = bisect(lambda x: x * x - 2.0, 0.0, 2.0, tol=1e-14)
         assert root == pytest.approx(math.sqrt(2.0), abs=1e-12)

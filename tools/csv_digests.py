@@ -7,9 +7,13 @@ configurations, plus `mmconc sample` of both kinds over each field, in a
 temporary directory, and prints one `sha256  file` line per output,
 sorted by file.  The manifests are left out: they hold timestamps.  The
 first line, `stream  <sampling.STREAM>`, names the random stream, so the
-listings of two streams never diff as equal.  It imports mmconc from the
-`src/` of the checkout it sits in, so run it on two checkouts and diff
-the output to see which bytes a change moves.
+listings of two streams never diff as equal.  A bump of the stream
+moves every run CSV (its `run_digest` column) and every sample sidecar
+(its `stream` and `csv_sha256`), so each of those also gets a
+`<file>#values` line: the digest of the file without those fields, which
+moves only when the values do.  It imports mmconc from the `src/` of the
+checkout it sits in, so run it on two checkouts and diff the output to
+see which bytes a change moves.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -52,8 +57,21 @@ def runs(out):
                    "--seed", SEED, "--out", where]
 
 
+def values(name, data):
+    """The bytes of output name that do not name the stream, or None for an
+    output that does not name it: a run CSV without its last column,
+    `run_digest`, or a sample sidecar without `stream` and `csv_sha256`."""
+    if name.endswith(".csv.json"):
+        meta = {k: v for k, v in json.loads(data).items() if k not in ("stream", "csv_sha256")}
+        return json.dumps(meta, sort_keys=True).encode()
+    if name.startswith("run-") and name.endswith(".csv"):
+        return b"".join(line.rsplit(b",", 1)[0] + b"\n" for line in data.splitlines())
+    return None
+
+
 def digests(out):
-    """(sha256, path relative to out) of every output but the manifests."""
+    """(sha256, path relative to out) of every output but the manifests,
+    and (sha256, path#values) of its `values` where it has them."""
     os.environ.pop("MMCONC_SEED", None)  # it would override every seed
     for argv in runs(out):
         with contextlib.redirect_stdout(io.StringIO()):
@@ -65,8 +83,13 @@ def digests(out):
             if name == "manifest.json":
                 continue
             path = os.path.join(root, name)
+            rel = os.path.relpath(path, out)
             with open(path, "rb") as fh:
-                yield hashlib.sha256(fh.read()).hexdigest(), os.path.relpath(path, out)
+                data = fh.read()
+            yield hashlib.sha256(data).hexdigest(), rel
+            masked = values(rel, data)
+            if masked is not None:
+                yield hashlib.sha256(masked).hexdigest(), rel + "#values"
 
 
 def main():
