@@ -22,6 +22,7 @@ reference the tests check the native arithmetic against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,11 @@ def field_dim(field):
         return FIELDS[field]
     except KeyError:
         raise DomainError("unknown field tag %r (expected R, C or H)" % (field,))
+
+
+def frame_radius(N, field):
+    """Column radius sqrt(N^F - 1) of the scaled frame manifold in F^N."""
+    return math.sqrt(N * field_dim(field) - 1.0)
 
 
 def _check_comps(field, comps):

@@ -268,7 +268,9 @@ def cmd_sample(args):
         blocks = sampling.gaussian_blocks
     else:
         blocks = sampling.haar_blocks
-    digest = sampling.write_native_samples_csv(args.out, cfg, sampling.draws(cfg, blocks))
+    digest = sampling.write_native_samples_csv(
+        args.out, cfg, sampling.draws(cfg, blocks), args.kind
+    )
     print("wrote %d %s samples to %s (sha256 %s...)" % (
         args.count, args.kind, args.out, digest[:12],
     ))

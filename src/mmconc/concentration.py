@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, sampling, stats
-from .algebra import _frobenius, _gram, _native, _real_view, _to_native, field_dim
+from .algebra import _frobenius, _gram, _native, _real_view, _to_native, field_dim, frame_radius
 from .decomp import polar_q_native, singular_values_native
 from .errors import DomainError, PreconditionError
 
@@ -68,11 +68,6 @@ def _norms_overlaps(X, field):
     return norms, mag / (safe[..., :, None] * safe[..., None, :])
 
 
-def _radius(N, field):
-    """The scaled frame radius sqrt(N^F - 1) in F^N."""
-    return math.sqrt(N * field_dim(field) - 1.0)
-
-
 def membership_native(X, field, eps, theta_val, N):
     """Boolean membership in the approximation space of F^{N x n} of each
     entry of a native batch.
@@ -83,7 +78,7 @@ def membership_native(X, field, eps, theta_val, N):
     the caller's, never the row count of X, and sets the band's radius.
     """
     n = X.shape[-1]
-    r = _radius(N, field)
+    r = frame_radius(N, field)
     norms, ov = _norms_overlaps(X, field)
     ok = np.all((norms > (1.0 - eps) * r) & (norms < (1.0 + eps) * r), axis=-1)
     if n > 1:
@@ -106,7 +101,7 @@ def _frame_distances(X, field, N):
     eigenvalues, so X may be a full N-row draw or a compressed one (see
     membership_native); N is the caller's and sets the radius.
     """
-    r = _radius(N, field)
+    r = frame_radius(N, field)
     if X.shape[-1] == 1:
         return np.abs(_frobenius(X) - r)
     lam = singular_values_native(X, field)
@@ -127,7 +122,7 @@ def _dp_lower(d):
 def phi_native(X, field):
     """Polar frames scaled to the manifold radius for a native batch."""
     q, _ = polar_q_native(X, field)
-    q *= _radius(X.shape[-2] // (2 if field == "H" else 1), field)
+    q *= frame_radius(X.shape[-2] // (2 if field == "H" else 1), field)
     return q
 
 

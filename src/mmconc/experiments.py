@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import bounds, concentration, gaussian, sampling, stats
-from .algebra import FMatrix, field_dim
+from .algebra import FMatrix, _native, field_dim, frame_radius
 from .decomp import dist_to_scaled_stiefel, polar
 from .errors import ConfigError, DomainError
 
@@ -318,9 +318,8 @@ def run_decomp_props(cfg):
         for _ in range(count):
             N = int(gen.integers(2, 21))
             n = int(gen.integers(1, min(N, 5) + 1))
-            comps = np.zeros((2, N, n, 4))
-            comps[..., :d] = gen.standard_normal((2, N, n, d))
-            Z1, Z2 = FMatrix(field, comps[0]), FMatrix(field, comps[1])
+            X = _native(gen.standard_normal((2, N, n, d)), field)
+            Z1, Z2 = FMatrix._wrap(field, X[0]), FMatrix._wrap(field, X[1])
             p1, p2 = polar(Z1), polar(Z2)
             recon = (p1.q @ p1.h - Z1).norm / max(1.0, Z1.norm)
             worst_recon = max(worst_recon, recon)
@@ -332,7 +331,7 @@ def run_decomp_props(cfg):
                 rhs = min(lam1, lam2) * (p1.q - p2.q).norm
                 if lhs < rhs * (1.0 - 1e-9):
                     li_violations += 1
-            r = math.sqrt(N * d - 1.0)
+            r = frame_radius(N, field)
             closed = dist_to_scaled_stiefel(Z1, r)
             direct = (Z1 - p1.q.scale(r)).norm
             nearest_gap = max(nearest_gap, abs(closed - direct))

@@ -7,10 +7,10 @@ never on the worker count or on how a chunk is sub-blocked.  The sample
 index space is split into fixed-size chunks of 1024; chunk c draws its
 standard normals, in C order, with `Generator.standard_normal` (the
 ziggurat method of Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000) from an
-SFC64 generator seeded by SeedSequence(seed, spawn_key=(c,)), and a
-resample of attempt a from spawn_key=(c, a).  One draw of shape
-(1024, ...) equals, bit for bit, four consecutive (256, ...) draws from
-the same generator, and which worker consumes a chunk never changes it.
+SFC64 generator seeded by SeedSequence(seed, spawn_key=(c,)).  One draw
+of shape (1024, ...) equals, bit for bit, four consecutive (256, ...)
+draws from the same generator, and which worker consumes a chunk never
+changes it.
 
 A chunk is drawn and reduced in sub-blocks, consecutive slices of its one
 stream: `gaussian_blocks` draws k = BLOCK_BYTES // (8 N n d) matrices at a
@@ -20,10 +20,13 @@ native array of `algebra`: R (k, N, n) float64, C (k, N, n) and H
 (k, 2N, n) complex128 from consecutive (real, imaginary) pairs, the H
 rows being [Z1; -conj Z2].  The samplers compute on native arrays from
 there on: `haar_blocks` runs the polar factor per sub-block and the
-rejection sampler tests membership per sub-block.  `draws` is the one
-walk over the chunk grid: it yields the sub-blocks of chunks 0, 1, ...
-cut to the sample count, each reduced by a per-draw function such as a
-statistic of `experiments` or `concentration`, on a thread pool if asked.
+rejection sampler tests membership per sub-block.  A Haar frame is the
+polar frame of its draw under the one rank policy of `decomp`
+(RANK_TOL): an ill-conditioned draw takes its frame from the SVD.
+`draws` is the one walk over the chunk grid: it yields the sub-blocks of
+chunks 0, 1, ... cut to the sample count, each reduced by a per-draw
+function such as a statistic of `experiments` or `concentration`, on a
+thread pool if asked.
 The interchange functions (`gaussian_chunk`, `haar_chunk`, `haar_comps`)
 convert sub-blocks to component arrays (..., N, n, 4).
 
@@ -35,43 +38,37 @@ N - p rows.  Its Gram matrix has the law of X* X, and the top p rows of
 its polar frame (`haar_blocks` with p) the law of the Haar frame's, so a
 draw costs the same at every N.  It fills its draws from the chunk's
 stream as gaussian_blocks does, and the chi-square diagonal of R from the
-chunk's second stream, spawn_key=(c, a, 1) (a = 0 for the first draw),
-so its bytes do not depend on the sub-block size either.
+chunk's second stream, spawn_key=(c, 0, 1), so its bytes do not depend
+on the sub-block size either.
 
 STREAM names this construction: the generator, the normal transform, the
-native draw layout, and the compressed draw with its two keys.  It is
-folded into the run digest and written as "stream" to every manifest and
-sample sidecar, so output of one stream cannot pass as output of another;
-any change to the draws (including one inside numpy's SFC64,
+native draw layout, the compressed draw with its two keys, and the rank
+policy of the Haar frames.  It is folded into the run digest and written
+as "stream" to every manifest and sample sidecar, so output of one
+stream cannot pass as output of another; any change to the draws or to
+the frames made of them (including one inside numpy's SFC64,
 standard_normal or standard_gamma) must bump it.
 """
 
 from __future__ import annotations
 
 import contextlib
-import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
-from .algebra import _components, _from_native, field_dim
+from .algebra import _components, _from_native, field_dim, frame_radius
 from .decomp import polar_q_native
 from .errors import DomainError, InfeasibleError, ShapeMismatchError
 
-log = logging.getLogger(__name__)
-
 CHUNK = 1024
-STREAM = "sfc64-bartlett-1"
+STREAM = "sfc64-bartlett-2"
 
 # Float64 components per sub-block of a chunk, in bytes: one sub-block's
 # draw and the kernel temporaries stay near this size whatever N is.
 BLOCK_BYTES = 1 << 20
-
-# Rank-deficient Gaussian draws have probability zero; a chunk that still
-# holds one after this many fresh draws points at a broken stream or kernel.
-MAX_RESAMPLES = 8
 
 # Values that write_native_samples_csv renders in one pass: enough to
 # amortise the numpy calls, few enough that a pass, about 200 bytes a
@@ -120,16 +117,14 @@ class SamplerConfig:
     @property
     def radius(self):
         """Column radius sqrt(N^F - 1) of the scaled frame manifold."""
-        return float(np.sqrt(self.N * field_dim(self.field) - 1.0))
+        return frame_radius(self.N, self.field)
 
 
-def chunk_generator(seed, chunk_index, attempt=0, stream=0):
-    """The SFC64 generator of a chunk: spawn_key (c,) for its draw, (c, a)
-    for resample attempt a >= 1, and (c, a, s) for its second stream s = 1
-    (the chi-square diagonal of compressed_blocks)."""
-    key = (chunk_index,) if attempt == 0 else (chunk_index, attempt)
-    if stream:
-        key = (chunk_index, attempt, stream)
+def chunk_generator(seed, chunk_index, stream=0):
+    """The SFC64 generator of a chunk: spawn_key (c,) for its draw and
+    (c, 0, s) for its second stream s = 1 (the chi-square diagonal of
+    compressed_blocks)."""
+    key = (chunk_index, 0, stream) if stream else (chunk_index,)
     ss = np.random.SeedSequence(seed, spawn_key=key)
     return np.random.Generator(np.random.SFC64(ss))
 
@@ -163,14 +158,14 @@ def _normal_blocks(gen, cfg, rows):
             yield gen.standard_normal(shape + (2,)).view(np.complex128)[..., 0]
 
 
-def gaussian_blocks(cfg, chunk_index, attempt=0):
+def gaussian_blocks(cfg, chunk_index):
     """Yield one chunk of standard Gaussian N x n matrices as native
     sub-blocks (k, rows, n), k = block_size(cfg), in order from the
     chunk's stream (see _normal_blocks)."""
-    yield from _normal_blocks(chunk_generator(cfg.seed, chunk_index, attempt), cfg, cfg.N)
+    yield from _normal_blocks(chunk_generator(cfg.seed, chunk_index), cfg, cfg.N)
 
 
-def compressed_blocks(cfg, chunk_index, p, attempt=0):
+def compressed_blocks(cfg, chunk_index, p):
     """Yield one chunk of compressed Gaussian draws [X_p; R] as native
     sub-blocks of (p + m) x n matrices, m = min(N - p, n).
 
@@ -191,7 +186,7 @@ def compressed_blocks(cfg, chunk_index, p, attempt=0):
     the order of gaussian_blocks; the entries of R below its diagonal are
     then zeroed, and its diagonal is overwritten with the roots of
     2 Gamma(d(N - p - i) / 2) draws, in (draw, i) order from the chunk's
-    second stream, chunk_generator(seed, chunk, attempt, 1).  Both streams
+    second stream, chunk_generator(seed, chunk, 1).  Both streams
     are read in draw order, so the bytes do not depend on the sub-block
     size.
     """
@@ -200,8 +195,8 @@ def compressed_blocks(cfg, chunk_index, p, attempt=0):
     shape = field_dim(cfg.field) * (cfg.N - p - np.arange(m)) / 2.0
     below = np.tri(m, cfg.n, -1, dtype=bool)
     i = np.arange(m)
-    chi = chunk_generator(cfg.seed, chunk_index, attempt, 1)
-    for X in _normal_blocks(chunk_generator(cfg.seed, chunk_index, attempt), cfg, rows):
+    chi = chunk_generator(cfg.seed, chunk_index, 1)
+    for X in _normal_blocks(chunk_generator(cfg.seed, chunk_index), cfg, rows):
         R = X[:, p:rows]
         R[:, below] = 0.0
         R[:, i, i] = np.sqrt(2.0 * chi.standard_gamma(shape, (len(X), m)))
@@ -213,10 +208,10 @@ def compressed_blocks(cfg, chunk_index, p, attempt=0):
         yield X
 
 
-def gaussian_chunk(cfg, chunk_index, attempt=0):
+def gaussian_chunk(cfg, chunk_index):
     """One full chunk of standard Gaussian matrices as component arrays
     (CHUNK, N, n, 4)."""
-    X = np.concatenate(list(gaussian_blocks(cfg, chunk_index, attempt)))
+    X = np.concatenate(list(gaussian_blocks(cfg, chunk_index)))
     return _from_native(X, cfg.field)
 
 
@@ -229,40 +224,16 @@ def haar_blocks(cfg, chunk_index, p=None):
     is the Haar measure.  With p, the frames are those of
     compressed_blocks(cfg, chunk_index, p) instead: (p + m)-row frames
     whose top p rows have the law of the top p rows of a Haar frame in
-    F^N, and whose other rows mean nothing.  A rank-deficient draw
-    (probability zero up to floating point) in sub-block j is replaced by
-    the draw at the same place in sub-block j of the derived stream of
-    attempt 1, 2, ..., at most MAX_RESAMPLES times before InfeasibleError,
-    and logged.  Every stream equals its sub-blocks in order, so this is
-    the same as resampling from whole chunks.
+    F^N, and whose other rows mean nothing.  An ill-conditioned draw,
+    a rank-deficient one included, gets the frame of decomp.polar from
+    its SVD (see polar_q_native).
     """
-
-    def draw(attempt):
-        if p is None:
-            return gaussian_blocks(cfg, chunk_index, attempt)
-        return compressed_blocks(cfg, chunk_index, p, attempt)
-
-    for j, X in enumerate(draw(0)):
-        q, lam_min = polar_q_native(X, cfg.field)
-        bad = lam_min < 1e-8
-        attempt = 1
-        while np.any(bad):
-            if attempt > MAX_RESAMPLES:
-                raise InfeasibleError(
-                    "%d draws in chunk %d stay rank-deficient after %d resamples"
-                    % (int(bad.sum()), chunk_index, MAX_RESAMPLES)
-                )
-            log.warning(
-                "resampling %d rank-deficient draws in chunk %d",
-                int(bad.sum()),
-                chunk_index,
-            )
-            fresh = next(islice(draw(attempt), j, None))
-            qf, lf = polar_q_native(fresh, cfg.field)
-            q[bad] = qf[bad]
-            lam_min[bad] = lf[bad]
-            bad = lam_min < 1e-8
-            attempt += 1
+    if p is None:
+        blocks = gaussian_blocks(cfg, chunk_index)
+    else:
+        blocks = compressed_blocks(cfg, chunk_index, p)
+    for X in blocks:
+        q, _ = polar_q_native(X, cfg.field)
         if cfg.scaled:
             q *= cfg.radius
         yield q
@@ -389,14 +360,15 @@ def _prefetch(items):
         yield fetched()
 
 
-def write_native_samples_csv(path, cfg, blocks):
+def write_native_samples_csv(path, cfg, blocks, kind):
     """Dump samples: idx, field, N, n, comp_0 ... comp_{4Nn-1}.
 
     blocks is an iterable of native (k, ...) arrays, cfg.count samples in
-    all, such as draws(cfg, haar_blocks).  Component k belongs to
-    entry (k // 4 // n, k // 4 % n), scalar slot k % 4; slots beyond the
-    field dimension are left empty.  A JSON sidecar records the config
-    and the stream.
+    all, such as draws(cfg, haar_blocks), and kind names what they are
+    ("gaussian" or "haar").  Component k belongs to entry
+    (k // 4 // n, k // 4 % n), scalar slot k % 4; slots beyond the field
+    dimension are left empty.  A JSON sidecar records the kind, the
+    config and the stream.
 
     The file is written by three concurrent stages, each handing on only
     what the next has taken, so the samples are never held at once: a
@@ -460,6 +432,7 @@ def write_native_samples_csv(path, cfg, blocks):
     write_json(
         str(path) + ".json",
         {
+            "kind": kind,
             "field": cfg.field,
             "N": cfg.N,
             "n": cfg.n,

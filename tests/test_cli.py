@@ -261,6 +261,19 @@ class TestSample:
         assert meta["field"] == "C" and meta["count"] == 5
         assert "wrote 5 gaussian samples" in capsys.readouterr().out
 
+    def test_sidecars_record_the_kind(self, tmp_path):
+        # The same config of both kinds: the sidecars differ in kind, and
+        # otherwise only in the digest of their CSVs.
+        meta = {}
+        for kind in ("gaussian", "haar"):
+            out = str(tmp_path / (kind + ".csv"))
+            assert run_cli(["sample", "--kind", kind, "--field", "h", "--N", "3", "--n", "2",
+                            "--count", "4", "--seed", "2", "--out", out]) == 0
+            meta[kind] = json.load(open(out + ".json"))
+        assert (meta["gaussian"]["kind"], meta["haar"]["kind"]) == ("gaussian", "haar")
+        differ = {key for key in meta["haar"] if meta["haar"][key] != meta["gaussian"][key]}
+        assert differ == {"kind", "csv_sha256"}
+
     def test_haar_unscaled_norm(self, tmp_path):
         out = str(tmp_path / "h.csv")
         assert run_cli(
@@ -297,7 +310,9 @@ def test_sample_streams_the_same_bytes(kind, tmp_path, capsys):
     cfg = sampling.SamplerConfig("C", 4, 2, seed=3, count=sampling.CHUNK + 5)
     chunk = sampling.haar_chunk if kind == "haar" else sampling.gaussian_chunk
     comps = np.concatenate([chunk(cfg, 0), chunk(cfg, 1)[:5]])
-    ref = sampling.write_native_samples_csv(str(tmp_path / "ref.csv"), cfg, [_to_native(comps, "C")])
+    ref = sampling.write_native_samples_csv(
+        str(tmp_path / "ref.csv"), cfg, [_to_native(comps, "C")], kind
+    )
     assert json.load(open(out + ".json"))["csv_sha256"] == ref
     with open(out, "rb") as a, open(str(tmp_path / "ref.csv"), "rb") as b:
         assert a.read() == b.read()
@@ -341,7 +356,7 @@ class TestSamplePipeline:
         cfg = sampling.SamplerConfig("C", 400, 2, seed=5, count=400)
         ref = str(tmp_path / "ref.csv")
         whole = [np.concatenate(list(sampling.draws(cfg, sampling.haar_blocks)))]
-        assert digests == [sampling.write_native_samples_csv(ref, cfg, whole)] * 2
+        assert digests == [sampling.write_native_samples_csv(ref, cfg, whole, "haar")] * 2
 
     def test_draw_failure(self, tmp_path, monkeypatch, capsys):
         real = sampling.haar_blocks

@@ -86,7 +86,7 @@ class TestDeterminism:
             for field in FIELDS
         }
         assert (STREAM, got) == (
-            "sfc64-bartlett-1",
+            "sfc64-bartlett-2",
             {
                 "R": "dca9ec8f7fc70eeb56e38ae516e089a7ef20b55d5a1449073da776f0c78aa3ac",
                 "C": "289dceb75706467548811aaf7f9f1e8184ac5cff969ea7be236c69f66f1c3fa6",

@@ -28,6 +28,9 @@ def test_runs_cover_every_experiment_and_sample_kind(tmp_path):
         if argv[0] == "sample"
     }
     assert samples == {(kind, f) for kind in ("gaussian", "haar") for f in "rch"}
+    square = [argv for argv in argvs if "square" in argv[-1]]
+    assert [argv[argv.index("--field") + 1] for argv in square] == list("rch")
+    assert all(argv[argv.index("--N") + 1] == argv[argv.index("--n") + 1] for argv in square)
     assert all(argv[argv.index("--seed") + 1] == "7" for argv in argvs)
 
 

@@ -10,6 +10,7 @@ from mmconc.decomp import (
     hopf_dist,
     polar,
     polar_q_batched,
+    polar_q_native,
     singular_values,
     singular_values_native,
     svd,
@@ -357,7 +358,10 @@ def test_polar_frame_orthonormal_near_rank_deficiency(sample):
     # Column j is column i perturbed by 1e-4 to 1e-17: condition numbers
     # from about 1e4 up to exact rank deficiency in floating point, where
     # the Gram route Q = Z (Z* Z)^(-1/2) lost orthonormality (2.6e-4 over
-    # H at N = 5, n = 4 and a 1e-5 perturbation).
+    # H at N = 5, n = 4 and a 1e-5 perturbation).  The batched kernel,
+    # on a batch of one, must keep the frame orthonormal too.
     field, Z = sample
     q = polar(Z).q
     assert (q.adjoint() @ q - FMatrix.identity(field, Z.n)).norm <= 1e-8
+    q_b = FMatrix._wrap(field, polar_q_native(Z.native[None], field)[0][0])
+    assert (q_b.adjoint() @ q_b - FMatrix.identity(field, Z.n)).norm <= 1e-8

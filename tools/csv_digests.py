@@ -3,9 +3,10 @@
     python3 tools/csv_digests.py
 
 Runs every `mmconc run` experiment over R, C and H on small fixed
-configurations, plus `mmconc sample` of both kinds over each field, in a
-temporary directory, and prints one `sha256  file` line per output,
-sorted by file.  The manifests are left out: they hold timestamps.  The
+configurations, plus `mmconc sample` of both kinds over each field and
+one square Haar export (N = n = 4) a field, in a temporary directory,
+and prints one `sha256  file` line per output, sorted by file.  The
+manifests are left out: they hold timestamps.  The
 first line, `stream  <sampling.STREAM>`, names the random stream, so the
 listings of two streams never diff as equal.  A bump of the stream
 moves every run CSV (its `run_digest` column) and every sample sidecar
@@ -40,6 +41,10 @@ RUN_SETS = {
 }
 LARGE_ONLY = ("fullmeas", "bounds")
 SAMPLES = ["--N", "10", "--n", "3", "--count", "1500"]
+# Square frames: about 0.5 % of the 4 x 4 draws over R are ill-conditioned
+# enough to take the SVD frame, so a change to the polar rank policy moves
+# these exports.
+SQUARE = ["--N", "4", "--n", "4", "--count", "1500"]
 
 
 def runs(out):
@@ -55,6 +60,10 @@ def runs(out):
             where = os.path.join(out, "sample-%s-%s.csv" % (kind, field))
             yield ["sample", "--kind", kind, "--field", field, *SAMPLES,
                    "--seed", SEED, "--out", where]
+    for field in "rch":
+        where = os.path.join(out, "sample-haar-square-%s.csv" % field)
+        yield ["sample", "--kind", "haar", "--field", field, *SQUARE,
+               "--seed", SEED, "--out", where]
 
 
 def values(name, data):
