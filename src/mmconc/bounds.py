@@ -105,14 +105,20 @@ class Schedule:
         }
 
 
-def make_schedule(N, n_N, condition=None):
-    """All derived scalars for one (N, n_N) under a growth condition."""
-    if condition is None:
-        condition = condi()
+def check_dimensions(N, n_N):
+    """PreconditionError unless (N, n_N) has a schedule: N >= 3 and
+    1 <= n_N <= N - 1."""
     if N < 3:
         raise PreconditionError("need N >= 3")
     if not 1 <= n_N <= N - 1:
         raise PreconditionError("need 1 <= n_N <= N - 1")
+
+
+def make_schedule(N, n_N, condition=None):
+    """All derived scalars for one (N, n_N) under a growth condition."""
+    if condition is None:
+        condition = condi()
+    check_dimensions(N, n_N)
     logN1 = math.log(N - 1.0)
     p_N = math.log(n_N) / logN1
     a_N = condition.exponent_a(p_N)

@@ -14,8 +14,8 @@ import os
 import sys
 import time
 
-from . import __version__, bounds, csvio, experiments, sampling
-from .errors import ConfigError, InfeasibleError, MmconcError
+from . import __version__, bounds, csvio, experiments, sampling, stats
+from .errors import ConfigError, InfeasibleError, MmconcError, PreconditionError
 
 FIELD_NAMES = {"r": "R", "c": "C", "h": "H"}
 
@@ -101,9 +101,18 @@ def build_config(args):
             raise ConfigError(
                 "rule %s gives n = %d at N = %d; need 1 <= n <= N" % (cfg.n_rule, n, N)
             )
+        if cfg.experiment in experiments.SCHEDULED:
+            try:
+                bounds.check_dimensions(N, n)
+            except PreconditionError as exc:
+                raise ConfigError("%s at N = %d, n = %d: %s" % (cfg.experiment, N, n, exc))
     cfg.condition_obj()
     if cfg.samples < 1:
         raise ConfigError("samples must be >= 1")
+    if cfg.experiment == "pushforward" and cfg.samples < stats.KS_MIN_SAMPLES:
+        raise ConfigError(
+            "pushforward needs samples >= %d for its KS critical value" % stats.KS_MIN_SAMPLES
+        )
     if not 0.0 < cfg.eps < 1.0:
         raise ConfigError("eps must lie in (0, 1)")
     if not all(0.0 < kappa < 1.0 for kappa in cfg.kappa_list):

@@ -206,7 +206,6 @@ def pushforward_test(
     params,
     sample_size=10000,
     seed=0,
-    alpha=0.01,
     scaled_reference=True,
 ):
     """Two-sample KS panel: phi of restricted Gaussians against Haar frames.
@@ -233,7 +232,7 @@ def pushforward_test(
     direction = _panel_direction(params.field, params.N, params.n, seed)
     sa = _panel_statistics(pushed, params.field, direction)
     sb = _panel_statistics(reference, params.field, direction)
-    crit = stats.ks_critical(sample_size, sample_size, alpha=alpha)
+    crit = stats.ks_critical(sample_size, sample_size)
     ks = {name: stats.ks_two_sample(sa[name], sb[name]) for name in sa}
     return PushforwardReport(
         ks=ks,

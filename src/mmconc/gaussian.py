@@ -66,10 +66,6 @@ class RadialLaw:
         return special.bisect(lambda r: float(self.cdf(r)) - p, 0.0, hi, tol=tol)
 
 
-def chi_cdf(m, t):
-    return RadialLaw.of(m).cdf(t)
-
-
 def annulus_mass(m, eps):
     """Gaussian mass of the annulus of radii (1 +- eps) * sqrt(m-1) in
     dimension m, as a float.

@@ -66,6 +66,12 @@ from .errors import DomainError, InfeasibleError, ShapeMismatchError
 CHUNK = 1024
 STREAM = "sfc64-bartlett-2"
 
+# sample_restricted_gaussian gives up once its acceptance rate is below
+# ACCEPTANCE_FLOOR after at least MIN_PROPOSALS proposals, so a space of
+# negligible Gaussian mass cannot keep it drawing forever.
+ACCEPTANCE_FLOOR = 1e-3
+MIN_PROPOSALS = 4096
+
 # Float64 components per sub-block of a chunk, in bytes: one sub-block's
 # draw and the kernel temporaries stay near this size whatever N is.
 BLOCK_BYTES = 1 << 20
@@ -285,19 +291,18 @@ class RestrictedSample:
     proposed: int
 
 
-def sample_restricted_gaussian(cfg, eps, theta_val=None, floor=1e-3, min_proposals=4096):
+def sample_restricted_gaussian(cfg, eps, theta_val):
     """Gaussian law conditioned on the (eps, theta)-approximation space.
 
     Straight rejection sampling; the acceptance rate doubles as the
     Monte Carlo estimate of the space's Gaussian mass.  Aborts when the
-    running rate drops below `floor` after `min_proposals` proposals.
+    running rate drops below ACCEPTANCE_FLOOR after MIN_PROPOSALS
+    proposals.
     """
-    from . import bounds, concentration
+    from . import concentration
 
     if not 0.0 < eps < 1.0:
         raise DomainError("eps must lie in (0, 1)")
-    if theta_val is None:
-        theta_val = bounds.theta(eps)
     if not 0.0 < theta_val < 1.0:
         raise DomainError("theta must lie in (0, 1)")
     taken = []
@@ -314,10 +319,11 @@ def sample_restricted_gaussian(cfg, eps, theta_val=None, floor=1e-3, min_proposa
                 taken.append(good)
                 got += good.shape[0]
         proposed += CHUNK
-        if proposed >= min_proposals and accepted / proposed < floor:
+        if proposed >= MIN_PROPOSALS and accepted / proposed < ACCEPTANCE_FLOOR:
             raise InfeasibleError(
                 "acceptance rate %.2e below floor %.2e after %d proposals; "
-                "a larger eps schedule is needed" % (accepted / proposed, floor, proposed)
+                "a larger eps schedule is needed"
+                % (accepted / proposed, ACCEPTANCE_FLOOR, proposed)
             )
         chunk_index += 1
     return RestrictedSample(

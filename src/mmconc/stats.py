@@ -1,22 +1,24 @@
 """Distance and diameter estimators on empirical data.
 
-Kolmogorov-Smirnov statistics, the Ky Fan distance, partial diameters
-of samples and of the continuous radial laws, and witness-family lower
-bounds for the observable diameter.  A witness is built by its caller
-as `Witness(name, fn)` from any 1-Lipschitz function of batched
-component arrays; this module supplies no fixed family.
+Kolmogorov-Smirnov statistics, the Ky Fan distance, and partial
+diameters of samples and of the continuous radial laws.  An
+observable-diameter estimate is the partial diameter of a 1-Lipschitz
+witness's values, which its caller computes on native arrays.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import gaussian, special
 from .errors import DomainError
+
+# The smallest sample size at which ks_critical trusts the asymptotic
+# Kolmogorov law.
+KS_MIN_SAMPLES = 1000
 
 
 def _values(sample):
@@ -103,73 +105,14 @@ def kolmogorov_critical(alpha):
 
 def ks_critical(n, m=None, alpha=0.01):
     """Asymptotic critical value for one- or two-sample KS tests."""
-    if n < 1000 or (m is not None and m < 1000):
-        raise DomainError("asymptotic critical values need sample sizes >= 1000")
+    if n < KS_MIN_SAMPLES or (m is not None and m < KS_MIN_SAMPLES):
+        raise DomainError(
+            "asymptotic critical values need sample sizes >= %d" % KS_MIN_SAMPLES
+        )
     c = kolmogorov_critical(alpha)
     if m is None:
         return c / math.sqrt(n)
     return c * math.sqrt((n + m) / (n * m))
-
-
-# ---------------------------------------------------------------------------
-# Witness families for observable-diameter lower bounds.
-
-
-@dataclass(frozen=True)
-class Witness:
-    """A named 1-Lipschitz real function on batched component arrays."""
-
-    name: str
-    fn: object
-
-    def __call__(self, comps):
-        return np.asarray(self.fn(comps), dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class WitnessFamily:
-    witnesses: tuple
-
-    @classmethod
-    def of(cls, *witnesses):
-        return cls(tuple(witnesses))
-
-    def verify_lipschitz(self, pair_comps, tol=1e-9):
-        """Check the 1-Lipschitz property on random pairs.
-
-        pair_comps is a pair (Zs, Ws) of batched component arrays.
-        """
-        Zs, Ws = pair_comps
-        dists = np.sqrt(np.sum(np.square(Zs - Ws), axis=(-3, -2, -1)))
-        ok = {}
-        for w in self.witnesses:
-            gaps = np.abs(w(Zs) - w(Ws))
-            with np.errstate(invalid="ignore", divide="ignore"):
-                ratio = np.where(dists > 0, gaps / np.where(dists > 0, dists, 1.0), 0.0)
-            ok[w.name] = float(np.max(ratio)) <= 1.0 + tol
-        return ok
-
-
-@dataclass(frozen=True)
-class ObsDiamReport:
-    per_witness: dict
-    max_value: float
-
-
-def obs_diam_lower(comps, witnesses, kappa):
-    """Witness-family lower bound for the observable diameter.
-
-    The true invariant takes a sup over all 1-Lipschitz functions; the
-    max over this finite family only certifies the lower side.
-    """
-    if isinstance(witnesses, WitnessFamily):
-        family = witnesses.witnesses
-    else:
-        family = tuple(witnesses)
-    per = {}
-    for w in family:
-        per[w.name] = partial_diameter(w(comps), kappa)
-    return ObsDiamReport(per_witness=per, max_value=max(per.values()) if per else 0.0)
 
 
 def law_partial_diameter(dim, kappa, tol=1e-13):
@@ -189,7 +132,7 @@ def law_partial_diameter(dim, kappa, tol=1e-13):
     law = gaussian.RadialLaw.of(dim)
     mass = 1.0 - kappa
     if law.m == 1:
-        return law.quantile(mass)
+        return law.quantile(mass, tol=tol)
     r0 = math.sqrt(law.m - 1.0)
 
     def h(r):

@@ -1,5 +1,6 @@
-"""tools/bench_pairs.py stops on the first run that fails and records the
-parent commit it measured."""
+"""tools/bench_pairs.py stops on the first run that fails, records the
+parent commit it measured, and judges each end-to-end metric against its
+bound."""
 
 import importlib.util
 import json
@@ -132,3 +133,29 @@ def _side(runs):
 def test_claim_met(parent, change, met):
     wins = sum(c < p for p, c in zip(parent, change))
     assert _bench_pairs().claim_met(_side(parent), _side(change), wins, len(parent)) is met
+
+
+@pytest.mark.parametrize(
+    "parent, change, within, unresolved",
+    [
+        # Median 0.10 against 0.12: 20 % slower, inside a 25 % bound.
+        ([0.099, 0.100, 0.100, 0.101], [0.119, 0.120, 0.120, 0.121], True, False),
+        # Median 0.10 against 0.13: 30 % slower, outside it.
+        ([0.099, 0.100, 0.100, 0.101], [0.129, 0.130, 0.130, 0.131], False, False),
+        # Parent quartiles 0.055 and 0.145 around 0.10: wider than the bound.
+        ([0.05, 0.07, 0.13, 0.15], [0.10, 0.10, 0.10, 0.10], True, True),
+    ],
+    ids=["within", "regressed", "unresolved"],
+)
+def test_regression_against_the_bound(parent, change, within, unresolved):
+    got = _bench_pairs().regression(_side(parent), _side(change), 0.25)
+    assert got == {"bound": 0.25, "within_bound": within, "unresolved": unresolved}
+
+
+def test_bounds_are_read_from_end_to_end_only(tmp_path):
+    path = tmp_path / "BENCHMARK.json"
+    path.write_text(json.dumps({
+        "end_to_end": [{"name": "run_s", "bound": 0.25}, {"name": "peak_rss_mb", "bound": 0.15}],
+        "per_layer": [{"name": "decomp.self_s"}],
+    }))
+    assert _bench_pairs().end_to_end_bounds(str(path)) == {"run_s": 0.25, "peak_rss_mb": 0.15}

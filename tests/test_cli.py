@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -168,6 +169,50 @@ def test_unusable_exponent_is_config_error(command, rule, message, tmp_path, cap
     assert run_cli(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        ({"experiment": "fullmeas", "N": "2"}, "fullmeas at N = 2, n = 1: need N >= 3"),
+        ({"experiment": "bounds", "N": "50,2"}, "bounds at N = 2, n = 1: need N >= 3"),
+        ({"experiment": "lipschitz", "N": "5", "n": "const:5"},
+         "lipschitz at N = 5, n = 5: need 1 <= n_N <= N - 1"),
+        ({"experiment": "pushforward", "N": "20", "n": "const:2", "eps": "0.3",
+          "samples": "500"}, "pushforward needs samples >= 1000"),
+    ],
+    ids=["fullmeas-N", "bounds-N", "lipschitz-n", "pushforward-samples"],
+)
+def test_unrunnable_experiment_is_config_error(command, options, message, tmp_path, capsys):
+    # Each of these used to pass validate and then fail its run with exit 1.
+    if command == "run":
+        argv = ["run", options["experiment"]]
+        for key, value in options.items():
+            if key != "experiment":
+                argv += ["--" + key, value]
+        argv += ["--out", str(tmp_path / "out")]
+    else:
+        path = tmp_path / "cfg.ini"
+        path.write_text("".join("%s = %s\n" % item for item in options.items()))
+        argv = ["validate", str(path)]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_obsdiam_target_is_the_normal_partial_diameter():
+    kappas = (0.1, 0.25, 0.5, 0.75)
+    cfg = experiments.ExperimentConfig(
+        experiment="obsdiam", N_list=(10,), kappa_list=kappas, samples=100
+    )
+    result = experiments.run_experiment(cfg)
+    assert [row[3] for row in result.rows] == list(kappas)
+    for row, line in zip(result.rows, result.summaries):
+        want = 2.0 * NormalDist().inv_cdf(1.0 - row[3] / 2.0)
+        assert abs(row[-1] - want) <= 1e-12
+        assert line.endswith("target=%.5f" % want)
 
 
 class TestOutputPaths:

@@ -314,24 +314,25 @@ class TestDraws:
 class TestRestricted:
     def test_members_and_rate(self):
         cfg = SamplerConfig("R", 40, 2, seed=6, count=300)
-        rs = sample_restricted_gaussian(cfg, 0.5)
+        rs = sample_restricted_gaussian(cfg, 0.5, theta(0.5))
         assert membership_native(rs.native, "R", 0.5, theta(0.5), 40).all()
         assert rs.native.shape == (300, 40, 2)
         assert 0.0 < rs.acceptance_rate <= 1.0
         # Whole-chunk accounting: rate is a deterministic function of
         # the seed, never of scheduling.
-        rs2 = sample_restricted_gaussian(cfg, 0.5)
+        rs2 = sample_restricted_gaussian(cfg, 0.5, theta(0.5))
         assert rs2.acceptance_rate == rs.acceptance_rate
 
-    def test_infeasible_raises(self):
+    def test_infeasible_raises(self, monkeypatch):
+        monkeypatch.setattr(sampling, "MIN_PROPOSALS", 2048)
         cfg = SamplerConfig("R", 40, 2, seed=6, count=50)
         with pytest.raises(InfeasibleError):
-            sample_restricted_gaussian(cfg, 0.01, min_proposals=2048)
+            sample_restricted_gaussian(cfg, 0.01, theta(0.01))
 
     def test_eps_domain(self):
         cfg = SamplerConfig("R", 10, 1, seed=0, count=1)
         with pytest.raises(DomainError):
-            sample_restricted_gaussian(cfg, 1.5)
+            sample_restricted_gaussian(cfg, 1.5, theta(0.5))
 
 
 class TestPrefetch:

@@ -4,21 +4,16 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from mmconc.algebra import _from_native
 from mmconc.errors import DomainError
 from mmconc.gaussian import RadialLaw, norm_cdf
 from mmconc.sampling import SamplerConfig, draws, gaussian_blocks
 from mmconc.stats import (
-    ObsDiamReport,
-    Witness,
-    WitnessFamily,
     kolmogorov_critical,
     ks_critical,
     ks_statistic,
     ks_two_sample,
     ky_fan,
     law_partial_diameter,
-    obs_diam_lower,
     partial_diameter,
 )
 
@@ -46,6 +41,14 @@ class TestPartialDiameter:
     def test_kappa_one_warns(self):
         with pytest.warns(UserWarning):
             assert partial_diameter([1.0, 2.0], 1.0) == 0.0
+
+    def test_coordinate_close_to_normal_width(self):
+        # A fixed coordinate of a Gaussian matrix is standard normal, so
+        # its partial diameter approaches the exact dim-1 partial diameter.
+        cfg = SamplerConfig("R", 50, 1, seed=13, count=40000)
+        coords = np.concatenate(list(draws(cfg, gaussian_blocks, lambda X: X[:, 3, 0])))
+        want = 2.0 * 0.67448975019608174  # central half-mass window
+        assert partial_diameter(coords, 0.5) == pytest.approx(want, rel=0.05)
 
 
 class TestKyFan:
@@ -128,66 +131,6 @@ class TestKs:
         crit = ks_critical(5000, 5000, alpha=0.01)
         assert ks_two_sample(x, y) < crit
         assert ks_two_sample(x, y + 0.2) > crit
-
-
-def gaussian_comps(cfg):
-    """The cfg.count Gaussian draws of cfg as one (count, N, n, 4) array."""
-    return np.concatenate(list(draws(cfg, gaussian_blocks, lambda X: _from_native(X, cfg.field))))
-
-
-def _norm(c, axis):
-    return np.sqrt(np.sum(np.square(c), axis=axis))
-
-
-class TestWitnesses:
-    def test_family_is_one_lipschitz(self):
-        cfg = SamplerConfig("C", 8, 2, seed=10, count=400)
-        comps = gaussian_comps(cfg)
-        Zs, Ws = comps[:200], comps[200:]
-        z0 = comps[0]
-        fam = WitnessFamily.of(
-            Witness("coordinate", lambda c: c[..., 0, 0, 0]),
-            Witness("column_norm_0", lambda c: _norm(c[..., :, 0, :], (-2, -1))),
-            Witness("column_norm_1", lambda c: _norm(c[..., :, 1, :], (-2, -1))),
-            Witness("distance", lambda c: _norm(c - z0, (-3, -2, -1))),
-            Witness("total_norm", lambda c: _norm(c, (-3, -2, -1))),
-        )
-        ok = fam.verify_lipschitz((Zs, Ws))
-        assert all(ok.values())
-
-    def test_non_lipschitz_detected(self):
-        rng = np.random.default_rng(11)
-        comps = rng.standard_normal((100, 3, 1, 4))
-        bad = Witness("doubled", lambda c: 2.0 * np.sum(c, axis=(-3, -2, -1)))
-        fam = WitnessFamily.of(bad)
-        ok = fam.verify_lipschitz((comps[:50], comps[50:]))
-        assert not ok["doubled"]
-
-
-class TestObsDiam:
-    def test_report_structure(self):
-        cfg = SamplerConfig("R", 10, 1, seed=12, count=500)
-        comps = gaussian_comps(cfg)
-        rep = obs_diam_lower(
-            comps,
-            WitnessFamily.of(
-                Witness("coordinate", lambda c: c[..., 0, 0, 0]),
-                Witness("total_norm", lambda c: _norm(c, (-3, -2, -1))),
-            ),
-            0.1,
-        )
-        assert isinstance(rep, ObsDiamReport)
-        assert set(rep.per_witness) == {"coordinate", "total_norm"}
-        assert rep.max_value == max(rep.per_witness.values())
-
-    def test_coordinate_close_to_normal_width(self):
-        # A fixed coordinate of a Gaussian matrix is standard normal, so
-        # the witness value approaches the exact dim-1 partial diameter.
-        cfg = SamplerConfig("R", 50, 1, seed=13, count=40000)
-        comps = gaussian_comps(cfg)
-        rep = obs_diam_lower(comps, [Witness("coordinate", lambda c: c[..., 3, 0, 0])], 0.5)
-        want = 2.0 * 0.67448975019608174  # central half-mass window
-        assert rep.per_witness["coordinate"] == pytest.approx(want, rel=0.05)
 
 
 class TestLawPartialDiameter:

@@ -14,10 +14,15 @@ sides, the parent first on odd seeds and the change first on even ones.
 The JSON keeps every run's figures, their medians and quartiles, how many pairs the
 change won (lower is better for every end-to-end metric), and `claim_met`: whether
 the change won at least nine tenths of the pairs and its median beats the parent's
-by more than the parent's quartile spread.  --pairs is checked before any run:
-each item is workload=count with count >= 2, as quartiles need two runs.  A run that
-fails stops the script with exit code 1 and writes no JSON: one that
-exits non-zero, reports failed operations or reads `correct: false`.
+by more than the parent's quartile spread.  Each end-to-end metric of
+BENCHMARK.json (read, never written) also gets its `bound`, `within_bound`:
+whether the change's median is at most the parent's times (1 + bound), and
+`unresolved`: whether the parent's quartile spread exceeds bound times the
+parent's median, so that the runs cannot tell a regression of that size.
+--pairs is checked before any run: each item is workload=count with
+count >= 2, as quartiles need two runs.  A run that fails stops the
+script with exit code 1 and writes no JSON: one that exits non-zero,
+reports failed operations or reads `correct: false`.
 The script then prints the run's side, workload, seed and exit code with
 its stderr from the first FAILED line on (or, when it printed no JSON
 result, say after an import error, the end of its stderr).
@@ -100,6 +105,23 @@ def claim_met(parent, change, wins, count):
     return 10 * wins >= 9 * count and gap > parent["q3"] - parent["q1"]
 
 
+def end_to_end_bounds(path=os.path.join(ROOT, "BENCHMARK.json")):
+    """{name: bound} of the end-to-end metrics of BENCHMARK.json."""
+    with open(path) as fh:
+        return {m["name"]: m["bound"] for m in json.load(fh)["end_to_end"]}
+
+
+def regression(parent, change, bound):
+    """Whether the change's median stays within the relative bound of the
+    parent's, and whether the parent's quartile spread is wider than that
+    bound, which leaves the comparison unresolved."""
+    return {
+        "bound": bound,
+        "within_bound": change["median"] <= parent["median"] * (1.0 + bound),
+        "unresolved": parent["q3"] - parent["q1"] > parent["median"] * bound,
+    }
+
+
 def pairs(parent, workload, count, seconds):
     sides = {"parent": [], "change": []}
     for seed in range(1, count + 1):
@@ -107,6 +129,7 @@ def pairs(parent, workload, count, seconds):
         for side in order:
             sides[side].append(bench(parent if side == "parent" else ROOT, workload, seed, seconds, 0))
     everything = sides["parent"] + sides["change"]
+    bounds = end_to_end_bounds()
     out = {
         "correct": all(r["correct"] for r in everything),
         "failed": sum(r["failed"] for r in everything),
@@ -125,6 +148,8 @@ def pairs(parent, workload, count, seconds):
             "change_wins": wins,
             "claim_met": claim_met(ps, cs, wins, count),
         }
+        if name in bounds:
+            out["metrics"][name].update(regression(ps, cs, bounds[name]))
     return out
 
 
