@@ -314,10 +314,7 @@ def condition_check(rule, N_max, condition=None):
     """
     if condition is None:
         condition = condi()
-    if callable(rule):
-        n_of = rule
-    else:
-        n_of = parse_rule(rule)
+    n_of = parse_rule(rule)
     N_max = int(N_max)
     if N_max < 4:
         raise DomainError("need N_max >= 4")

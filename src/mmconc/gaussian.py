@@ -34,7 +34,7 @@ class RadialLaw:
         m = int(m)
         if m < 1:
             raise DomainError("dimension must be >= 1")
-        log_norm = (2.0 - m) / 2.0 * math.log(2.0) - special.lgamma(m / 2.0)
+        log_norm = (2.0 - m) / 2.0 * math.log(2.0) - math.lgamma(m / 2.0)
         return cls(m, log_norm)
 
     def log_density(self, r):

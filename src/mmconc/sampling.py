@@ -321,9 +321,9 @@ def sample_restricted_gaussian(cfg, eps, theta_val):
         proposed += CHUNK
         if proposed >= MIN_PROPOSALS and accepted / proposed < ACCEPTANCE_FLOOR:
             raise InfeasibleError(
-                "acceptance rate %.2e below floor %.2e after %d proposals; "
-                "a larger eps schedule is needed"
-                % (accepted / proposed, ACCEPTANCE_FLOOR, proposed)
+                "acceptance rate %.2e below floor %.2e after %d proposals at "
+                "field %s, N = %d, n = %d, eps = %g; a larger eps is needed"
+                % (accepted / proposed, ACCEPTANCE_FLOOR, proposed, cfg.field, cfg.N, cfg.n, eps)
             )
         chunk_index += 1
     return RestrictedSample(

@@ -109,7 +109,12 @@ class TestRun:
              "--eps", "0.0001", "--samples", "1500", "--out", str(tmp_path)]
         )
         assert code == 3
-        assert "infeasible" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "infeasible" in err
+        # The run sampled at --eps; a mass bound of the condition's
+        # schedule would describe another space.
+        assert "analytic mass lower bound" not in err
+        assert "field R, N = 20, n = 1, eps = 0.0001" in err
 
     def test_env_seed_must_be_integer(self, monkeypatch, capsys):
         monkeypatch.setenv("MMCONC_SEED", "abc")
@@ -254,6 +259,12 @@ class TestValidate:
         assert run_cli(["validate", path]) == 0
         out = capsys.readouterr().out
         assert "warning" in out and "1/3" in out
+        # Under ass, (N/n)^(1-a) grows for every p < 1: no 1/3 bound.
+        path = self.write(
+            tmp_path, "experiment = mbdist\nn = power:0.5\ncondition = ass\na = 0.2\n"
+        )
+        assert run_cli(["validate", path]) == 0
+        assert "1/3" not in capsys.readouterr().out
 
     def test_missing_file(self, tmp_path, capsys):
         assert run_cli(["validate", str(tmp_path / "nope.ini")]) == 2

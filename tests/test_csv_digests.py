@@ -46,7 +46,9 @@ def test_digests_are_stable_and_skip_manifests(tmp_path, monkeypatch):
     names = [name for _, name in first]
     assert "run-mbdist-small/mbdist.csv" in names
     assert "sample-haar-h.csv" in names
+    # A manifest holds its run's times: it is listed only by its values.
     assert not any(name.endswith("manifest.json") for name in names)
+    assert "run-mbdist-small/manifest.json#values" in names
     assert all(len(digest) == 64 for digest, _ in first)
 
 
@@ -77,7 +79,9 @@ def test_values_lines_do_not_move_with_the_stream(tmp_path, monkeypatch):
     values = [name for name in before if name.endswith("#values")]
     assert "run-prok-small/prok.csv#values" in values
     assert "sample-haar-c.csv.json#values" in values
+    assert "run-prok-small/manifest.json#values" in values
     assert all(before[name] == after[name] for name in values)
-    # The whole files name the stream, so each of them moved.
+    # The whole files name the stream, so each of them moved; a manifest
+    # has no whole-file line.
     moved = {name for name in before if before[name] != after[name]}
-    assert moved == {name[: -len("#values")] for name in values}
+    assert moved == {name[: -len("#values")] for name in values} & before.keys()

@@ -6,15 +6,17 @@ Runs every `mmconc run` experiment over R, C and H on small fixed
 configurations, plus `mmconc sample` of both kinds over each field and
 one square Haar export (N = n = 4) a field, in a temporary directory,
 and prints one `sha256  file` line per output, sorted by file.  The
-manifests are left out: they hold timestamps.  The
 first line, `stream  <sampling.STREAM>`, names the random stream, so the
 listings of two streams never diff as equal.  A bump of the stream
 moves every run CSV (its `run_digest` column) and every sample sidecar
 (its `stream` and `csv_sha256`), so each of those also gets a
 `<file>#values` line: the digest of the file without those fields, which
-moves only when the values do.  It imports mmconc from the `src/` of the
-checkout it sits in, so run it on two checkouts and diff the output to
-see which bytes a change moves.
+moves only when the values do.  A run's `manifest.json` holds its start
+and finish times, so it gets only the `#values` line, without `started`
+and `finished` and without the fields that name the stream (`stream`,
+`run_digest` and the `outputs` digests).  It imports mmconc from the
+`src/` of the checkout it sits in, so run it on two checkouts and diff
+the output to see which bytes a change moves.
 """
 
 from __future__ import annotations
@@ -69,18 +71,25 @@ def runs(out):
 def values(name, data):
     """The bytes of output name that do not name the stream, or None for an
     output that does not name it: a run CSV without its last column,
-    `run_digest`, or a sample sidecar without `stream` and `csv_sha256`."""
-    if name.endswith(".csv.json"):
-        meta = {k: v for k, v in json.loads(data).items() if k not in ("stream", "csv_sha256")}
-        return json.dumps(meta, sort_keys=True).encode()
+    `run_digest`, a sample sidecar without `stream` and `csv_sha256`, or
+    a manifest without `stream`, `run_digest`, `outputs`, `started` and
+    `finished`."""
     if name.startswith("run-") and name.endswith(".csv"):
         return b"".join(line.rsplit(b",", 1)[0] + b"\n" for line in data.splitlines())
-    return None
+    if name.endswith(".csv.json"):
+        drop = ("stream", "csv_sha256")
+    elif name.endswith("manifest.json"):
+        drop = ("stream", "run_digest", "outputs", "started", "finished")
+    else:
+        return None
+    meta = {k: v for k, v in json.loads(data).items() if k not in drop}
+    return json.dumps(meta, sort_keys=True).encode()
 
 
 def digests(out):
     """(sha256, path relative to out) of every output but the manifests,
-    and (sha256, path#values) of its `values` where it has them."""
+    and (sha256, path#values) of its `values` where it has them, the
+    manifests included."""
     os.environ.pop("MMCONC_SEED", None)  # it would override every seed
     for argv in runs(out):
         with contextlib.redirect_stdout(io.StringIO()):
@@ -89,13 +98,12 @@ def digests(out):
             sys.exit("mmconc %s exited with %d" % (" ".join(argv), code))
     for root, _, files in os.walk(out):
         for name in files:
-            if name == "manifest.json":
-                continue
             path = os.path.join(root, name)
             rel = os.path.relpath(path, out)
             with open(path, "rb") as fh:
                 data = fh.read()
-            yield hashlib.sha256(data).hexdigest(), rel
+            if name != "manifest.json":
+                yield hashlib.sha256(data).hexdigest(), rel
             masked = values(rel, data)
             if masked is not None:
                 yield hashlib.sha256(masked).hexdigest(), rel + "#values"
