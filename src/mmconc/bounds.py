@@ -206,6 +206,12 @@ def sigma_recursion(delta, sigma):
     )
 
 
+def _frame_distance_bound(n, eps, sigma):
+    """The closed form of l_bound, also l_bound_min's at sigma = s_{n-1}."""
+    val = n * eps * eps + 2.0 * n * (1.0 + eps) * sigma / (1.0 + math.sqrt(1.0 - sigma))
+    return math.sqrt(val)
+
+
 def l_bound(n, eps, sigma):
     """Certified upper bound on the worst frame distance of n nearly
     orthonormal columns: sqrt(n eps^2 + 2 n (1+eps) sigma / (1 + sqrt(1-sigma))).
@@ -222,8 +228,7 @@ def l_bound(n, eps, sigma):
             "n = %d exceeds n_sigma = %d for theta(eps) = %.6g"
             % (n, rec.n_sigma, rec.delta)
         )
-    val = n * eps * eps + 2.0 * n * (1.0 + eps) * sigma / (1.0 + math.sqrt(1.0 - sigma))
-    return math.sqrt(val)
+    return _frame_distance_bound(n, eps, sigma)
 
 
 def l_bound_min(n, eps):
@@ -242,8 +247,7 @@ def l_bound_min(n, eps):
         s = s + phi_step(delta, s)
     if s >= 1.0:
         return math.inf
-    val = n * eps * eps + 2.0 * n * (1.0 + eps) * s / (1.0 + math.sqrt(1.0 - s))
-    return math.sqrt(val)
+    return _frame_distance_bound(n, eps, s)
 
 
 def parse_rule(text):

@@ -103,16 +103,13 @@ def kolmogorov_critical(alpha):
     return special.bisect(lambda c: q(c) - alpha, 0.2, 5.0, tol=1e-12)
 
 
-def ks_critical(n, m=None, alpha=0.01):
-    """Asymptotic critical value for one- or two-sample KS tests."""
-    if n < KS_MIN_SAMPLES or (m is not None and m < KS_MIN_SAMPLES):
+def ks_critical(n, m, alpha=0.01):
+    """Asymptotic critical value for the two-sample KS test of sizes n, m."""
+    if n < KS_MIN_SAMPLES or m < KS_MIN_SAMPLES:
         raise DomainError(
             "asymptotic critical values need sample sizes >= %d" % KS_MIN_SAMPLES
         )
-    c = kolmogorov_critical(alpha)
-    if m is None:
-        return c / math.sqrt(n)
-    return c * math.sqrt((n + m) / (n * m))
+    return kolmogorov_critical(alpha) * math.sqrt((n + m) / (n * m))
 
 
 def law_partial_diameter(dim, kappa, tol=1e-13):

@@ -49,7 +49,7 @@ BALL_CASES = [
 class TestRadialLaw:
     def test_density_frozen(self):
         for m, r, want in DENSITY_CASES:
-            assert RadialLaw.of(m).density(r) == pytest.approx(want, rel=1e-12)
+            assert RadialLaw.of(m).density(r) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_density_normalized(self):
         for m in (1, 2, 7, 40):
@@ -64,14 +64,14 @@ class TestRadialLaw:
             law = RadialLaw.of(m)
             # The mode sits at sqrt(m - 1).
             mode = math.sqrt(m - 1.0)
-            assert law.density(mode) == pytest.approx(want, rel=1e-12)
+            assert law.density(mode) == pytest.approx(want, rel=1e-12, abs=0)
             assert law.density(mode) >= law.density(mode * 0.99)
             assert law.density(mode) >= law.density(mode * 1.01)
 
     def test_peak_m1_half_normal(self):
         # The half-normal density peaks at 0, where it is its normalization.
         peak = math.exp(RadialLaw.of(1).log_norm)
-        assert peak == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-13)
+        assert peak == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_log_density_off_support_is_minus_inf_without_warnings(self, m):
@@ -83,16 +83,16 @@ class TestRadialLaw:
             assert law.log_density(-1.0) == -np.inf
         assert logs[0] == -np.inf
         if m == 1:
-            assert at_zero == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-13)
+            assert at_zero == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-13, abs=0)
             assert list(logs[1:3]) == [law.log_norm] * 2
         else:
             assert at_zero == 0.0
             assert list(logs[1:3]) == [-np.inf] * 2
-        assert logs[3] == pytest.approx(math.log(law.density(0.5)), rel=1e-13)
+        assert logs[3] == pytest.approx(math.log(law.density(0.5)), rel=1e-13, abs=0)
 
     def test_cdf_frozen_and_quantile_roundtrip(self):
         for m, t, want in CHI_CDF_CASES:
-            assert RadialLaw.of(m).cdf(t) == pytest.approx(want, rel=1e-12)
+            assert RadialLaw.of(m).cdf(t) == pytest.approx(want, rel=1e-12, abs=0)
         law = RadialLaw.of(5)
         for p in (0.01, 0.3, 0.5, 0.9, 0.999):
             assert law.cdf(law.quantile(p)) == pytest.approx(p, abs=1e-10)
@@ -107,11 +107,11 @@ class TestRadialLaw:
 class TestAnnulus:
     def test_mass_frozen(self):
         for m, eps, want in ANNULUS_CASES:
-            assert annulus_mass(m, eps) == pytest.approx(want, rel=1e-9)
+            assert annulus_mass(m, eps) == pytest.approx(want, rel=1e-9, abs=0)
 
     def test_mass_matches_scipy(self):
         for m, eps, want in ANNULUS_SCIPY_CASES:
-            assert annulus_mass(m, eps) == pytest.approx(want, rel=1e-11)
+            assert annulus_mass(m, eps) == pytest.approx(want, rel=1e-11, abs=0)
 
     def test_mass_matches_quadrature(self):
         # The incomplete-gamma closed form against the chi_m density
@@ -132,12 +132,12 @@ class TestAnnulus:
 class TestBall:
     def test_frozen(self):
         for dim, T, want in BALL_CASES:
-            assert ball_mass(dim, T) == pytest.approx(want, rel=1e-12)
+            assert ball_mass(dim, T) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_dim_one_matches_erf_route(self):
         for T in (0.3, 1.0, 2.5):
             want = 2.0 * norm_cdf(T) - 1.0
-            assert ball_mass(1, T) == pytest.approx(want, rel=1e-12)
+            assert ball_mass(1, T) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_monotone_and_limits(self):
         Ts = np.linspace(0.0, 6.0, 40)

@@ -112,13 +112,12 @@ class TestKs:
         assert kolmogorov_critical(0.05) == pytest.approx(1.3580986393223613, abs=1e-9)
 
     def test_critical_values(self):
-        assert ks_critical(10000, alpha=0.01) == pytest.approx(
-            1.627623611519175 / 100.0, rel=1e-9
-        )
         two = ks_critical(10000, 10000, alpha=0.01)
         assert two == pytest.approx(1.627623611519175 * math.sqrt(2.0 / 10000.0), rel=1e-9)
         with pytest.raises(DomainError):
-            ks_critical(100)
+            ks_critical(100, 10000)
+        with pytest.raises(DomainError):
+            ks_critical(10000, 100)
         with pytest.raises(DomainError):
             kolmogorov_critical(1.5)
 
