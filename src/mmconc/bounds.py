@@ -11,7 +11,7 @@ lower bound for the Gaussian mass of the approximation space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -84,25 +84,8 @@ class Schedule:
     L_bound: float
 
     def to_json(self):
-        return {
-            "N": self.N,
-            "n_N": self.n_N,
-            "condition": {
-                "kind": self.condition.kind,
-                "a": self.condition.a,
-                "a_prime": self.condition.a_prime,
-            },
-            "p_N": self.p_N,
-            "a_N": self.a_N,
-            "eps_N": self.eps_N,
-            "b_N": self.b_N,
-            "eps_l": [float(x) for x in self.eps_l],
-            "T_l": [float(x) for x in self.T_l],
-            "theta_N": self.theta_N,
-            "q_N": self.q_N,
-            "sigma_N": self.sigma_N,
-            "L_bound": self.L_bound,
-        }
+        """Every field, with the arrays eps_l and T_l as lists."""
+        return {**asdict(self), "eps_l": self.eps_l.tolist(), "T_l": self.T_l.tolist()}
 
 
 def check_dimensions(N, n_N):

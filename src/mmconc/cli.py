@@ -19,6 +19,13 @@ from .errors import ConfigError, InfeasibleError, MmconcError, PreconditionError
 
 FIELD_NAMES = {"r": "R", "c": "C", "h": "H"}
 
+# Each worker is an OS thread, and sampling.draws starts min(workers,
+# chunks) of them at once, each drawing its own sub-blocks; past the
+# machine's cores more of them add only memory and scheduling.  So a
+# --workers above MAX_WORKERS is refused rather than started, and the
+# default, the core count, is capped at it.  Criterion 12 runs 4 workers.
+MAX_WORKERS = 64
+
 # glibc's malloc serves a block above its mmap threshold with its own
 # mapping, and gives the top of the heap back to the system once more
 # than its trim threshold is free there.  By default both thresholds
@@ -119,6 +126,8 @@ def build_config(args):
         raise ConfigError("kappa must lie in (0, 1)")
     if cfg.workers < 1:
         raise ConfigError("workers must be >= 1")
+    if cfg.workers > MAX_WORKERS:
+        raise ConfigError("workers must be <= %d" % MAX_WORKERS)
     if cfg.seed < 0:
         raise ConfigError("seed must be >= 0")
     return cfg
@@ -139,18 +148,7 @@ def cmd_run(args):
     manifest = {
         "experiment": result.name,
         "version": __version__,
-        "config": {
-            "fields": list(cfg.fields),
-            "N": list(cfg.N_list),
-            "n": cfg.n_rule,
-            "kappa": list(cfg.kappa_list),
-            "samples": cfg.samples,
-            "seed": cfg.seed,
-            "eps": cfg.eps,
-            "condition": cfg.condition,
-            "a": cfg.a,
-            "workers": cfg.workers,
-        },
+        "config": {**cfg.settings(), "workers": cfg.workers},
         "stream": sampling.STREAM,
         "run_digest": digest,
         "outputs": {os.path.basename(csv_path): csv_digest},
@@ -283,7 +281,9 @@ def _add_run_options(parser):
         parser.add_argument("--eps", type=float, default=0.5),
         parser.add_argument("--condition", choices=("condi", "ass"), default="condi"),
         parser.add_argument("--a", type=float, default=0.5, help="exponent for the ass condition"),
-        parser.add_argument("--workers", type=int, default=os.cpu_count() or 1),
+        parser.add_argument(
+            "--workers", type=int, default=min(os.cpu_count() or 1, MAX_WORKERS)
+        ),
         parser.add_argument("--out", default="."),
     )
     return {action.dest: action for action in actions}

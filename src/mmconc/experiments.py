@@ -1,7 +1,10 @@
 """Named Monte Carlo experiments behind the CLI.
 
 Each experiment resolves a config into deterministic CSV rows plus
-per-(N, n, field) summary lines.  A sampling experiment hands
+per-(N, n, field) summary lines.  Six of them are a function of one
+(field, N, n) point that `_grid` calls over cfg.fields x cfg.N_list,
+prefixing its rows and summaries with the point; bounds walks N alone
+and decomp-props fields alone.  A sampling experiment hands
 `sampling.draws` a per-draw reduction (a coordinate, a membership mask, a
 distance); `sampling` alone walks the fixed grid of 1024-draw chunks keyed
 by (seed, chunk) and reduces each sub-block as it draws it, so memory
@@ -60,11 +63,10 @@ class ExperimentConfig:
                 raise ConfigError(str(exc))
         raise ConfigError("unknown condition %r" % self.condition)
 
-    def digest(self):
-        """Content hash of everything that determines output bytes."""
-        payload = {
-            "stream": sampling.STREAM,
-            "experiment": self.experiment,
+    def settings(self):
+        """Every setting that determines output bytes, under its manifest
+        name; the workers and the output directory do not."""
+        return {
             "fields": list(self.fields),
             "N": list(self.N_list),
             "n": self.n_rule,
@@ -75,6 +77,10 @@ class ExperimentConfig:
             "condition": self.condition,
             "a": self.a,
         }
+
+    def digest(self):
+        """Content hash of the stream, the experiment and its settings."""
+        payload = {"stream": sampling.STREAM, "experiment": self.experiment, **self.settings()}
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -108,137 +114,93 @@ def _haar_coordinates(cfg, field, N):
     return np.concatenate(list(coords))
 
 
-def run_mbdist(cfg):
-    """First retained coordinate of row-projected scaled Haar frames
-    against the standard normal CDF."""
+def _grid(cfg, name, header, point):
+    """Walk cfg.fields x cfg.N_list: point(field, N, n) returns the row
+    tails and summary tails of one (field, N, n), which become rows
+    [N, n, field, *tail] under header ["N", "n", "field", *header] and
+    summaries "<name> field=... N=... n=... <tail>"."""
     rows, summaries = [], []
     for field in cfg.fields:
         for N in cfg.N_list:
             n = cfg.n_for(N)
-            ks = stats.ks_statistic(_haar_coordinates(cfg, field, N), gaussian.norm_cdf)
-            rows.append([N, n, field, cfg.samples, "ks_vs_normal", ks])
-            summaries.append(
-                "mbdist field=%s N=%d n=%d ks=%.5f" % (field, N, n, ks)
-            )
-    return ExperimentResult(
-        "mbdist", ["N", "n", "field", "samples", "stat_name", "value"], rows, summaries
-    )
+            tails, notes = point(field, N, n)
+            rows += [[N, n, field, *tail] for tail in tails]
+            summaries += ["%s field=%s N=%d n=%d %s" % (name, field, N, n, note) for note in notes]
+    return ExperimentResult(name, ["N", "n", "field", *header], rows, summaries)
+
+
+def run_mbdist(cfg):
+    """First retained coordinate of row-projected scaled Haar frames
+    against the standard normal CDF."""
+
+    def point(field, N, n):
+        ks = stats.ks_statistic(_haar_coordinates(cfg, field, N), gaussian.norm_cdf)
+        return [[cfg.samples, "ks_vs_normal", ks]], ["ks=%.5f" % ks]
+
+    return _grid(cfg, "mbdist", ["samples", "stat_name", "value"], point)
 
 
 def run_fullmeas(cfg):
     """Monte Carlo Gaussian mass of the approximation space against the
     analytic product lower bound."""
-    rows, summaries = [], []
     cond = cfg.condition_obj()
-    for field in cfg.fields:
-        for N in cfg.N_list:
-            n = cfg.n_for(N)
-            sch = bounds.make_schedule(N, n, cond)
-            scfg = sampling.SamplerConfig(field, N, n, seed=cfg.seed, count=cfg.samples)
-            hits = sampling.draws(
-                scfg,
-                functools.partial(sampling.compressed_blocks, p=0),
-                lambda X: concentration.membership_native(X, field, sch.eps_N, sch.theta_N, N),
-                cfg.workers,
-            )
-            mask = np.concatenate(list(hits))
-            mass = float(mask.mean())
-            vb = bounds.v_bound(N, n, sch, field=field)
-            for stat, value in (
-                ("mc_mass", mass),
-                ("product_lower", vb.product_lower),
-            ):
-                rows.append([N, n, field, sch.eps_N, sch.theta_N, stat, value])
-            summaries.append(
-                "fullmeas field=%s N=%d n=%d mass=%.4f lower=%.4f"
-                % (field, N, n, mass, vb.product_lower)
-            )
-    return ExperimentResult(
-        "fullmeas",
-        ["N", "n", "field", "epsilon", "theta", "stat_name", "value"],
-        rows,
-        summaries,
-    )
+
+    def point(field, N, n):
+        sch = bounds.make_schedule(N, n, cond)
+        scfg = sampling.SamplerConfig(field, N, n, seed=cfg.seed, count=cfg.samples)
+        hits = sampling.draws(
+            scfg,
+            functools.partial(sampling.compressed_blocks, p=0),
+            lambda X: concentration.membership_native(X, field, sch.eps_N, sch.theta_N, N),
+            cfg.workers,
+        )
+        mass = float(np.concatenate(list(hits)).mean())
+        lower = bounds.v_bound(N, n, sch, field=field).product_lower
+        rows = [[sch.eps_N, sch.theta_N, "mc_mass", mass],
+                [sch.eps_N, sch.theta_N, "product_lower", lower]]
+        return rows, ["mass=%.4f lower=%.4f" % (mass, lower)]
+
+    return _grid(cfg, "fullmeas", ["epsilon", "theta", "stat_name", "value"], point)
 
 
 def run_prok(cfg):
-    rows, summaries = [], []
-    for field in cfg.fields:
-        for N in cfg.N_list:
-            n = cfg.n_for(N)
-            rep = concentration.prok_experiment(
-                N, n, field, sample_size=cfg.samples, seed=cfg.seed, workers=cfg.workers
-            )
-            S = rep.sample_size
-            rows.append([N, n, field, S, "dP_lower", rep.dP_lower])
-            for p, q in rep.quantiles.items():
-                rows.append([N, n, field, S, "q%02d" % p, q])
-            summaries.append(
-                "prok field=%s N=%d n=%d dP_lower=%.4f" % (field, N, n, rep.dP_lower)
-            )
-    return ExperimentResult(
-        "prok", ["N", "n", "field", "samples", "stat_name", "value"], rows, summaries
-    )
+    def point(field, N, n):
+        rep = concentration.prok_experiment(
+            N, n, field, sample_size=cfg.samples, seed=cfg.seed, workers=cfg.workers
+        )
+        named = [("dP_lower", rep.dP_lower)] + [("q%02d" % p, q) for p, q in rep.quantiles.items()]
+        rows = [[rep.sample_size, stat, value] for stat, value in named]
+        return rows, ["dP_lower=%.4f" % rep.dP_lower]
+
+    return _grid(cfg, "prok", ["samples", "stat_name", "value"], point)
 
 
 def run_lipschitz(cfg):
-    rows, summaries = [], []
     cond = cfg.condition_obj()
-    for field in cfg.fields:
-        for N in cfg.N_list:
-            n = cfg.n_for(N)
-            sch = bounds.make_schedule(N, n, cond)
-            params = concentration.ApproxSpaceParams(field, N, n, sch.eps_N, sch.theta_N)
-            rep = concentration.lipschitz_experiment(
-                params, pair_count=cfg.samples, seed=cfg.seed
-            )
-            analytic = (
-                1.0 / (1.0 - rep.certificate) if rep.certificate < 1.0 else math.inf
-            )
-            for stat, value in (
-                ("max_ratio", rep.max_ratio),
-                ("certificate", rep.certificate),
-                ("analytic_bound", analytic),
-            ):
-                rows.append([N, n, field, sch.eps_N, sch.theta_N, stat, value])
-            summaries.append(
-                "lipschitz field=%s N=%d n=%d ratio=%.4f bound=%.4f"
-                % (field, N, n, rep.max_ratio, analytic)
-            )
-    return ExperimentResult(
-        "lipschitz",
-        ["N", "n", "field", "epsilon", "theta", "stat_name", "value"],
-        rows,
-        summaries,
-    )
+
+    def point(field, N, n):
+        sch = bounds.make_schedule(N, n, cond)
+        params = concentration.ApproxSpaceParams(field, N, n, sch.eps_N, sch.theta_N)
+        rep = concentration.lipschitz_experiment(params, pair_count=cfg.samples, seed=cfg.seed)
+        analytic = 1.0 / (1.0 - rep.certificate) if rep.certificate < 1.0 else math.inf
+        named = (("max_ratio", rep.max_ratio), ("certificate", rep.certificate),
+                 ("analytic_bound", analytic))
+        rows = [[sch.eps_N, sch.theta_N, stat, value] for stat, value in named]
+        return rows, ["ratio=%.4f bound=%.4f" % (rep.max_ratio, analytic)]
+
+    return _grid(cfg, "lipschitz", ["epsilon", "theta", "stat_name", "value"], point)
 
 
 def run_pushforward(cfg):
-    rows, summaries = [], []
-    for field in cfg.fields:
-        for N in cfg.N_list:
-            n = cfg.n_for(N)
-            params = concentration.ApproxSpaceParams(field, N, n, cfg.eps)
-            rep = concentration.pushforward_test(
-                N, n, params, sample_size=cfg.samples, seed=cfg.seed
-            )
-            for name, value in sorted(rep.ks.items()):
-                rows.append([N, n, field, cfg.eps, params.theta_val, "ks_" + name, value])
-            rows.append(
-                [N, n, field, cfg.eps, params.theta_val, "ks_critical", rep.critical]
-            )
-            rows.append(
-                [N, n, field, cfg.eps, params.theta_val, "passed", int(rep.passed)]
-            )
-            summaries.append(
-                "pushforward field=%s N=%d n=%d passed=%s" % (field, N, n, rep.passed)
-            )
-    return ExperimentResult(
-        "pushforward",
-        ["N", "n", "field", "epsilon", "theta", "stat_name", "value"],
-        rows,
-        summaries,
-    )
+    def point(field, N, n):
+        params = concentration.ApproxSpaceParams(field, N, n, cfg.eps)
+        rep = concentration.pushforward_test(N, n, params, sample_size=cfg.samples, seed=cfg.seed)
+        named = [("ks_" + name, value) for name, value in sorted(rep.ks.items())]
+        named += [("ks_critical", rep.critical), ("passed", int(rep.passed))]
+        rows = [[cfg.eps, params.theta_val, stat, value] for stat, value in named]
+        return rows, ["passed=%s" % rep.passed]
+
+    return _grid(cfg, "pushforward", ["epsilon", "theta", "stat_name", "value"], point)
 
 
 def run_obsdiam(cfg):
@@ -247,39 +209,23 @@ def run_obsdiam(cfg):
     partial diameter of the standard normal law, the limit law of a
     scaled coordinate, which is twice its 1 - kappa / 2 quantile and so
     twice the half-normal window of law_partial_diameter(1, kappa)."""
-    rows, summaries = [], []
-    for field in cfg.fields:
-        for N in cfg.N_list:
-            n = cfg.n_for(N)
-            coords = _haar_coordinates(cfg, field, N)
-            # Samples carry the sqrt(N^F - 1) radius; dividing it out and
-            # multiplying by sqrt(N^F) lands on the dimension-free target.
-            NF = N * field_dim(field)
-            scale = math.sqrt(NF / (NF - 1.0))
-            for kappa in cfg.kappa_list:
-                value = stats.partial_diameter(coords, kappa)
-                target = 2.0 * stats.law_partial_diameter(1, kappa)
-                rows.append(
-                    [
-                        N,
-                        n,
-                        field,
-                        kappa,
-                        "coordinate",
-                        value,
-                        scale * value,
-                        target,
-                    ]
-                )
-                summaries.append(
-                    "obsdiam field=%s N=%d n=%d kappa=%g scaled=%.5f target=%.5f"
-                    % (field, N, n, kappa, scale * value, target)
-                )
-    return ExperimentResult(
-        "obsdiam",
-        ["N", "n", "field", "kappa", "witness", "value", "scaled_value", "target"],
-        rows,
-        summaries,
+
+    def point(field, N, n):
+        coords = _haar_coordinates(cfg, field, N)
+        # Samples carry the sqrt(N^F - 1) radius; dividing it out and
+        # multiplying by sqrt(N^F) lands on the dimension-free target.
+        NF = N * field_dim(field)
+        scale = math.sqrt(NF / (NF - 1.0))
+        rows, notes = [], []
+        for kappa in cfg.kappa_list:
+            value = stats.partial_diameter(coords, kappa)
+            target = 2.0 * stats.law_partial_diameter(1, kappa)
+            rows.append([kappa, "coordinate", value, scale * value, target])
+            notes.append("kappa=%g scaled=%.5f target=%.5f" % (kappa, scale * value, target))
+        return rows, notes
+
+    return _grid(
+        cfg, "obsdiam", ["kappa", "witness", "value", "scaled_value", "target"], point
     )
 
 

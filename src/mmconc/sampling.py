@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import contextlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain
 
 import numpy as np
@@ -437,16 +437,6 @@ def write_native_samples_csv(path, cfg, blocks, kind):
         digest = write_csv(path, None, chain.from_iterable(rendered))
     write_json(
         str(path) + ".json",
-        {
-            "kind": kind,
-            "field": cfg.field,
-            "N": cfg.N,
-            "n": cfg.n,
-            "scaled": cfg.scaled,
-            "seed": cfg.seed,
-            "count": cfg.count,
-            "stream": STREAM,
-            "csv_sha256": digest,
-        },
+        {"kind": kind, **asdict(cfg), "stream": STREAM, "csv_sha256": digest},
     )
     return digest

@@ -201,7 +201,7 @@ def test_arithmetic_matches_componentwise_oracle(case):
         rtol=0,
         atol=1e-12,
     )
-    assert A.norm == pytest.approx(np.sqrt(np.sum(a**2)), rel=1e-14)
+    assert A.norm == pytest.approx(np.sqrt(np.sum(a**2)), rel=1e-14, abs=0)
 
 
 class TestRealify:

@@ -26,7 +26,7 @@ from mmconc.errors import ConfigError, PreconditionError
 
 class TestTheta:
     def test_pinned_value(self):
-        assert theta(0.1) == pytest.approx(0.23998254735844691, rel=1e-14)
+        assert theta(0.1) == pytest.approx(0.23998254735844691, rel=1e-14, abs=0)
 
     def test_defining_equation(self):
         # theta^2 / (1 - theta^2) = 5 eps^2 (1 + eps) / (1 - eps)
@@ -34,7 +34,7 @@ class TestTheta:
             t = theta(eps)
             lhs = t * t / (1.0 - t * t)
             rhs = 5.0 * eps * eps * (1.0 + eps) / (1.0 - eps)
-            assert lhs == pytest.approx(rhs, rel=1e-12)
+            assert lhs == pytest.approx(rhs, rel=1e-12, abs=0)
 
     def test_monotone_in_eps(self):
         eps = np.linspace(0.01, 0.9, 50)
@@ -50,10 +50,10 @@ class TestTheta:
 class TestSchedule:
     def test_frozen_example(self):
         sch = make_schedule(101, 2, condi())
-        assert sch.p_N == pytest.approx(0.15051499783199057, rel=1e-14)
-        assert sch.a_N == pytest.approx(0.28762874945799766, rel=1e-14)
-        assert sch.eps_N == pytest.approx(0.2659147948472494, rel=1e-12)
-        assert sch.b_N == pytest.approx(1.0 - sch.eps_N, rel=1e-14)
+        assert sch.p_N == pytest.approx(0.15051499783199057, rel=1e-14, abs=0)
+        assert sch.a_N == pytest.approx(0.28762874945799766, rel=1e-14, abs=0)
+        assert sch.eps_N == pytest.approx(0.2659147948472494, rel=1e-12, abs=0)
+        assert sch.b_N == pytest.approx(1.0 - sch.eps_N, rel=1e-14, abs=0)
 
     def test_level_eps_ordering(self):
         sch = make_schedule(400, 5, condi())
@@ -65,7 +65,7 @@ class TestSchedule:
         c = ass(0.8)
         sch = make_schedule(500, 3, c)
         want = 0.4 * (1.0 - sch.p_N)
-        assert sch.a_N == pytest.approx(want, rel=1e-14)
+        assert sch.a_N == pytest.approx(want, rel=1e-14, abs=0)
 
     def test_condition_expressions(self):
         # Growth margin at N = 1e4, n = 10, a' = 0.9 stays positive.
@@ -73,7 +73,7 @@ class TestSchedule:
         val = c.expression(10**4, 10)
         assert 2.0 * math.log(10) >= (0.9 / 4.0) * math.sqrt(10**4 / 10**3)
         assert val == pytest.approx(
-            2.0 * math.log(10) - 0.225 * math.sqrt(10.0), rel=1e-12
+            2.0 * math.log(10) - 0.225 * math.sqrt(10.0), rel=1e-12, abs=0
         )
 
     def test_lip_bound_requires_contraction(self):
@@ -103,7 +103,7 @@ class TestSigmaRecursion:
     def test_s1_is_delta_squared(self):
         for delta in (0.05, 0.3, 0.9):
             rec = sigma_recursion(delta, 1.0)
-            assert rec.s[1] == pytest.approx(delta * delta, rel=1e-14)
+            assert rec.s[1] == pytest.approx(delta * delta, rel=1e-14, abs=0)
 
     def test_running_sum_identity(self):
         # delta^2 sum_{m<=l} c_m^2 = s_l, for 100 random delta.
@@ -142,13 +142,13 @@ class TestSigmaRecursion:
         assert rec.s[rec.n_sigma - 1] < rec.sigma <= rec.s[rec.n_sigma]
 
     def test_phi_step_values(self):
-        assert phi_step(0.1, 0.0) == pytest.approx(0.01, rel=1e-14)
-        assert phi_step(0.1, 0.01) == pytest.approx(0.11**2 / 0.99, rel=1e-14)
+        assert phi_step(0.1, 0.0) == pytest.approx(0.01, rel=1e-14, abs=0)
+        assert phi_step(0.1, 0.01) == pytest.approx(0.11**2 / 0.99, rel=1e-14, abs=0)
 
 
 class TestLBound:
     def test_frozen_example(self):
-        assert l_bound(2, 0.01, 0.02) == pytest.approx(0.20200011289325362, rel=1e-12)
+        assert l_bound(2, 0.01, 0.02) == pytest.approx(0.20200011289325362, rel=1e-12, abs=0)
 
     def test_precondition(self):
         # sigma far above s_{n-1} is fine; sigma below delta^2 caps n_sigma at 1.
@@ -165,7 +165,7 @@ class TestLBound:
 
     def test_frozen_n200_value(self):
         eps = make_schedule(200, 2, condi()).eps_N
-        assert l_bound_min(2, eps) == pytest.approx(0.9226226895053089, rel=1e-10)
+        assert l_bound_min(2, eps) == pytest.approx(0.9226226895053089, rel=1e-10, abs=0)
 
     def test_blows_up_for_large_eps(self):
         assert l_bound_min(8, 0.5) == math.inf or l_bound_min(8, 0.5) > 1.0
@@ -190,9 +190,9 @@ class TestClaimChain:
         assert sch.q_N <= 1.0
         # a_N (q_N - 1) = (p_N - 1/3) / 4 and a_N q_N = (p_N + 1/3) / 2
         assert sch.a_N * (sch.q_N - 1.0) == pytest.approx(
-            0.25 * (sch.p_N - 1.0 / 3.0), rel=1e-12
+            0.25 * (sch.p_N - 1.0 / 3.0), rel=1e-12, abs=0
         )
-        assert sch.a_N * sch.q_N == pytest.approx(0.5 * (sch.p_N + 1.0 / 3.0), rel=1e-12)
+        assert sch.a_N * sch.q_N == pytest.approx(0.5 * (sch.p_N + 1.0 / 3.0), rel=1e-12, abs=0)
 
 
 class TestRules:
@@ -283,7 +283,7 @@ class TestVBound:
     def test_frozen_n200(self):
         sch = make_schedule(200, 2, condi())
         vb = v_bound(200, 2, sch, field="R")
-        assert vb.product_lower == pytest.approx(0.9993332895749373, rel=1e-9)
+        assert vb.product_lower == pytest.approx(0.9993332895749373, rel=1e-9, abs=0)
 
     def test_increasing_along_desk_list(self):
         vals = []

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -15,6 +16,24 @@ from mmconc.errors import DomainError, InfeasibleError
 
 def run_cli(args):
     return cli.main(list(args))
+
+
+# Another value for each ExperimentConfig field; a field added without
+# one here fails test_run_digest_covers.
+DIGEST_CHANGES = {
+    "experiment": "obsdiam",
+    "fields": ("C",),
+    "N_list": (101,),
+    "n_rule": "const:2",
+    "kappa_list": (0.25,),
+    "samples": 10001,
+    "seed": 1,
+    "eps": 0.25,
+    "condition": "ass",
+    "a": 0.25,
+    "workers": 4,
+    "out": "elsewhere",
+}
 
 
 class TestRun:
@@ -62,11 +81,19 @@ class TestRun:
             texts.append(open(os.path.join(out, experiment + ".csv"), "rb").read())
         assert texts[0] == texts[1]
 
-    def test_run_digest_covers_stream(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "name", ["stream"] + [f.name for f in dataclasses.fields(experiments.ExperimentConfig)]
+    )
+    def test_run_digest_covers(self, name, monkeypatch):
+        """The digest moves with the stream and with every config field
+        behind settings(), and not with workers or out."""
         cfg = experiments.ExperimentConfig(experiment="mbdist")
         before = cfg.digest()
-        monkeypatch.setattr(sampling, "STREAM", "another-stream")
-        assert cfg.digest() != before
+        if name == "stream":
+            monkeypatch.setattr(sampling, "STREAM", "another-stream")
+        else:
+            cfg = dataclasses.replace(cfg, **{name: DIGEST_CHANGES[name]})
+        assert (cfg.digest() != before) == (name not in ("workers", "out"))
 
     def test_seed_env_override(self, tmp_path, monkeypatch):
         out1 = str(tmp_path / "a")
@@ -89,7 +116,7 @@ class TestRun:
         ) == 0
         extra = json.load(open(os.path.join(out, "bounds.json")))
         sch = extra["schedules"][0]
-        assert sch["eps_N"] == pytest.approx(0.2659147948472494, rel=1e-10)
+        assert sch["eps_N"] == pytest.approx(0.2659147948472494, rel=1e-10, abs=0)
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         assert run_cli(["run", "mbdist", "--field", "z"]) == 2
@@ -144,6 +171,8 @@ class TestRun:
         (["run", "obsdiam", "--kappa", "1.5"], 2, "config error: kappa must lie in (0, 1)"),
         (["run", "mbdist", "--workers", "0"], 2, "config error: workers must be >= 1"),
         (["run", "mbdist", "--workers", "-2"], 2, "config error: workers must be >= 1"),
+        (["run", "mbdist", "--workers", str(cli.MAX_WORKERS + 1)], 2,
+         "config error: workers must be <= %d" % cli.MAX_WORKERS),
     ],
 )
 def test_bad_shape_exit_codes(argv, code, message, tmp_path, capsys):

@@ -50,7 +50,7 @@ class TestParams:
 
     def test_default_theta(self):
         p = ApproxSpaceParams("C", 20, 2, 0.1)
-        assert p.theta_val == pytest.approx(theta(0.1), rel=1e-14)
+        assert p.theta_val == pytest.approx(theta(0.1), rel=1e-14, abs=0)
 
 
 class TestMembership:
@@ -243,8 +243,8 @@ class TestProk:
         cfg = SamplerConfig("R", 25, 1, seed=1, count=2000)
         Z = np.concatenate(list(draws(cfg, partial(compressed_blocks, p=0))))
         d = np.abs(np.sqrt(np.sum(np.square(Z), axis=(1, 2))) - cfg.radius)
-        assert rep.mean_distance == pytest.approx(float(d.mean()), rel=1e-12)
-        assert rep.quantiles[50] == pytest.approx(float(np.quantile(d, 0.5)), rel=1e-10)
+        assert rep.mean_distance == pytest.approx(float(d.mean()), rel=1e-12, abs=0)
+        assert rep.quantiles[50] == pytest.approx(float(np.quantile(d, 0.5)), rel=1e-10, abs=0)
 
     def test_defect_definition(self):
         # At the reported level the empirical mass within eps reaches 1 - eps;

@@ -1,5 +1,6 @@
 """tools/csv_digests.py covers every experiment and prints stable digests."""
 
+import hashlib
 import importlib.util
 import os
 import re
@@ -50,6 +51,11 @@ def test_digests_are_stable_and_skip_manifests(tmp_path, monkeypatch):
     assert not any(name.endswith("manifest.json") for name in names)
     assert "run-mbdist-small/manifest.json#values" in names
     assert all(len(digest) == 64 for digest, _ in first)
+    # The summaries are listed; the last stdout line, which names the
+    # output directory (a, then b), is not, or the listings would differ.
+    stdout = dict((name, digest) for digest, name in first)["run-mbdist-small/stdout#values"]
+    assert stdout != hashlib.sha256(b"").hexdigest()
+    assert not any(name.startswith("sample-") and "stdout" in name for name in names)
 
 
 def test_listing_starts_with_the_stream(monkeypatch, capsys):
@@ -80,6 +86,7 @@ def test_values_lines_do_not_move_with_the_stream(tmp_path, monkeypatch):
     assert "run-prok-small/prok.csv#values" in values
     assert "sample-haar-c.csv.json#values" in values
     assert "run-prok-small/manifest.json#values" in values
+    assert "run-prok-small/stdout#values" in values
     assert all(before[name] == after[name] for name in values)
     # The whole files name the stream, so each of them moved; a manifest
     # has no whole-file line.

@@ -48,7 +48,7 @@ class TestPartialDiameter:
         cfg = SamplerConfig("R", 50, 1, seed=13, count=40000)
         coords = np.concatenate(list(draws(cfg, gaussian_blocks, lambda X: X[:, 3, 0])))
         want = 2.0 * 0.67448975019608174  # central half-mass window
-        assert partial_diameter(coords, 0.5) == pytest.approx(want, rel=0.05)
+        assert partial_diameter(coords, 0.5) == pytest.approx(want, rel=0.05, abs=0)
 
 
 class TestKyFan:
@@ -113,7 +113,7 @@ class TestKs:
 
     def test_critical_values(self):
         two = ks_critical(10000, 10000, alpha=0.01)
-        assert two == pytest.approx(1.627623611519175 * math.sqrt(2.0 / 10000.0), rel=1e-9)
+        assert two == pytest.approx(1.627623611519175 * math.sqrt(2.0 / 10000.0), rel=1e-9, abs=0)
         with pytest.raises(DomainError):
             ks_critical(100, 10000)
         with pytest.raises(DomainError):
@@ -161,7 +161,7 @@ class TestLawPartialDiameter:
         rng = np.random.default_rng(14)
         vals = np.sqrt(np.sum(rng.standard_normal((200000, 4)) ** 2, axis=1))
         emp = partial_diameter(vals, 0.5)
-        assert emp == pytest.approx(law_partial_diameter(4, 0.5), rel=0.02)
+        assert emp == pytest.approx(law_partial_diameter(4, 0.5), rel=0.02, abs=0)
 
     def test_domain(self):
         with pytest.raises(DomainError):

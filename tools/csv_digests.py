@@ -14,7 +14,9 @@ moves every run CSV (its `run_digest` column) and every sample sidecar
 moves only when the values do.  A run's `manifest.json` holds its start
 and finish times, so it gets only the `#values` line, without `started`
 and `finished` and without the fields that name the stream (`stream`,
-`run_digest` and the `outputs` digests).  It imports mmconc from the
+`run_digest` and the `outputs` digests).  A run's summary lines, all
+it prints but the last line, which names the temporary directory, get
+a `<run-dir>/stdout#values` line.  It imports mmconc from the
 `src/` of the checkout it sits in, so run it on two checkouts and diff
 the output to see which bytes a change moves.
 """
@@ -88,14 +90,21 @@ def values(name, data):
 
 def digests(out):
     """(sha256, path relative to out) of every output but the manifests,
-    and (sha256, path#values) of its `values` where it has them, the
-    manifests included."""
+    (sha256, path#values) of its `values` where it has them, the
+    manifests included, and (sha256, run-dir/stdout#values) of the
+    summary lines each run prints."""
     os.environ.pop("MMCONC_SEED", None)  # it would override every seed
     for argv in runs(out):
-        with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
             code = cli.main(argv)
         if code:
             sys.exit("mmconc %s exited with %d" % (" ".join(argv), code))
+        if argv[0] == "run":
+            # The last line, `wrote <path> (sha256 ...)`, names the
+            # temporary directory; the summaries above it do not.
+            summaries = "".join(stdout.getvalue().splitlines(True)[:-1]).encode()
+            rel = os.path.relpath(argv[argv.index("--out") + 1], out)
+            yield hashlib.sha256(summaries).hexdigest(), rel + "/stdout#values"
     for root, _, files in os.walk(out):
         for name in files:
             path = os.path.join(root, name)
