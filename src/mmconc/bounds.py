@@ -97,10 +97,8 @@ def check_dimensions(N, n_N):
         raise PreconditionError("need 1 <= n_N <= N - 1")
 
 
-def make_schedule(N, n_N, condition=None):
+def make_schedule(N, n_N, condition):
     """All derived scalars for one (N, n_N) under a growth condition."""
-    if condition is None:
-        condition = condi()
     check_dimensions(N, n_N)
     logN1 = math.log(N - 1.0)
     p_N = math.log(n_N) / logN1
@@ -292,15 +290,13 @@ class ConditionReport:
     values: np.ndarray
 
 
-def condition_check(rule, N_max, condition=None):
+def condition_check(rule, N_max, condition):
     """Evaluate the growth-condition supremand over N up to N_max.
 
     Reports the running sup and a heuristic tail trend ('increasing' or
     'bounded').  Boundedness of a sup over all N is not decidable
     numerically; this never claims a proof.
     """
-    if condition is None:
-        condition = condi()
     n_of = parse_rule(rule)
     N_max = int(N_max)
     if N_max < 4:

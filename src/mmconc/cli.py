@@ -14,17 +14,10 @@ import os
 import sys
 import time
 
-from . import __version__, bounds, csvio, experiments, sampling, stats
-from .errors import ConfigError, InfeasibleError, MmconcError, PreconditionError
+from . import __version__, bounds, csvio, experiments, sampling
+from .errors import ConfigError, InfeasibleError, MmconcError
 
 FIELD_NAMES = {"r": "R", "c": "C", "h": "H"}
-
-# Each worker is an OS thread, and sampling.draws starts min(workers,
-# chunks) of them at once, each drawing its own sub-blocks; past the
-# machine's cores more of them add only memory and scheduling.  So a
-# --workers above MAX_WORKERS is refused rather than started, and the
-# default, the core count, is capped at it.  Criterion 12 runs 4 workers.
-MAX_WORKERS = 64
 
 # glibc's malloc serves a block above its mmap threshold with its own
 # mapping, and gives the top of the heap back to the system once more
@@ -87,7 +80,8 @@ def _apply_env_seed(seed):
 
 
 def build_config(args):
-    cfg = experiments.ExperimentConfig(
+    """The run record of parsed arguments; the record checks its values."""
+    return experiments.ExperimentConfig(
         experiment=args.experiment or "",
         fields=_parse_fields(args.field),
         N_list=_parse_list(args.N, "N", int, "integers"),
@@ -101,36 +95,6 @@ def build_config(args):
         workers=args.workers,
         out=args.out,
     )
-    n_of = bounds.parse_rule(cfg.n_rule)  # fail early on a malformed rule
-    for N in cfg.N_list:
-        n = n_of(N)
-        if not 1 <= n <= N:
-            raise ConfigError(
-                "rule %s gives n = %d at N = %d; need 1 <= n <= N" % (cfg.n_rule, n, N)
-            )
-        if cfg.experiment in experiments.SCHEDULED:
-            try:
-                bounds.check_dimensions(N, n)
-            except PreconditionError as exc:
-                raise ConfigError("%s at N = %d, n = %d: %s" % (cfg.experiment, N, n, exc))
-    cfg.condition_obj()
-    if cfg.samples < 1:
-        raise ConfigError("samples must be >= 1")
-    if cfg.experiment == "pushforward" and cfg.samples < stats.KS_MIN_SAMPLES:
-        raise ConfigError(
-            "pushforward needs samples >= %d for its KS critical value" % stats.KS_MIN_SAMPLES
-        )
-    if not 0.0 < cfg.eps < 1.0:
-        raise ConfigError("eps must lie in (0, 1)")
-    if not all(0.0 < kappa < 1.0 for kappa in cfg.kappa_list):
-        raise ConfigError("kappa must lie in (0, 1)")
-    if cfg.workers < 1:
-        raise ConfigError("workers must be >= 1")
-    if cfg.workers > MAX_WORKERS:
-        raise ConfigError("workers must be <= %d" % MAX_WORKERS)
-    if cfg.seed < 0:
-        raise ConfigError("seed must be >= 0")
-    return cfg
 
 
 def cmd_run(args):
@@ -226,9 +190,7 @@ def cmd_validate(args):
             )
             warned = True
     try:
-        report = bounds.condition_check(
-            rule, max(cfg.N_list + (10**6,)), cfg.condition_obj()
-        )
+        report = bounds.condition_check(rule, max(cfg.N_list + (10**6,)), cfg.growth)
         print(
             "condition check: sup=%.4f at N=%d trend=%s"
             % (report.sup_value, report.sup_at, report.trend)
@@ -282,7 +244,7 @@ def _add_run_options(parser):
         parser.add_argument("--condition", choices=("condi", "ass"), default="condi"),
         parser.add_argument("--a", type=float, default=0.5, help="exponent for the ass condition"),
         parser.add_argument(
-            "--workers", type=int, default=min(os.cpu_count() or 1, MAX_WORKERS)
+            "--workers", type=int, default=min(os.cpu_count() or 1, experiments.MAX_WORKERS)
         ),
         parser.add_argument("--out", default="."),
     )

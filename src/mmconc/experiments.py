@@ -28,15 +28,27 @@ import numpy as np
 from . import bounds, concentration, gaussian, sampling, stats
 from .algebra import FMatrix, _native, field_dim, frame_radius
 from .decomp import dist_to_scaled_stiefel, polar
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, PreconditionError
 
 # The experiments that build a bounds.make_schedule for each (N, n), so
 # that each (N, n) of their config must have one.
 SCHEDULED = ("fullmeas", "lipschitz", "bounds")
 
+# Each worker is an OS thread, and sampling.draws starts min(workers,
+# chunks) of them at once, each drawing its own sub-blocks; past the
+# machine's cores more of them add only memory and scheduling.  So a
+# worker count above MAX_WORKERS is refused rather than started, and the
+# CLI's default, the core count, is capped at it.  Criterion 12 runs 4.
+MAX_WORKERS = 64
 
-@dataclass
+
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """The settings of one run, checked once, on construction, for the CLI
+    and in-process callers alike (a bad value is a ConfigError).  It also
+    resolves `points`, the (N, n) of each N under n_rule, and `growth`,
+    the bounds.Condition of condition and a; neither is a field."""
+
     experiment: str = ""
     fields: tuple = ("R",)
     N_list: tuple = (100,)
@@ -50,10 +62,41 @@ class ExperimentConfig:
     workers: int = 1
     out: str = "."
 
-    def n_for(self, N):
-        return bounds.parse_rule(self.n_rule)(N)
+    def __post_init__(self):
+        n_of = bounds.parse_rule(self.n_rule)
+        points = []
+        for N in self.N_list:
+            n = n_of(N)
+            if not 1 <= n <= N:
+                raise ConfigError(
+                    "rule %s gives n = %d at N = %d; need 1 <= n <= N" % (self.n_rule, n, N)
+                )
+            if self.experiment in SCHEDULED:
+                try:
+                    bounds.check_dimensions(N, n)
+                except PreconditionError as exc:
+                    raise ConfigError("%s at N = %d, n = %d: %s" % (self.experiment, N, n, exc))
+            points.append((N, n))
+        object.__setattr__(self, "points", tuple(points))
+        object.__setattr__(self, "growth", self._growth())
+        if self.samples < 1:
+            raise ConfigError("samples must be >= 1")
+        if self.experiment == "pushforward" and self.samples < stats.KS_MIN_SAMPLES:
+            raise ConfigError(
+                "pushforward needs samples >= %d for its KS critical value" % stats.KS_MIN_SAMPLES
+            )
+        if not 0.0 < self.eps < 1.0:
+            raise ConfigError("eps must lie in (0, 1)")
+        if not all(0.0 < kappa < 1.0 for kappa in self.kappa_list):
+            raise ConfigError("kappa must lie in (0, 1)")
+        if self.workers < 1:
+            raise ConfigError("workers must be >= 1")
+        if self.workers > MAX_WORKERS:
+            raise ConfigError("workers must be <= %d" % MAX_WORKERS)
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
-    def condition_obj(self):
+    def _growth(self):
         if self.condition == "condi":
             return bounds.condi()
         if self.condition == "ass":
@@ -121,8 +164,7 @@ def _grid(cfg, name, header, point):
     summaries "<name> field=... N=... n=... <tail>"."""
     rows, summaries = [], []
     for field in cfg.fields:
-        for N in cfg.N_list:
-            n = cfg.n_for(N)
+        for N, n in cfg.points:
             tails, notes = point(field, N, n)
             rows += [[N, n, field, *tail] for tail in tails]
             summaries += ["%s field=%s N=%d n=%d %s" % (name, field, N, n, note) for note in notes]
@@ -143,10 +185,9 @@ def run_mbdist(cfg):
 def run_fullmeas(cfg):
     """Monte Carlo Gaussian mass of the approximation space against the
     analytic product lower bound."""
-    cond = cfg.condition_obj()
 
     def point(field, N, n):
-        sch = bounds.make_schedule(N, n, cond)
+        sch = bounds.make_schedule(N, n, cfg.growth)
         scfg = sampling.SamplerConfig(field, N, n, seed=cfg.seed, count=cfg.samples)
         hits = sampling.draws(
             scfg,
@@ -176,10 +217,8 @@ def run_prok(cfg):
 
 
 def run_lipschitz(cfg):
-    cond = cfg.condition_obj()
-
     def point(field, N, n):
-        sch = bounds.make_schedule(N, n, cond)
+        sch = bounds.make_schedule(N, n, cfg.growth)
         params = concentration.ApproxSpaceParams(field, N, n, sch.eps_N, sch.theta_N)
         rep = concentration.lipschitz_experiment(params, pair_count=cfg.samples, seed=cfg.seed)
         analytic = 1.0 / (1.0 - rep.certificate) if rep.certificate < 1.0 else math.inf
@@ -231,11 +270,9 @@ def run_obsdiam(cfg):
 
 def run_bounds(cfg):
     rows, summaries = [], []
-    cond = cfg.condition_obj()
     schedules = []
-    for N in cfg.N_list:
-        n = cfg.n_for(N)
-        sch = bounds.make_schedule(N, n, cond)
+    for N, n in cfg.points:
+        sch = bounds.make_schedule(N, n, cfg.growth)
         schedules.append(sch.to_json())
         for key in ("p_N", "a_N", "eps_N", "b_N", "theta_N", "q_N", "sigma_N", "L_bound"):
             rows.append([N, n, cfg.condition, key, getattr(sch, key)])

@@ -85,9 +85,9 @@ class TestSchedule:
 
     def test_domain(self):
         with pytest.raises(PreconditionError):
-            make_schedule(2, 1)
+            make_schedule(2, 1, condi())
         with pytest.raises(PreconditionError):
-            make_schedule(10, 10)
+            make_schedule(10, 10, condi())
 
 
 class TestSigmaRecursion:

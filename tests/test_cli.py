@@ -1,3 +1,4 @@
+import builtins
 import dataclasses
 import json
 import os
@@ -9,9 +10,9 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from mmconc import cli, csvio, experiments, sampling
+from mmconc import bounds, cli, csvio, experiments, sampling
 from mmconc.algebra import _to_native
-from mmconc.errors import DomainError, InfeasibleError
+from mmconc.errors import ConfigError, DomainError, InfeasibleError
 
 
 def run_cli(args):
@@ -171,8 +172,8 @@ class TestRun:
         (["run", "obsdiam", "--kappa", "1.5"], 2, "config error: kappa must lie in (0, 1)"),
         (["run", "mbdist", "--workers", "0"], 2, "config error: workers must be >= 1"),
         (["run", "mbdist", "--workers", "-2"], 2, "config error: workers must be >= 1"),
-        (["run", "mbdist", "--workers", str(cli.MAX_WORKERS + 1)], 2,
-         "config error: workers must be <= %d" % cli.MAX_WORKERS),
+        (["run", "mbdist", "--workers", str(experiments.MAX_WORKERS + 1)], 2,
+         "config error: workers must be <= %d" % experiments.MAX_WORKERS),
     ],
 )
 def test_bad_shape_exit_codes(argv, code, message, tmp_path, capsys):
@@ -234,6 +235,61 @@ def test_unrunnable_experiment_is_config_error(command, options, message, tmp_pa
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
     assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"experiment": "mbdist", "N_list": (3,), "n_rule": "const:5"},
+         "rule const:5 gives n = 5 at N = 3"),
+        ({"experiment": "fullmeas", "N_list": (2,)}, "fullmeas at N = 2, n = 1: need N >= 3"),
+        ({"condition": "ass", "a": 2.0}, "'ass' needs a in (0, 1)"),
+        ({"samples": 0}, "samples must be >= 1"),
+        ({"experiment": "pushforward", "samples": 500}, "pushforward needs samples >= 1000"),
+        ({"eps": 1.5}, "eps must lie in (0, 1)"),
+        ({"kappa_list": (0.5, 1.5)}, "kappa must lie in (0, 1)"),
+        ({"workers": 0}, "workers must be >= 1"),
+        # Only the record is built, so no thread starts.
+        ({"workers": experiments.MAX_WORKERS + 1},
+         "workers must be <= %d" % experiments.MAX_WORKERS),
+        ({"seed": -1}, "seed must be >= 0"),
+    ],
+    ids=["rule-n", "scheduled-N", "ass-a", "samples", "pushforward-samples", "eps", "kappa",
+         "workers-0", "workers-max", "seed"],
+)
+def test_config_record_checks_itself(settings, message):
+    # An in-process caller gets the checks and messages of `mmconc run`.
+    with pytest.raises(ConfigError) as info:
+        experiments.ExperimentConfig(**settings)
+    assert message in str(info.value)
+
+
+def test_config_record_is_frozen_and_resolved():
+    cfg = experiments.ExperimentConfig(
+        experiment="bounds", N_list=(10, 50), n_rule="power:0.5", condition="ass", a=0.25
+    )
+    assert cfg.points == ((10, 3), (50, 7))
+    assert cfg.growth == bounds.ass(0.25)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.samples = 1
+
+
+def test_table_rule_is_read_once_per_run(tmp_path, monkeypatch):
+    table = tmp_path / "rule.txt"
+    table.write_text("10 2\n20 3\n30, 3\n")
+    opened = []
+    real = builtins.open
+
+    def counted(file, *args, **kwargs):
+        if file == str(table):
+            opened.append(file)
+        return real(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counted)
+    assert run_cli(["run", "mbdist", "--field", "r,c,h", "--N", "10,20,30",
+                    "--n", "table:%s" % table, "--samples", "200", "--workers", "1",
+                    "--out", str(tmp_path / "out")]) == 0
+    assert len(opened) == 1
 
 
 def test_obsdiam_target_is_the_normal_partial_diameter():

@@ -33,6 +33,15 @@ def test_runs_cover_every_experiment_and_sample_kind(tmp_path):
     assert [argv[argv.index("--field") + 1] for argv in square] == list("rch")
     assert all(argv[argv.index("--N") + 1] == argv[argv.index("--n") + 1] for argv in square)
     assert all(argv[argv.index("--seed") + 1] == "7" for argv in argvs)
+    # Every column rule kind, and the ass condition (condi is the default)
+    # for both experiments that build schedules; the table is in place.
+    run = [argv for argv in argvs if argv[0] == "run"]
+    rules = {argv[argv.index("--n") + 1].split(":")[0] for argv in run}
+    assert rules == {"const", "power", "powerlog", "table"}
+    conditions = {(argv[1], argv[argv.index("--condition") + 1])
+                  for argv in run if "--condition" in argv}
+    assert conditions == {("fullmeas", "ass"), ("bounds", "ass")}
+    assert (tmp_path / "rule-table.txt").read_text() == "10 2\n20, 3\n"
 
 
 def test_digests_are_stable_and_skip_manifests(tmp_path, monkeypatch):
@@ -47,6 +56,10 @@ def test_digests_are_stable_and_skip_manifests(tmp_path, monkeypatch):
     names = [name for _, name in first]
     assert "run-mbdist-small/mbdist.csv" in names
     assert "sample-haar-h.csv" in names
+    # The table: run names its table relative to the output directory, so
+    # its manifest reads alike from a and from b.
+    assert "run-fullmeas-table/manifest.json#values" in names
+    assert "rule-table.txt" in names
     # A manifest holds its run's times: it is listed only by its values.
     assert not any(name.endswith("manifest.json") for name in names)
     assert "run-mbdist-small/manifest.json#values" in names

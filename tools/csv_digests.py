@@ -3,9 +3,12 @@
     python3 tools/csv_digests.py
 
 Runs every `mmconc run` experiment over R, C and H on small fixed
-configurations, plus `mmconc sample` of both kinds over each field and
-one square Haar export (N = n = 4) a field, in a temporary directory,
-and prints one `sha256  file` line per output, sorted by file.  The
+configurations, fullmeas under the `power:`, `powerlog:` and `table:`
+column rules, fullmeas and bounds under the `ass` growth condition, plus
+`mmconc sample` of both kinds over each field and one square Haar export
+(N = n = 4) a field, in a temporary directory, and prints one
+`sha256  file` line per output (the rule table it writes included),
+sorted by file.  The
 first line, `stream  <sampling.STREAM>`, names the random stream, so the
 listings of two streams never diff as equal.  A bump of the stream
 moves every run CSV (its `run_digest` column) and every sample sidecar
@@ -44,6 +47,20 @@ RUN_SETS = {
     "large": ["--field", "r,c,h", "--N", "100,500", "--n", "const:2", "--samples", "2000"],
 }
 LARGE_ONLY = ("fullmeas", "bounds")
+# The other column rules, and the ass growth condition under both
+# experiments that build schedules, so that a change to how a run resolves
+# its n or its condition moves bytes here.  The table: rule reads TABLE,
+# which runs writes in the output directory; the name is relative, since
+# the manifest records it, so the calls run there.  It is listed too.
+TABLE = "rule-table.txt"
+RULE_SET = ["--field", "r,c,h", "--N", "10,20", "--samples", "2000"]
+RULE_RUNS = [
+    ("fullmeas", "power", ["--n", "power:0.5"]),
+    ("fullmeas", "powerlog", ["--n", "powerlog:0.5"]),
+    ("fullmeas", "table", ["--n", "table:" + TABLE]),
+    ("fullmeas", "ass", ["--n", "const:2", "--condition", "ass"]),
+    ("bounds", "ass", ["--n", "const:2", "--condition", "ass"]),
+]
 SAMPLES = ["--N", "10", "--n", "3", "--count", "1500"]
 # Square frames: about 0.5 % of the 4 x 4 draws over R are ill-conditioned
 # enough to take the SVD frame, so a change to the polar rank policy moves
@@ -52,13 +69,18 @@ SQUARE = ["--N", "4", "--n", "4", "--count", "1500"]
 
 
 def runs(out):
-    """The mmconc arguments of every run, each writing under out."""
+    """The mmconc arguments of every run, each writing under out, where it
+    first writes the table of the table: rule."""
+    os.makedirs(out, exist_ok=True)
+    with open(os.path.join(out, TABLE), "w") as fh:
+        fh.write("10 2\n20, 3\n")
     for name in sorted(experiments.EXPERIMENTS):
         for tag, opts in RUN_SETS.items():
             if tag == "large" and name not in LARGE_ONLY:
                 continue
-            where = os.path.join(out, "run-%s-%s" % (name, tag))
-            yield ["run", name, *opts, "--workers", "1", "--seed", SEED, "--out", where]
+            yield _run(out, name, tag, opts)
+    for name, tag, opts in RULE_RUNS:
+        yield _run(out, name, tag, [*RULE_SET, *opts])
     for kind in ("gaussian", "haar"):
         for field in "rch":
             where = os.path.join(out, "sample-%s-%s.csv" % (kind, field))
@@ -68,6 +90,11 @@ def runs(out):
         where = os.path.join(out, "sample-haar-square-%s.csv" % field)
         yield ["sample", "--kind", "haar", "--field", field, *SQUARE,
                "--seed", SEED, "--out", where]
+
+
+def _run(out, name, tag, opts):
+    where = os.path.join(out, "run-%s-%s" % (name, tag))
+    return ["run", name, *opts, "--workers", "1", "--seed", SEED, "--out", where]
 
 
 def values(name, data):
@@ -95,7 +122,7 @@ def digests(out):
     summary lines each run prints."""
     os.environ.pop("MMCONC_SEED", None)  # it would override every seed
     for argv in runs(out):
-        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        with contextlib.chdir(out), contextlib.redirect_stdout(io.StringIO()) as stdout:
             code = cli.main(argv)
         if code:
             sys.exit("mmconc %s exited with %d" % (" ".join(argv), code))
