@@ -203,13 +203,26 @@ def l_bound(n, eps, sigma):
         raise DomainError("need n >= 1")
     if not 0.0 <= sigma <= 1.0:
         raise DomainError("sigma must lie in [0, 1]")
-    rec = sigma_recursion(theta(eps), sigma)
-    if n > rec.n_sigma:
+    # s is strictly increasing, so n <= n_sigma exactly when n = 1 or
+    # s_{n-1} < sigma.
+    if n > 1 and not _offset(theta(eps), n - 1) < sigma:
+        rec = sigma_recursion(theta(eps), sigma)
         raise PreconditionError(
             "n = %d exceeds n_sigma = %d for theta(eps) = %.6g"
             % (n, rec.n_sigma, rec.delta)
         )
     return _frame_distance_bound(n, eps, sigma)
+
+
+def _offset(delta, m):
+    """s_m of the recursion s_l = s_{l-1} + phi(s_{l-1}) from s_0 = 0, or
+    inf once a step would start from s >= 1, where phi has no value."""
+    s = 0.0
+    for _ in range(m):
+        if s >= 1.0:
+            return math.inf
+        s = s + phi_step(delta, s)
+    return s
 
 
 def l_bound_min(n, eps):
@@ -220,19 +233,42 @@ def l_bound_min(n, eps):
     """
     if n < 1:
         raise DomainError("need n >= 1")
-    delta = theta(eps)
-    s = 0.0
-    for _ in range(n - 1):
-        if s >= 1.0:
-            return math.inf
-        s = s + phi_step(delta, s)
+    s = _offset(theta(eps), n - 1)
     if s >= 1.0:
         return math.inf
     return _frame_distance_bound(n, eps, s)
 
 
+@dataclass(frozen=True)
+class Rule:
+    """A parsed column-count rule, n = rule(N): const:k, power:p,
+    powerlog:p or table:path.  arg is k or p; a table rule gives an n
+    only at the N of its table."""
+
+    text: str
+    kind: str
+    arg: float | None = None
+    table: dict | None = None
+
+    def __call__(self, N):
+        if self.kind == "const":
+            return self.arg
+        if self.kind == "table":
+            if N not in self.table:
+                raise ConfigError("rule table has no entry for N = %d" % N)
+            return self.table[N]
+        if self.kind == "powerlog" and N < 2:  # N / log N has no value at N = 1
+            raise ConfigError("powerlog rule needs N >= 2, got N = %d" % N)
+        try:
+            if self.kind == "power":
+                return max(1, int(math.floor(N**self.arg)))
+            return max(1, int(math.floor((N / math.log(N)) ** self.arg + 1.0)))
+        except OverflowError:
+            raise ConfigError("rule %s overflows a float at N = %d" % (self.text, N))
+
+
 def parse_rule(text):
-    """Column-count rules: const:k, power:p, powerlog:p, table:path."""
+    """The Rule of const:k, power:p, powerlog:p or table:path."""
     text = str(text).strip()
     if ":" not in text:
         raise ConfigError("rule %r is not of the form kind:value" % text)
@@ -244,19 +280,9 @@ def parse_rule(text):
             raise ConfigError("const rule needs an integer, got %r" % arg)
         if k < 1:
             raise ConfigError("const rule needs k >= 1")
-        return lambda N: k
-    if kind == "power":
-        p = _rule_float(arg)
-        return _no_overflow(text, lambda N: max(1, int(math.floor(N**p))))
-    if kind == "powerlog":
-        p = _rule_float(arg)
-
-        def powerlog(N):
-            if N < 2:  # N / log N has no value at N = 1
-                raise ConfigError("powerlog rule needs N >= 2, got N = %d" % N)
-            return max(1, int(math.floor((N / math.log(N)) ** p + 1.0)))
-
-        return _no_overflow(text, powerlog)
+        return Rule(text, kind, k)
+    if kind in ("power", "powerlog"):
+        return Rule(text, kind, _rule_float(arg))
     if kind == "table":
         table = {}
         try:
@@ -271,13 +297,7 @@ def parse_rule(text):
             raise ConfigError("cannot read rule table %r: %s" % (arg, exc))
         except (ValueError, IndexError):
             raise ConfigError("rule table %r needs integer pairs per line" % arg)
-
-        def lookup(N, table=table):
-            if N not in table:
-                raise ConfigError("rule table has no entry for N = %d" % N)
-            return table[N]
-
-        return lookup
+        return Rule(text, kind, table=table)
     raise ConfigError("unknown rule kind %r" % kind)
 
 
@@ -291,24 +311,29 @@ class ConditionReport:
 
 
 def condition_check(rule, N_max, condition):
-    """Evaluate the growth-condition supremand over N up to N_max.
+    """Evaluate the growth-condition supremand of a parsed Rule over N up
+    to N_max, from 3 on; a table rule, at its own N.
 
     Reports the running sup and a heuristic tail trend ('increasing' or
     'bounded').  Boundedness of a sup over all N is not decidable
     numerically; this never claims a proof.
     """
-    n_of = parse_rule(rule)
     N_max = int(N_max)
     if N_max < 4:
         raise DomainError("need N_max >= 4")
-    grid = np.arange(3, min(N_max, 2000) + 1)
-    if N_max > 2000:
-        # Both parts are nondecreasing and meet at 2000, so dropping
-        # repeats of the previous point gives np.unique's grid.
-        grid = np.concatenate([grid, np.geomspace(2000, N_max, 400).astype(np.int64)])
-        grid = grid[np.concatenate(([True], np.diff(grid) > 0))]
+    if rule.table is not None:
+        grid = np.array(sorted(N for N in rule.table if 3 <= N <= N_max), dtype=np.int64)
+        if len(grid) < 2:
+            raise DomainError("rule table has fewer than two N from 3 to %d" % N_max)
+    else:
+        grid = np.arange(3, min(N_max, 2000) + 1)
+        if N_max > 2000:
+            # Both parts are nondecreasing and meet at 2000, so dropping
+            # repeats of the previous point gives np.unique's grid.
+            grid = np.concatenate([grid, np.geomspace(2000, N_max, 400).astype(np.int64)])
+            grid = grid[np.concatenate(([True], np.diff(grid) > 0))]
     vals = np.array(
-        [condition.expression(int(N), max(1, int(n_of(int(N))))) for N in grid]
+        [condition.expression(int(N), max(1, int(rule(int(N))))) for N in grid]
     )
     k = int(np.argmax(vals))
     if len(vals) < 16:  # the windows below would leave prev short or empty
@@ -334,18 +359,6 @@ def _rule_float(arg):
     if not math.isfinite(p):
         raise ConfigError("rule needs a finite exponent, got %r" % arg)
     return p
-
-
-def _no_overflow(rule, n_of):
-    """n_of, with ConfigError where its power overflows a float."""
-
-    def checked(N):
-        try:
-            return n_of(N)
-        except OverflowError:
-            raise ConfigError("rule %s overflows a float at N = %d" % (rule, N))
-
-    return checked
 
 
 @dataclass(frozen=True)

@@ -180,15 +180,13 @@ def cmd_validate(args):
         cfg.seed, cfg.samples,
     ))
     warned = False
-    rule = cfg.n_rule
-    if cfg.condition == "condi" and rule.startswith("power:"):
-        p = float(rule.split(":", 1)[1])
-        if p >= 1.0 / 3.0:
-            print(
-                "warning: n rule %s has exponent p = %g >= 1/3; the growth "
-                "condition only holds for p < 1/3" % (rule, p)
-            )
-            warned = True
+    rule = cfg.rule
+    if cfg.condition == "condi" and rule.kind == "power" and rule.arg >= 1.0 / 3.0:
+        print(
+            "warning: n rule %s has exponent p = %g >= 1/3; the growth "
+            "condition only holds for p < 1/3" % (cfg.n_rule, rule.arg)
+        )
+        warned = True
     try:
         report = bounds.condition_check(rule, max(cfg.N_list + (10**6,)), cfg.growth)
         print(

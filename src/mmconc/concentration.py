@@ -5,14 +5,14 @@ concentration estimate for the distance to the scaled frame manifold.
 
 The statistics run on the native arrays of `algebra` (R (..., N, n), C
 (..., N, n), H (..., 2N, n)): membership reads the column norms and pair
-overlaps off one native Gram block, and `membership_native`,
-`phi_native` and `_frame_distances` take native batches straight from
-the samplers.  Membership and the distances read only the Gram matrix,
-so fullmeas and prok hand them the compressed draws of
-`sampling.compressed_blocks`, n rows at every N; N is therefore an
-argument of theirs, not the row count.  `membership_mask` is one
-conversion around `membership_native` for batches in the (..., N, n, 4)
-interchange layout.
+overlaps off one native Gram block; `membership_native`, `phi_native`
+and prok's `decomp.dist_to_scaled_stiefel_native` take native batches
+straight from the samplers.  Membership and the distance read only the
+Gram matrix, so fullmeas and prok hand them the compressed draws of
+`sampling.compressed_blocks`, n rows at every N; N, or the radius it
+sets, is therefore an argument of theirs, not read off the row count.
+`membership_mask` is one conversion around `membership_native` for
+batches in the (..., N, n, 4) interchange layout.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import bounds, sampling, stats
 from .algebra import _frobenius, _gram, _native, _real_view, _to_native, field_dim, frame_radius
-from .decomp import polar_q_native, singular_values_native
+from .decomp import dist_to_scaled_stiefel_native, polar_q_native, singular_values_native
 from .errors import DomainError, PreconditionError
 
 
@@ -90,22 +90,6 @@ def membership_native(X, field, eps, theta_val, N):
 def membership_mask(comps, field, eps, theta_val):
     """Boolean membership of each entry of a batch (S, N, n, 4)."""
     return membership_native(_to_native(comps, field), field, eps, theta_val, comps.shape[-3])
-
-
-def _frame_distances(X, field, N):
-    """Distance of each draw of a native batch to the N x n frames scaled
-    by sqrt(N^F - 1): | |z| - r | for one column, otherwise from the
-    singular values.
-
-    The distance reads only the singular values, the roots of the Gram
-    eigenvalues, so X may be a full N-row draw or a compressed one (see
-    membership_native); N is the caller's and sets the radius.
-    """
-    r = frame_radius(N, field)
-    if X.shape[-1] == 1:
-        return np.abs(_frobenius(X) - r)
-    lam = singular_values_native(X, field)
-    return np.sqrt(np.sum(np.square(lam - r), axis=-1))
 
 
 def _dp_lower(d):
@@ -297,7 +281,7 @@ def prok_experiment(N, n, field, sample_size=100000, seed=0, workers=1):
     d = sampling.draws(
         cfg,
         functools.partial(sampling.compressed_blocks, p=0),
-        lambda X: _frame_distances(X, field, N),
+        functools.partial(dist_to_scaled_stiefel_native, field=field, r=frame_radius(N, field)),
         workers,
     )
     return prok_report(np.concatenate(list(d)))

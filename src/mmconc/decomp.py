@@ -6,20 +6,17 @@ manifold, and the two quotient distances (right-unitary and unit-scalar
 orbits).
 
 The FMatrix functions read the native array of each argument and wrap
-native results, with no conversion or check on the way.  The native
-batched functions (`polar_q_native`, `singular_values_native`) are what
-the samplers and statistics call; `polar_q_batched` is one conversion
-around `polar_q_native` for batches in the (..., N, n, 4) interchange
-layout.  One kernel, `_gram_eig`, lifts a native batch (over H to the
-complex adjoint of F. Zhang, Linear Algebra Appl. 251, 1997), forms and
-solves its Gram matrix, and serves the per-matrix functions as a batch
-of one as well as the batched ones.  Over H every eigenvalue of a
-lifted matrix comes twice, on the pair {x, Jx}.  Every polar frame,
-per matrix or batched, follows one rank policy, RANK_TOL: an
-ill-conditioned matrix takes its frame from the SVD.  `polar` returns the
-singular values it computes for its rank check, so a caller that needs
-both pays for one Gram eigensolve.  `svd` completes U by Householder
-QR, over H with quaternion reflectors.
+native results, with no conversion or check on the way.  The samplers
+and statistics call the native batched functions (`polar_q_native`,
+`singular_values_native`, `dist_to_scaled_stiefel_native`); `polar` and
+`dist_to_scaled_stiefel` call them on a batch of one.  `_gram_eig` lifts
+a native batch (over H to the complex adjoint of F. Zhang, Linear
+Algebra Appl. 251, 1997) and solves its Gram matrix; over H every
+eigenvalue of a lifted matrix comes twice, on the pair {x, Jx}.  Every
+polar frame comes from `_polar_native`, the one home of the rank policy
+RANK_TOL: an ill-conditioned entry takes its frame from the SVD of the
+eigenpairs already solved.  `svd` completes U by Householder QR, over H
+with quaternion reflectors.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from .algebra import (
 )
 from .errors import ShapeMismatchError
 
-# The rank policy of every polar frame, in `polar` and `polar_q_native`: a
+# The rank policy of every polar frame, applied in `_polar_native`: a
 # matrix whose smallest singular value is at most RANK_TOL max(1, largest)
 # takes its frame from the SVD.  The Gram route Q = Z (Z* Z)^(-1/2) loses
 # orthonormality as about 1e-16 cond^2, so it is kept to cond <= 1e3: over
@@ -222,13 +219,10 @@ def singular_values(Z):
     return singular_values_native(Z.native, Z.field)
 
 
-def svd(Z):
-    """Z = U Lambda V* with U, V unitary and Lambda the (N, n) diagonal."""
-    if Z.N < Z.n:
-        raise ShapeMismatchError("need N >= n")
-    n = Z.n
-    L, _, w, V = _gram_eig(Z.native, Z.field)
-    P, _ = _eig_desc(w, V, Z.field)
+def _svd_factors(L, w, V, field):
+    """(U, lam, P) with Z = U Lambda P*, native, for the native matrix Z
+    whose lift is L, from the eigenpairs (w, V) of L* L."""
+    P, _ = _eig_desc(w, V, field)
     # The singular values are the column norms of Z P, which keep a
     # collapsed one near eps ||Z||, where the root of its Gram
     # eigenvalue would sit near sqrt(eps) ||Z||.
@@ -239,42 +233,42 @@ def svd(Z):
     # Z P is accurate to about eps ||Z||, so a column with lam at most
     # 1e-13 max(1, lam_0) has collapsed onto round-off.  U takes the kept
     # columns made orthonormal in order and completes them.
-    k = int(np.count_nonzero(lam > max(1.0, lam[0] if n else 1.0) * 1e-13))
-    U = _householder_unitary(Z.field, ZP[:, :k] / lam[:k])
+    k = int(np.count_nonzero(lam > max(1.0, lam[0] if lam.size else 1.0) * 1e-13))
+    return _householder_unitary(field, ZP[:, :k] / lam[:k]), lam, P
+
+
+def svd(Z):
+    """Z = U Lambda V* with U, V unitary and Lambda the (N, n) diagonal."""
+    if Z.N < Z.n:
+        raise ShapeMismatchError("need N >= n")
+    L, _, w, V = _gram_eig(Z.native, Z.field)
+    U, lam, P = _svd_factors(L, w, V, Z.field)
     return SingularTriple(
         u=FMatrix._wrap(Z.field, U), lam=lam, v=FMatrix._wrap(Z.field, P)
     )
 
 
 def polar(Z):
-    """Z = Q H with Q an orthonormal frame and H Hermitian PSD.
-
-    Inputs that pass the RANK_TOL test use H = (Z* Z)^(1/2) and
-    Q = Z H^(-1); the others take the frame from the SVD (see RANK_TOL
-    for the orthonormality each route keeps).  lam holds the
-    singular values, non-increasing: the roots of the Gram eigenvalues
-    that the test reads, or the SVD's on the other branch.
-    """
+    """Z = Q H with Q an orthonormal frame and H = (Z* Z)^(1/2): the
+    frame and singular values lam of `_polar_native` on a batch of one,
+    and H from its eigenpairs."""
     if Z.N < Z.n:
         raise ShapeMismatchError("need N >= n")
-    n = Z.n
-    L, lam2, w, V = _gram_eig(Z.native, Z.field)
-    H = FMatrix._wrap(Z.field, _spectral(V, np.sqrt(np.maximum(w, 0.0)), n))
-    lam = np.sqrt(np.maximum(lam2[::-1], 0.0))
-    if n == 0 or lam[-1] > RANK_TOL * max(1.0, lam[0]):
-        Q = FMatrix._wrap(Z.field, _polar_frame(L, w, V, n))
-        return PolarFactors(q=Q, h=H, lam=lam)
-    t = svd(Z)
-    Q = FMatrix._wrap(Z.field, t.u.native[:, :n]) @ t.v.adjoint()
-    return PolarFactors(q=Q, h=H, lam=t.lam)
+    q, lam, w, V = _polar_native(Z.native[None], Z.field)
+    if V is None:  # one column, solved without eigenpairs: H = |z|
+        H = FMatrix.identity(Z.field, 1).scale(lam[0, 0])
+    else:
+        H = FMatrix._wrap(Z.field, _spectral(V[0], np.sqrt(np.maximum(w[0], 0.0)), Z.n))
+    return PolarFactors(q=FMatrix._wrap(Z.field, q[0]), h=H, lam=lam[0])
 
 
 def dist_to_scaled_stiefel(Z, r):
     """Frobenius distance from Z to the frames scaled by r > 0."""
     if r <= 0:
         raise ShapeMismatchError("radius must be positive")
-    lam = singular_values(Z)
-    return float(np.sqrt(np.sum(np.square(lam - r))))
+    if Z.N < Z.n:
+        raise ShapeMismatchError("need N >= n")
+    return float(dist_to_scaled_stiefel_native(Z.native[None], Z.field, r)[0])
 
 
 def grassmann_dist(Z, W):
@@ -305,25 +299,46 @@ def singular_values_native(X, field):
     return np.sqrt(np.maximum(w[..., ::-1], 0.0))
 
 
-def polar_q_native(X, field):
-    """Polar frames Q of a native batch, under the rank policy of `polar`.
+def dist_to_scaled_stiefel_native(X, field, r):
+    """Distance of each entry of a native batch to the frames scaled by r.
 
-    Returns (q, lam_min), q native like X, where lam_min is the smallest
-    singular value per batch entry, the root of its Gram eigenvalue.  An
-    entry that fails the RANK_TOL test, such as a zero column, gets the
-    frame of `polar`, from its SVD.
+    It reads only the singular values, so X may be any batch with the
+    Gram law of the draws, such as sampling.compressed_blocks gives.
+    """
+    if X.shape[-1] == 1:
+        return np.abs(_frobenius(X) - r)
+    lam = singular_values_native(X, field)
+    return np.sqrt(np.sum(np.square(lam - r), axis=-1))
+
+
+def _polar_native(X, field):
+    """(q, lam, w, V): the polar frames of a native batch under RANK_TOL,
+    the singular values, non-increasing, and the Gram eigenpairs of
+    `_gram_eig`, None for one column, whose frame is z / |z|.  An entry
+    that fails the test takes U[:, :n] P* and lam from its SVD U Lambda P*.
     """
     n = X.shape[-1]
     if n == 1:
-        lam_max = lam_min = _frobenius(X)
+        w = V = None
+        lam = _frobenius(X)[..., None]
     else:
         L, lam2, w, V = _gram_eig(X, field)
-        lam_max, lam_min = (np.sqrt(np.maximum(lam2[..., i], 0.0)) for i in (-1, 0))
-    ok = lam_min > RANK_TOL * np.maximum(1.0, lam_max)
-    q = X / np.where(ok, lam_min, 1.0)[..., None, None] if n == 1 else _polar_frame(L, w, V, n)
-    for idx in np.argwhere(~ok):
-        q[tuple(idx)] = polar(FMatrix._wrap(field, X[tuple(idx)])).q.native
-    return q, lam_min
+        lam = np.sqrt(np.maximum(lam2, 0.0))[..., ::-1]
+    ok = (lam[..., -1] > RANK_TOL * np.maximum(1.0, lam[..., 0]) if n
+          else np.ones(lam.shape[:-1], bool))
+    q = X / np.where(ok, lam[..., 0], 1.0)[..., None, None] if n == 1 else _polar_frame(L, w, V, n)
+    for idx in () if ok.all() else map(tuple, np.argwhere(~ok)):
+        Li, _, wi, Vi = _gram_eig(X[idx], field) if V is None else (L[idx], None, w[idx], V[idx])
+        U, lam[idx], P = _svd_factors(Li, wi, Vi, field)
+        q[idx] = _lift(U[:, :n], field) @ FMatrix._wrap(field, P).adjoint().native
+    return q, lam, w, V
+
+
+def polar_q_native(X, field):
+    """(q, lam_min): the frames of `_polar_native` and each entry's
+    smallest singular value, the SVD's where the RANK_TOL test fails."""
+    q, lam, _, _ = _polar_native(X, field)
+    return q, lam[..., -1]
 
 
 def polar_q_batched(comps, field):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import bounds, concentration, gaussian, sampling, stats
-from .algebra import FMatrix, _native, field_dim, frame_radius
+from .algebra import FIELDS, FMatrix, _native, field_dim, frame_radius
 from .decomp import dist_to_scaled_stiefel, polar
 from .errors import ConfigError, DomainError, PreconditionError
 
@@ -46,8 +46,9 @@ MAX_WORKERS = 64
 class ExperimentConfig:
     """The settings of one run, checked once, on construction, for the CLI
     and in-process callers alike (a bad value is a ConfigError).  It also
-    resolves `points`, the (N, n) of each N under n_rule, and `growth`,
-    the bounds.Condition of condition and a; neither is a field."""
+    resolves `rule`, the bounds.Rule of n_rule, `points`, the (N, n) of
+    each N under it, and `growth`, the bounds.Condition of condition and
+    a; none of them is a field."""
 
     experiment: str = ""
     fields: tuple = ("R",)
@@ -63,10 +64,20 @@ class ExperimentConfig:
     out: str = "."
 
     def __post_init__(self):
-        n_of = bounds.parse_rule(self.n_rule)
+        # A `validate` file without an experiment key gives the empty
+        # name: a record that is checked but never run.
+        if self.experiment and self.experiment not in EXPERIMENTS:
+            raise ConfigError(
+                "unknown experiment %r (choose from %s)"
+                % (self.experiment, ", ".join(sorted(EXPERIMENTS)))
+            )
+        for f in self.fields:
+            if f not in FIELDS:
+                raise ConfigError("unknown field tag %r (expected R, C or H)" % (f,))
+        rule = bounds.parse_rule(self.n_rule)
         points = []
         for N in self.N_list:
-            n = n_of(N)
+            n = rule(N)
             if not 1 <= n <= N:
                 raise ConfigError(
                     "rule %s gives n = %d at N = %d; need 1 <= n <= N" % (self.n_rule, n, N)
@@ -77,6 +88,7 @@ class ExperimentConfig:
                 except PreconditionError as exc:
                     raise ConfigError("%s at N = %d, n = %d: %s" % (self.experiment, N, n, exc))
             points.append((N, n))
+        object.__setattr__(self, "rule", rule)
         object.__setattr__(self, "points", tuple(points))
         object.__setattr__(self, "growth", self._growth())
         if self.samples < 1:
@@ -353,9 +365,6 @@ EXPERIMENTS = {
 
 
 def run_experiment(cfg):
-    if cfg.experiment not in EXPERIMENTS:
-        raise ConfigError(
-            "unknown experiment %r (choose from %s)"
-            % (cfg.experiment, ", ".join(sorted(EXPERIMENTS)))
-        )
+    if not cfg.experiment:
+        raise ConfigError("the run record names no experiment")
     return EXPERIMENTS[cfg.experiment](cfg)

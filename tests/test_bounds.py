@@ -21,7 +21,7 @@ from mmconc.bounds import (
     theta,
     v_bound,
 )
-from mmconc.errors import ConfigError, PreconditionError
+from mmconc.errors import ConfigError, DomainError, PreconditionError
 
 
 class TestTheta:
@@ -155,6 +155,22 @@ class TestLBound:
         with pytest.raises(PreconditionError):
             l_bound(3, 0.01, 1e-6)
 
+    def test_precondition_is_n_sigma(self):
+        # l_bound raises exactly when n > n_sigma of the whole recursion,
+        # sigma = 0 and sigma = 1 included, and keeps its message.
+        for eps in (0.01, 0.1, 0.3, 0.6):
+            delta = theta(eps)
+            for sigma in np.linspace(0.0, 1.0, 21):
+                n_sigma = sigma_recursion(delta, float(sigma)).n_sigma
+                for n in range(1, n_sigma + 3):
+                    if n <= n_sigma:
+                        assert l_bound(n, eps, float(sigma)) > 0.0
+                        continue
+                    with pytest.raises(PreconditionError) as info:
+                        l_bound(n, eps, float(sigma))
+                    want = "n = %d exceeds n_sigma = %d for theta(eps) = %.6g" % (n, n_sigma, delta)
+                    assert str(info.value) == want
+
     def test_min_is_infimum(self):
         n, eps = 2, 0.1
         base = l_bound_min(n, eps)
@@ -225,29 +241,38 @@ class TestRules:
 
 class TestConditionCheck:
     def test_const_rule_bounded(self):
-        report = condition_check("const:1", 10**5, condi())
+        report = condition_check(parse_rule("const:1"), 10**5, condi())
         assert report.trend == "bounded"
         assert math.isfinite(report.sup_value)
 
     def test_power_quarter_sup_modest(self):
         # The margin expression stays uniformly small up to 1e6 even
         # though its maximum sits far beyond any testable N.
-        report = condition_check("power:0.25", 10**6, condi())
+        report = condition_check(parse_rule("power:0.25"), 10**6, condi())
         assert math.isfinite(report.sup_value)
         assert report.sup_value < 10.0
 
     def test_divergent_rule_flagged(self):
-        report = condition_check("power:0.5", 10**6, condi())
+        report = condition_check(parse_rule("power:0.5"), 10**6, condi())
         assert report.trend == "increasing"
 
     def test_loglog_rule_flagged_for_ass(self):
-        report = condition_check("powerlog:1.0", 10**6, ass(0.5))
+        report = condition_check(parse_rule("powerlog:1.0"), 10**6, ass(0.5))
         assert report.trend in ("increasing", "bounded")
         assert math.isfinite(report.sup_value)
 
+    def test_table_rule_reads_its_own_N(self, tmp_path):
+        path = tmp_path / "n.csv"
+        path.write_text("2,1\n10,2\n20,3\n50,4\n")
+        report = condition_check(parse_rule("table:%s" % path), 30, condi())
+        assert report.grid.tolist() == [10, 20]
+        assert report.values.tolist() == [condi().expression(10, 2), condi().expression(20, 3)]
+        with pytest.raises(DomainError):
+            condition_check(parse_rule("table:%s" % path), 15, condi())
+
     @pytest.mark.parametrize("N_max", [2001, 10**5, 10**6, 10**9])
     def test_grid_is_the_unique_grid(self, N_max):
-        report = condition_check("const:1", N_max, condi())
+        report = condition_check(parse_rule("const:1"), N_max, condi())
         dense = np.arange(3, 2001)
         coarse = np.unique(np.geomspace(2000, N_max, 400).astype(np.int64))
         want = np.unique(np.concatenate([dense, coarse]))
@@ -263,9 +288,9 @@ class TestConditionCheck:
         down = SimpleNamespace(expression=lambda N, n: -N)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            flat = condition_check("const:2", N_max, condi())
-            rising = condition_check("const:1", N_max, up)
-            falling = condition_check("const:1", N_max, down)
+            flat = condition_check(parse_rule("const:2"), N_max, condi())
+            rising = condition_check(parse_rule("const:1"), N_max, up)
+            falling = condition_check(parse_rule("const:1"), N_max, down)
         assert len(flat.grid) == N_max - 2
         assert math.isfinite(flat.sup_value)
         assert rising.trend == "increasing"

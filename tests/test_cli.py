@@ -253,9 +253,12 @@ def test_unrunnable_experiment_is_config_error(command, options, message, tmp_pa
         ({"workers": experiments.MAX_WORKERS + 1},
          "workers must be <= %d" % experiments.MAX_WORKERS),
         ({"seed": -1}, "seed must be >= 0"),
+        ({"experiment": "nope"}, "unknown experiment 'nope'"),
+        ({"experiment": "mbdist", "fields": ("Z",), "N_list": (10,), "samples": 100},
+         "unknown field tag 'Z'"),
     ],
     ids=["rule-n", "scheduled-N", "ass-a", "samples", "pushforward-samples", "eps", "kappa",
-         "workers-0", "workers-max", "seed"],
+         "workers-0", "workers-max", "seed", "experiment", "field"],
 )
 def test_config_record_checks_itself(settings, message):
     # An in-process caller gets the checks and messages of `mmconc run`.
@@ -270,22 +273,33 @@ def test_config_record_is_frozen_and_resolved():
     )
     assert cfg.points == ((10, 3), (50, 7))
     assert cfg.growth == bounds.ass(0.25)
+    assert (cfg.rule.kind, cfg.rule.arg) == ("power", 0.5)
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.samples = 1
+    # A validate file without an experiment key gives the empty name,
+    # which builds but does not run.
+    with pytest.raises(ConfigError, match="names no experiment"):
+        experiments.run_experiment(experiments.ExperimentConfig())
+
+
+def _count_opens(monkeypatch, path):
+    """The list that gets one entry per open of path from here on."""
+    opened = []
+    real = builtins.open
+
+    def counted(file, *args, **kwargs):
+        if file == str(path):
+            opened.append(file)
+        return real(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counted)
+    return opened
 
 
 def test_table_rule_is_read_once_per_run(tmp_path, monkeypatch):
     table = tmp_path / "rule.txt"
     table.write_text("10 2\n20 3\n30, 3\n")
-    opened = []
-    real = builtins.open
-
-    def counted(file, *args, **kwargs):
-        if file == str(table):
-            opened.append(file)
-        return real(file, *args, **kwargs)
-
-    monkeypatch.setattr(builtins, "open", counted)
+    opened = _count_opens(monkeypatch, table)
     assert run_cli(["run", "mbdist", "--field", "r,c,h", "--N", "10,20,30",
                     "--n", "table:%s" % table, "--samples", "200", "--workers", "1",
                     "--out", str(tmp_path / "out")]) == 0
@@ -350,6 +364,17 @@ class TestValidate:
         )
         assert run_cli(["validate", path]) == 0
         assert "1/3" not in capsys.readouterr().out
+
+    def test_table_rule_condition_check(self, tmp_path, capsys, monkeypatch):
+        # The check reads the record's parsed table, at the table's own N.
+        table = tmp_path / "rule.txt"
+        table.write_text("10 2\n20 3\n")
+        path = self.write(tmp_path, "experiment = fullmeas\nN = 10,20\nn = table:%s\n" % table)
+        opened = _count_opens(monkeypatch, table)
+        assert run_cli(["validate", path]) == 0
+        out = capsys.readouterr().out
+        assert "condition check: sup=" in out and "skipped" not in out
+        assert len(opened) == 1
 
     def test_missing_file(self, tmp_path, capsys):
         assert run_cli(["validate", str(tmp_path / "nope.ini")]) == 2

@@ -13,8 +13,8 @@ import pytest
 
 from mmconc import sampling, stats
 from mmconc.algebra import field_dim
-from mmconc.concentration import _frame_distances, _norms_overlaps, membership_native
-from mmconc.decomp import singular_values_native
+from mmconc.concentration import _norms_overlaps, membership_native
+from mmconc.decomp import dist_to_scaled_stiefel_native, singular_values_native
 from mmconc.sampling import (
     CHUNK,
     STREAM,
@@ -121,7 +121,7 @@ class TestDeterminism:
             assert whole(haar_blocks(cfg, 2, p=p)).tobytes() == frames.tobytes()
         for stat in (
             lambda X: membership_native(X, field, 0.1, 0.3, N),
-            lambda X: _frame_distances(X, field, N),
+            lambda X: dist_to_scaled_stiefel_native(X, field, cfg.radius),
         ):
             assert np.concatenate([stat(X) for X in blocks]).tobytes() == stat(chunk).tobytes()
 
@@ -133,7 +133,8 @@ class TestDeterminism:
         d = field_dim(field)
         monkeypatch.setattr(sampling, "BLOCK_BYTES", 300 * 8 * 4 * n * d)
         for blocks, reduce in (
-            (partial(compressed_blocks, p=0), lambda X: _frame_distances(X, field, N)),
+            (partial(compressed_blocks, p=0),
+             partial(dist_to_scaled_stiefel_native, field=field, r=cfg.radius)),
             (partial(compressed_blocks, p=0), lambda X: membership_native(X, field, 0.1, 0.3, N)),
             (partial(haar_blocks, p=1), lambda Q: Q[:, 0, 0].real),
         ):

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from componentwise import comp_adjoint, comp_matmul, comp_norm
-from mmconc.algebra import FMatrix, _from_native, _to_native, field_dim
+from mmconc.algebra import FMatrix, _from_native, _to_native, field_dim, frame_radius
 from mmconc.bounds import theta
 from mmconc.concentration import (
     ApproxSpaceParams,
-    _frame_distances,
     _norms_overlaps,
     _sorted_quantile,
     lipschitz_experiment,
@@ -20,7 +19,7 @@ from mmconc.concentration import (
     prok_experiment,
     pushforward_test,
 )
-from mmconc.decomp import polar
+from mmconc.decomp import dist_to_scaled_stiefel_native, polar
 from mmconc.errors import DomainError
 from mmconc.sampling import (
     SamplerConfig,
@@ -255,7 +254,8 @@ class TestProk:
         # them, and a route that rounds it an ulp higher puts it on the
         # other side.  test_n1_distance_is_norm_gap checks the values.
         blocks = draws(cfg, partial(compressed_blocks, p=0))
-        d = np.sort(np.concatenate([_frame_distances(X, "R", 25) for X in blocks]))
+        r = frame_radius(25, "R")
+        d = np.sort(np.concatenate([dist_to_scaled_stiefel_native(X, "R", r) for X in blocks]))
         eps = rep.dP_lower
         frac = np.searchsorted(d, eps, side="left") / d.size
         assert frac >= 1.0 - eps

@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from componentwise import comp_adjoint, comp_matmul
-from mmconc.algebra import FMatrix, _to_native, comp_mul, realify_comps
+from mmconc import decomp
+from mmconc.algebra import FMatrix, _frobenius, _native, _to_native, comp_mul, realify_comps
 from mmconc.decomp import (
     dist_to_scaled_stiefel,
     grassmann_dist,
@@ -365,3 +368,93 @@ def test_polar_frame_orthonormal_near_rank_deficiency(sample):
     assert (q.adjoint() @ q - FMatrix.identity(field, Z.n)).norm <= 1e-8
     q_b = FMatrix._wrap(field, polar_q_native(Z.native[None], field)[0][0])
     assert (q_b.adjoint() @ q_b - FMatrix.identity(field, Z.n)).norm <= 1e-8
+
+
+def _fallback_batch(field, N, n, seed):
+    """A native batch of 8 draws whose odd entries fail the RANK_TOL test.
+    Entries 1 and 5 have column j = column i (1 + 1e-6), entry 3 a zero
+    column and entry 7 only one nonzero column; at n = 1, entries 1 and 5
+    are columns shorter than RANK_TOL and entries 3 and 7 zero."""
+    d = dict(FIELDS)[field]
+    X = np.array(_native(np.random.default_rng(seed).standard_normal((8, N, n, d)), field))
+    if n == 1:
+        X[[1, 5]] *= 1e-5  # columns shorter than RANK_TOL
+        X[[3, 7]] = 0.0
+        return X
+    X[1, :, n - 1] = X[1, :, 0] * (1.0 + 1e-6)
+    X[5, :, 0] = X[5, :, 1] * (1.0 + 1e-6)
+    X[3, :, 1] = 0.0
+    X[7, :, : n - 1] = 0.0
+    return X
+
+
+# sha256 of the frames of polar_q_native on _fallback_batch(field, 6, n, 31),
+# and of polar(Z).q for each of its SVD-route entries Z, at n = 3 and n = 1:
+# the frame bytes of the rank policy's fallback must not move when its
+# code does.  The digests pin the bytes of one BLAS and LAPACK build.
+FALLBACK_PINS = {
+    ("R", 3): (
+        "7d9bcef4e6092fcef33f9c5c30a72979a4ae01f59e011014754734c3cd90ff96",
+        "16bb5858025acada1b1b005dcea52fe11e9188e7d4c898cbc72247034ab77d99",
+    ),
+    ("C", 3): (
+        "2d11f599beba0d3bb4807e418bd56873ad077d5e33b0bef476d83fe06ac65c95",
+        "e576631c44d27228f9eaefa8d7a93cf44f51edccb1d0917456a1624555c5e055",
+    ),
+    ("H", 3): (
+        "e8ba075ba7e52a5a8819d6c17662371f1c9cedee41933aede64a388e343c93d2",
+        "f0ca8784c4ec18241f297ea8554308a313cc586efa5f58ea7261c00714f6f42d",
+    ),
+    ("R", 1): (
+        "b0285acfef0f506e30558cfb31d130715d26c3e8a9a0aa26d77c7f10be0b4b1d",
+        "827c9b3e880a204ed4907406cae38f8893096a763794ca4aa4ae82d27f27058c",
+    ),
+    ("C", 1): (
+        "567d4fdd16fa4deeb2c15a17bbde05c5e4b6e69f5b3f239485d05d4cf8b23850",
+        "85f7af3d9f9a682c91524f127fa48788e64e2ade531e7a7478f2b3db6984e6c3",
+    ),
+    ("H", 1): (
+        "4ae63821c6f6158562fcf936d42430d818696a9e74cdf85ec30439d7054a2e21",
+        "277ae0f56afdfa3a17942030c44df48be5d0793b284a924fee71efdf16e6ba17",
+    ),
+}
+
+
+@pytest.mark.parametrize("field, n", sorted(FALLBACK_PINS))
+def test_fallback_frames_are_pinned(field, n):
+    X = _fallback_batch(field, 6, n, 31)
+    q, lam_min = polar_q_native(X, field)
+    per_matrix = b"".join(polar(FMatrix._wrap(field, Z)).q.native.tobytes() for Z in X[1::2])
+    got = (hashlib.sha256(q.tobytes()).hexdigest(), hashlib.sha256(per_matrix).hexdigest())
+    assert got == FALLBACK_PINS[field, n]
+    # The odd entries take the SVD route, the even ones the Gram route.
+    assert np.all(lam_min[1::2] <= 1e-3 * np.maximum(1.0, _frobenius(X[1::2])))
+    assert np.all(lam_min[0::2] > 1e-1)
+
+
+def test_one_eigensolve_per_ill_conditioned_frame(monkeypatch):
+    # The SVD route of the rank policy reuses the eigenpairs the rank
+    # test solved for: one Gram eigensolve for polar, one for a batch.
+    calls = []
+    gram_eig = decomp._gram_eig
+    monkeypatch.setattr(decomp, "_gram_eig", lambda *a, **k: calls.append(1) or gram_eig(*a, **k))
+    for field, _ in FIELDS:
+        X = _fallback_batch(field, 6, 3, 31)
+        calls.clear()
+        polar(FMatrix._wrap(field, X[1]))
+        assert len(calls) == 1
+        calls.clear()
+        polar_q_native(X, field)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("field", ["R", "C", "H"])
+def test_svd_route_lam_min_is_the_svds(field):
+    # An entry that takes the SVD route reports the SVD's smallest
+    # singular value, batched and per matrix alike, not the root of its
+    # Gram eigenvalue, which sits near sqrt(eps) ||Z||.
+    X = _fallback_batch(field, 6, 3, 31)
+    _, lam_min = polar_q_native(X, field)
+    for i in (1, 3, 5, 7):
+        Z = FMatrix._wrap(field, X[i])
+        assert lam_min[i] == svd(Z).lam[-1] == polar(Z).lam[-1]

@@ -2,16 +2,17 @@ import hashlib
 import json
 import threading
 import time
+from functools import partial
 
 import numpy as np
 import pytest
 
 from componentwise import comp_matmul
 from mmconc import sampling
-from mmconc.algebra import FMatrix, _from_native, _lift, _to_native, field_dim
+from mmconc.algebra import FMatrix, _from_native, _lift, _to_native, field_dim, frame_radius
 from mmconc.bounds import theta
-from mmconc.concentration import _frame_distances, membership_native
-from mmconc.decomp import polar, polar_q_native
+from mmconc.concentration import membership_native
+from mmconc.decomp import dist_to_scaled_stiefel_native, polar, polar_q_native
 from mmconc.errors import DomainError, InfeasibleError, ShapeMismatchError
 from mmconc.sampling import (
     CHUNK,
@@ -218,7 +219,7 @@ class TestSubBlocks:
         assert mask.any() and not mask.all()
         for stat in (
             lambda X: membership_native(X, field, EPS, THETA, N),
-            lambda X: _frame_distances(X, field, N),
+            lambda X: dist_to_scaled_stiefel_native(X, field, cfg.radius),
         ):
             assert np.concatenate([stat(X) for X in blocks]).tobytes() == stat(whole).tobytes()
         q, _ = polar_q_native(whole, field)
@@ -278,7 +279,8 @@ class TestDraws:
     @pytest.mark.parametrize(
         "blocks, reduce",
         [
-            (gaussian_blocks, lambda X: _frame_distances(X, "R", 300)),
+            (gaussian_blocks,
+             partial(dist_to_scaled_stiefel_native, field="R", r=frame_radius(300, "R"))),
             (haar_blocks, lambda Q: Q[:, 0, 0].copy()),
         ],
         ids=["gaussian", "haar"],
