@@ -15,7 +15,8 @@ boundary: `FMatrix(field, comps)` and `.comps`, the public batched
 interchange functions and the sample CSVs.  There a scalar is four
 reals (z0, z1, z2, z3) with z = z0 + z1*i + z2*j + z3*k and the unused
 components pinned at zero for R and C, and a matrix is a float64 array
-(N, n, 4).  Only this module converts between the two layouts;
+(N, n, 4).  Only this module converts between the two layouts
+(`_to_native`, and back `_components` and `_from_native`);
 `realify_comps` gives the real matrix of a component array, the
 reference the tests check the native arithmetic against.
 """
@@ -71,21 +72,23 @@ def comp_mul(a, b):
     return out
 
 
-def _native(z, field):
-    """Native array of the field components z (..., N, n, d), d = field_dim.
+def _to_native(z, field):
+    """Native array, C-contiguous, of the field components z (..., N, n, d')
+    for any d' >= d = field_dim(field): components past d are dropped, so a
+    component array (d' = 4) and a draw of d components both convert.
 
-    R gives the real (..., N, n) matrix and C the complex one, both
-    views of z.  H gives the first block column [Z1; -conj Z2]
-    (..., 2N, n) of the complex adjoint [[Z1, Z2], [-conj Z2, conj Z1]]
-    of Z = Z1 + Z2 j.
+    R gives the real (..., N, n) matrix and C the complex one.  H gives
+    the first block column [Z1; -conj Z2] (..., 2N, n) of the complex
+    adjoint [[Z1, Z2], [-conj Z2, conj Z1]] of Z = Z1 + Z2 j.
     """
+    z = np.asarray(z, dtype=np.float64)[..., : field_dim(field)]
     if field == "R":
-        return z[..., 0]
+        return np.ascontiguousarray(z[..., 0])
     if z.strides[-1] != z.itemsize:
         z = np.ascontiguousarray(z)
     w = z.view(np.complex128)
     if field == "C":
-        return w[..., 0]
+        return np.ascontiguousarray(w[..., 0])
     N = w.shape[-3]
     out = np.empty(w.shape[:-3] + (2 * N, w.shape[-2]), dtype=np.complex128)
     out[..., :N, :] = w[..., 0]
@@ -95,7 +98,7 @@ def _native(z, field):
 
 
 def _components(X, field):
-    """Inverse of _native: the field components (..., N, n, d) of a
+    """Inverse of _to_native: the field components (..., N, n, d) of a
     native array, a view of X for R and C."""
     if field == "R":
         return X[..., None]
@@ -103,12 +106,6 @@ def _components(X, field):
         return X[..., None].view(np.float64)
     N = X.shape[-2] // 2
     return np.stack([X[..., :N, :], -np.conj(X[..., N:, :])], axis=-1).view(np.float64)
-
-
-def _to_native(comps, field):
-    """Native array of a component array (..., N, n, 4), C-contiguous."""
-    comps = np.asarray(comps, dtype=np.float64)
-    return np.ascontiguousarray(_native(comps[..., : field_dim(field)], field))
 
 
 def _from_native(X, field):
@@ -131,23 +128,6 @@ def _real_view(X):
 def _frobenius(X):
     """Frobenius norm of each entry of a native batch, shape (...)."""
     return np.sqrt(np.square(_real_view(X)).sum(axis=(-2, -1)))
-
-
-def _gram(X, field):
-    """The Gram block L* X (..., m, n) of a native batch X, with L its lift.
-
-    R and C give X* X (m = n).  Over H the rows n + l hold the overlaps
-    (JX)* X with the partner columns, so the quaternion inner product
-    <z_l, z_m> has norm sqrt(|G[l, m]|^2 + |G[n + l, m]|^2) (m = 2n);
-    those rows are A - A^T with A = X1^T X2 for the halves X = [X1; X2],
-    so the lift itself is never formed.
-    """
-    G = np.swapaxes(X, -1, -2).conj() @ X
-    if field != "H":
-        return G
-    N = X.shape[-2] // 2
-    A = np.swapaxes(X[..., :N, :], -1, -2) @ X[..., N:, :]
-    return np.concatenate([G, A - np.swapaxes(A, -1, -2)], axis=-2)
 
 
 def _partner(X):

@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import gaussian
+from .algebra import field_dim
 from .errors import ConfigError, DomainError, PreconditionError
 
 
@@ -375,8 +376,6 @@ def v_bound(N, n, schedule, field="R"):
     product of (1 - v_l) bounds the Gaussian mass of the approximation
     space from below.
     """
-    from .algebra import field_dim
-
     if schedule.N != N or schedule.n_N != n:
         raise PreconditionError("schedule does not match (N, n)")
     d = field_dim(field)

@@ -1,18 +1,18 @@
-"""Approximation-space membership, the projection-then-polar map, and the
-Monte Carlo experiments built on them: batched Lipschitz ratios of the
+"""The approximation space, the projection-then-polar map, and the Monte
+Carlo experiments built on them: batched Lipschitz ratios of the
 projection, the pushforward distribution test, and the Prohorov-style
 concentration estimate for the distance to the scaled frame manifold.
 
 The statistics run on the native arrays of `algebra` (R (..., N, n), C
-(..., N, n), H (..., 2N, n)): membership reads the column norms and pair
-overlaps off one native Gram block; `membership_native`, `phi_native`
-and prok's `decomp.dist_to_scaled_stiefel_native` take native batches
-straight from the samplers.  Membership and the distance read only the
-Gram matrix, so fullmeas and prok hand them the compressed draws of
-`sampling.compressed_blocks`, n rows at every N; N, or the radius it
-sets, is therefore an argument of theirs, not read off the row count.
-`membership_mask` is one conversion around `membership_native` for
-batches in the (..., N, n, 4) interchange layout.
+(..., N, n), H (..., 2N, n)): `phi_native` and the `decomp` kernels they
+call (`membership_native`, prok's `dist_to_scaled_stiefel_native`) take
+native batches straight from the samplers.  Membership and the distance
+read only the Gram matrix, so fullmeas and prok hand them the compressed
+draws of `sampling.compressed_blocks`, n rows at every N; N, or the
+radius it sets, is therefore an argument of theirs, not read off the row
+count.  `membership_mask` is one conversion around
+`decomp.membership_native` for batches in the (..., N, n, 4) interchange
+layout.
 """
 
 from __future__ import annotations
@@ -24,10 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bounds, sampling, stats
-from .algebra import _frobenius, _gram, _native, _real_view, _to_native, field_dim, frame_radius
-from .decomp import dist_to_scaled_stiefel_native, polar_q_native, singular_values_native
-from .errors import DomainError, PreconditionError
+from . import bounds, decomp, sampling, stats
+from .algebra import _frobenius, _real_view, _to_native, field_dim, frame_radius
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -54,42 +53,10 @@ class ApproxSpaceParams:
             raise DomainError("theta must lie in (0, 1)")
 
 
-def _norms_overlaps(X, field):
-    """Column norms (..., n) and normalized pair overlaps
-    |<z_l/|z_l|, z_m/|z_m|>| (..., n, n) of a native batch, read off its
-    Gram block (see algebra._gram)."""
-    G = _gram(X, field)
-    n = X.shape[-1]
-    norms = np.sqrt(np.diagonal(G[..., :n, :], axis1=-2, axis2=-1).real)
-    mag = np.abs(G)
-    if field == "H":
-        mag = np.hypot(mag[..., :n, :], mag[..., n:, :])
-    safe = np.where(norms > 0.0, norms, 1.0)
-    return norms, mag / (safe[..., :, None] * safe[..., None, :])
-
-
-def membership_native(X, field, eps, theta_val, N):
-    """Boolean membership in the approximation space of F^{N x n} of each
-    entry of a native batch.
-
-    Membership reads only the column norms and overlaps, that is the Gram
-    matrix, so X may be a full N-row draw or any batch with the same Gram
-    law, such as the compressed draws of sampling.compressed_blocks.  N is
-    the caller's, never the row count of X, and sets the band's radius.
-    """
-    n = X.shape[-1]
-    r = frame_radius(N, field)
-    norms, ov = _norms_overlaps(X, field)
-    ok = np.all((norms > (1.0 - eps) * r) & (norms < (1.0 + eps) * r), axis=-1)
-    if n > 1:
-        off = ~np.eye(n, dtype=bool)
-        ok &= np.all(ov[..., off] < theta_val, axis=-1)
-    return ok
-
-
 def membership_mask(comps, field, eps, theta_val):
     """Boolean membership of each entry of a batch (S, N, n, 4)."""
-    return membership_native(_to_native(comps, field), field, eps, theta_val, comps.shape[-3])
+    X = _to_native(comps, field)
+    return decomp.membership_native(X, field, eps, theta_val, comps.shape[-3])
 
 
 def _dp_lower(d):
@@ -105,7 +72,7 @@ def _dp_lower(d):
 
 def phi_native(X, field):
     """Polar frames scaled to the manifold radius for a native batch."""
-    q, _ = polar_q_native(X, field)
+    q, _ = decomp.polar_q_native(X, field)
     q *= frame_radius(X.shape[-2] // (2 if field == "H" else 1), field)
     return q
 
@@ -137,14 +104,10 @@ def lipschitz_experiment(params, pair_count=2000, seed=0):
     if not np.all(good):
         warnings.warn("skipping %d coincident pairs" % int((~good).sum()))
     ratio = dist_out[good] / dist_in[good]
-    try:
-        cert = bounds.l_bound_min(params.n, params.eps)
-    except PreconditionError:
-        cert = math.inf
     return LipschitzReport(
         max_ratio=float(np.max(ratio)),
         pairs_used=int(good.sum()),
-        certificate=cert,
+        certificate=bounds.l_bound_min(params.n, params.eps),
     )
 
 
@@ -162,7 +125,7 @@ def _panel_direction(field, N, n, seed):
     a reserved stream that never collides with sample chunks."""
     gen = sampling.chunk_generator(seed, 1 << 62)
     z = gen.standard_normal((N, n, field_dim(field)))
-    return _native(z / math.sqrt(float(np.sum(np.square(z)))), field)
+    return _to_native(z / math.sqrt(float(np.sum(np.square(z)))), field)
 
 
 def _panel_statistics(X, field, direction):
@@ -179,7 +142,7 @@ def _panel_statistics(X, field, direction):
     flat = _real_view(X).reshape(X.shape[:-2] + (-1,))
     return {
         "linear": flat @ _real_view(direction).ravel(),
-        "top_singular_half": singular_values_native(half, field)[..., 0],
+        "top_singular_half": decomp.singular_values_native(half, field)[..., 0],
         "first_entry": X[..., 0, 0].real,
     }
 
@@ -281,7 +244,7 @@ def prok_experiment(N, n, field, sample_size=100000, seed=0, workers=1):
     d = sampling.draws(
         cfg,
         functools.partial(sampling.compressed_blocks, p=0),
-        functools.partial(dist_to_scaled_stiefel_native, field=field, r=frame_radius(N, field)),
+        functools.partial(decomp.dist_to_scaled_stiefel_native, field=field, r=cfg.radius),
         workers,
     )
     return prok_report(np.concatenate(list(d)))

@@ -3,20 +3,20 @@
 SVD and polar factors, both from one Hermitian eigensolve of the Gram
 matrix, plus the distances built on them: distance to a scaled frame
 manifold, and the two quotient distances (right-unitary and unit-scalar
-orbits).
+orbits); and membership in the approximation space, off the Gram matrix.
 
 The FMatrix functions read the native array of each argument and wrap
 native results, with no conversion or check on the way.  The samplers
 and statistics call the native batched functions (`polar_q_native`,
-`singular_values_native`, `dist_to_scaled_stiefel_native`); `polar` and
-`dist_to_scaled_stiefel` call them on a batch of one.  `_gram_eig` lifts
-a native batch (over H to the complex adjoint of F. Zhang, Linear
-Algebra Appl. 251, 1997) and solves its Gram matrix; over H every
-eigenvalue of a lifted matrix comes twice, on the pair {x, Jx}.  Every
-polar frame comes from `_polar_native`, the one home of the rank policy
-RANK_TOL: an ill-conditioned entry takes its frame from the SVD of the
-eigenpairs already solved.  `svd` completes U by Householder QR, over H
-with quaternion reflectors.
+`singular_values_native`, `dist_to_scaled_stiefel_native`,
+`membership_native`); `polar` and `dist_to_scaled_stiefel` call them on
+a batch of one.  `_gram_eig` lifts a native batch (over H to the complex
+adjoint of F. Zhang, Linear Algebra Appl. 251, 1997) and solves its
+Gram matrix; over H every eigenvalue of a lifted matrix comes twice, on
+the pair {x, Jx}.  Every polar frame comes from `_polar_native`, the one
+home of the rank policy RANK_TOL: an ill-conditioned entry takes its
+frame from the SVD of the eigenpairs already solved.  `svd` completes U
+by Householder QR, over H with quaternion reflectors.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .algebra import (
     _lift,
     _partner,
     _to_native,
+    frame_radius,
 )
 from .errors import ShapeMismatchError
 
@@ -309,6 +310,56 @@ def dist_to_scaled_stiefel_native(X, field, r):
         return np.abs(_frobenius(X) - r)
     lam = singular_values_native(X, field)
     return np.sqrt(np.sum(np.square(lam - r), axis=-1))
+
+
+def _gram(X, field):
+    """The Gram block L* X (..., m, n) of a native batch X, with L its lift.
+
+    R and C give X* X (m = n).  Over H the rows n + l hold the overlaps
+    (JX)* X with the partner columns, so the quaternion inner product
+    <z_l, z_m> has norm sqrt(|G[l, m]|^2 + |G[n + l, m]|^2) (m = 2n);
+    those rows are A - A^T with A = X1^T X2 for the halves X = [X1; X2],
+    so the lift itself is never formed.
+    """
+    G = np.swapaxes(X, -1, -2).conj() @ X
+    if field != "H":
+        return G
+    N = X.shape[-2] // 2
+    A = np.swapaxes(X[..., :N, :], -1, -2) @ X[..., N:, :]
+    return np.concatenate([G, A - np.swapaxes(A, -1, -2)], axis=-2)
+
+
+def _norms_overlaps(X, field):
+    """Column norms (..., n) and normalized pair overlaps
+    |<z_l/|z_l|, z_m/|z_m|>| (..., n, n) of a native batch, read off its
+    Gram block (see _gram)."""
+    G = _gram(X, field)
+    n = X.shape[-1]
+    norms = np.sqrt(np.diagonal(G[..., :n, :], axis1=-2, axis2=-1).real)
+    mag = np.abs(G)
+    if field == "H":
+        mag = np.hypot(mag[..., :n, :], mag[..., n:, :])
+    safe = np.where(norms > 0.0, norms, 1.0)
+    return norms, mag / (safe[..., :, None] * safe[..., None, :])
+
+
+def membership_native(X, field, eps, theta_val, N):
+    """Boolean membership in the approximation space of F^{N x n} of each
+    entry of a native batch.
+
+    Membership reads only the column norms and overlaps, that is the Gram
+    matrix, so X may be a full N-row draw or any batch with the same Gram
+    law, such as the compressed draws of sampling.compressed_blocks.  N is
+    the caller's, never the row count of X, and sets the band's radius.
+    """
+    n = X.shape[-1]
+    r = frame_radius(N, field)
+    norms, ov = _norms_overlaps(X, field)
+    ok = np.all((norms > (1.0 - eps) * r) & (norms < (1.0 + eps) * r), axis=-1)
+    if n > 1:
+        off = ~np.eye(n, dtype=bool)
+        ok &= np.all(ov[..., off] < theta_val, axis=-1)
+    return ok
 
 
 def _polar_native(X, field):

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import bounds, concentration, gaussian, sampling, stats
-from .algebra import FIELDS, FMatrix, _native, field_dim, frame_radius
-from .decomp import dist_to_scaled_stiefel, polar
+from .algebra import FIELDS, FMatrix, _to_native, field_dim, frame_radius
+from .decomp import dist_to_scaled_stiefel, membership_native, polar
 from .errors import ConfigError, DomainError, PreconditionError
 
 # The experiments that build a bounds.make_schedule for each (N, n), so
@@ -71,6 +71,8 @@ class ExperimentConfig:
                 "unknown experiment %r (choose from %s)"
                 % (self.experiment, ", ".join(sorted(EXPERIMENTS)))
             )
+        if not self.fields or not self.N_list:
+            raise ConfigError("fields and N must each list at least one value")
         for f in self.fields:
             if f not in FIELDS:
                 raise ConfigError("unknown field tag %r (expected R, C or H)" % (f,))
@@ -204,7 +206,7 @@ def run_fullmeas(cfg):
         hits = sampling.draws(
             scfg,
             functools.partial(sampling.compressed_blocks, p=0),
-            lambda X: concentration.membership_native(X, field, sch.eps_N, sch.theta_N, N),
+            lambda X: membership_native(X, field, sch.eps_N, sch.theta_N, N),
             cfg.workers,
         )
         mass = float(np.concatenate(list(hits)).mean())
@@ -308,7 +310,6 @@ def run_decomp_props(cfg):
     """Property sweep: reconstruction errors, frame orthonormality, the
     polar perturbation inequality, and nearest-frame optimality."""
     rows, summaries = [], []
-    count = max(1, cfg.samples)
     for field in cfg.fields:
         gen = sampling.chunk_generator(cfg.seed, 0)
         d = field_dim(field)
@@ -316,10 +317,10 @@ def run_decomp_props(cfg):
         worst_frame = 0.0
         li_violations = 0
         nearest_gap = 0.0
-        for _ in range(count):
+        for _ in range(cfg.samples):
             N = int(gen.integers(2, 21))
             n = int(gen.integers(1, min(N, 5) + 1))
-            X = _native(gen.standard_normal((2, N, n, d)), field)
+            X = _to_native(gen.standard_normal((2, N, n, d)), field)
             Z1, Z2 = FMatrix._wrap(field, X[0]), FMatrix._wrap(field, X[1])
             p1, p2 = polar(Z1), polar(Z2)
             recon = (p1.q @ p1.h - Z1).norm / max(1.0, Z1.norm)
@@ -342,7 +343,7 @@ def run_decomp_props(cfg):
             ("li_violations", li_violations),
             ("max_nearest_gap", nearest_gap),
         ):
-            rows.append([field, count, stat, value])
+            rows.append([field, cfg.samples, stat, value])
         summaries.append(
             "decomp-props field=%s recon=%.2e frame=%.2e li_viol=%d nearest=%.2e"
             % (field, worst_recon, worst_frame, li_violations, nearest_gap)

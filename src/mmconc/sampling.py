@@ -20,13 +20,14 @@ native array of `algebra`: R (k, N, n) float64, C (k, N, n) and H
 (k, 2N, n) complex128 from consecutive (real, imaginary) pairs, the H
 rows being [Z1; -conj Z2].  The samplers compute on native arrays from
 there on: `haar_blocks` runs the polar factor per sub-block and the
-rejection sampler tests membership per sub-block.  A Haar frame is the
-polar frame of its draw under the one rank policy of `decomp`
-(RANK_TOL): an ill-conditioned draw takes its frame from the SVD.
+rejection sampler tests membership (`decomp.membership_native`) per
+sub-block.  A Haar frame is the polar frame of its draw under the one
+rank policy of `decomp` (RANK_TOL): an ill-conditioned draw takes its
+frame from the SVD.
 `draws` is the one walk over the chunk grid: it yields the sub-blocks of
 chunks 0, 1, ... cut to the sample count, each reduced by a per-draw
-function such as a statistic of `experiments` or `concentration`, on a
-thread pool if asked.
+function such as a kernel of `decomp` or a statistic of `experiments`,
+on a thread pool if asked.
 The interchange functions (`gaussian_chunk`, `haar_chunk`, `haar_comps`)
 convert sub-blocks to component arrays (..., N, n, 4).
 
@@ -59,8 +60,9 @@ from itertools import chain
 
 import numpy as np
 
+from . import csvio
 from .algebra import _components, _from_native, field_dim, frame_radius
-from .decomp import polar_q_native
+from .decomp import membership_native, polar_q_native
 from .errors import DomainError, InfeasibleError, ShapeMismatchError
 
 CHUNK = 1024
@@ -299,8 +301,6 @@ def sample_restricted_gaussian(cfg, eps, theta_val):
     running rate drops below ACCEPTANCE_FLOOR after MIN_PROPOSALS
     proposals.
     """
-    from . import concentration
-
     if not 0.0 < eps < 1.0:
         raise DomainError("eps must lie in (0, 1)")
     if not 0.0 < theta_val < 1.0:
@@ -312,7 +312,7 @@ def sample_restricted_gaussian(cfg, eps, theta_val):
     chunk_index = 0
     while got < cfg.count:
         for X in gaussian_blocks(cfg, chunk_index):
-            mask = concentration.membership_native(X, cfg.field, eps, theta_val, cfg.N)
+            mask = membership_native(X, cfg.field, eps, theta_val, cfg.N)
             accepted += int(mask.sum())
             good = X[mask][: cfg.count - got]
             if good.shape[0]:
@@ -384,8 +384,6 @@ def write_native_samples_csv(path, cfg, blocks, kind):
     and writes each batch with csvio.write_csv (both workers run under
     _prefetch).  The bytes and their order are those of one thread.
     """
-    from .csvio import render_rows, write_csv, write_json
-
     d = field_dim(cfg.field)
     width = cfg.N * cfg.n * d  # values a line
     columns = 4 * cfg.N * cfg.n
@@ -419,7 +417,7 @@ def write_native_samples_csv(path, cfg, blocks, kind):
                 for col in range(0, width, ROW_BLOCK_VALUES):
                     last = col + ROW_BLOCK_VALUES >= width
                     cells = part[:, col : col + ROW_BLOCK_VALUES]
-                    yield render_rows(lead, cells, last_seps if last else seps)
+                    yield csvio.render_rows(lead, cells, last_seps if last else seps)
                     lead = None
                 idx += k
 
@@ -434,8 +432,8 @@ def write_native_samples_csv(path, cfg, blocks, kind):
         yield batch
 
     with _prefetch(blocks) as drawn, _prefetch(batches(chain(header(), lines(drawn)))) as rendered:
-        digest = write_csv(path, None, chain.from_iterable(rendered))
-    write_json(
+        digest = csvio.write_csv(path, None, chain.from_iterable(rendered))
+    csvio.write_json(
         str(path) + ".json",
         {"kind": kind, **asdict(cfg), "stream": STREAM, "csv_sha256": digest},
     )

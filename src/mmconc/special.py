@@ -22,6 +22,10 @@ from .errors import DomainError
 _SQRT2 = math.sqrt(2.0)
 # The standard library's erfc, elementwise on arrays.
 _erfc = np.frompyfunc(math.erfc, 1, 1)
+# adaptive_quad accepts a panel bisected this many times, and bisect ends
+# after this many halvings, whatever their error.
+QUAD_MAX_DEPTH = 48
+BISECT_MAX_ITER = 200
 
 
 # From this shape on, the prefactor x^a e^-x / Gamma(a + 1) is taken in
@@ -165,7 +169,7 @@ def _panel(f, a, b, rules):
     return lo, hi
 
 
-def adaptive_quad(f, a, b, tol=1e-10, max_depth=48):
+def adaptive_quad(f, a, b, tol=1e-10):
     """Adaptive Gauss quadrature with an embedded error estimate.
 
     f must accept numpy arrays.  Panels are bisected until the
@@ -180,7 +184,7 @@ def adaptive_quad(f, a, b, tol=1e-10, max_depth=48):
     while stack:
         lo_x, hi_x, t, depth = stack.pop()
         lo, hi = _panel(f, lo_x, hi_x, rules)
-        if abs(hi - lo) <= t or depth >= max_depth:
+        if abs(hi - lo) <= t or depth >= QUAD_MAX_DEPTH:
             total += hi
         else:
             mid = 0.5 * (lo_x + hi_x)
@@ -189,7 +193,7 @@ def adaptive_quad(f, a, b, tol=1e-10, max_depth=48):
     return total
 
 
-def bisect(f, lo, hi, tol=1e-10, max_iter=200):
+def bisect(f, lo, hi, tol=1e-10):
     """Root of a scalar function on a sign-changing bracket."""
     flo = f(lo)
     fhi = f(hi)
@@ -199,7 +203,7 @@ def bisect(f, lo, hi, tol=1e-10, max_iter=200):
         return hi
     if flo * fhi > 0.0:
         raise DomainError("bisect requires a sign change on [lo, hi]")
-    for _ in range(max_iter):
+    for _ in range(BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if fm == 0.0 or hi - lo <= tol:

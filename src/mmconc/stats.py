@@ -19,6 +19,8 @@ from .errors import DomainError
 # The smallest sample size at which ks_critical trusts the asymptotic
 # Kolmogorov law.
 KS_MIN_SAMPLES = 1000
+# The absolute tolerance to which law_partial_diameter finds its window.
+PARTIAL_DIAMETER_TOL = 1e-13
 
 
 def _values(sample):
@@ -112,7 +114,7 @@ def ks_critical(n, m, alpha=0.01):
     return kolmogorov_critical(alpha) * math.sqrt((n + m) / (n * m))
 
 
-def law_partial_diameter(dim, kappa, tol=1e-13):
+def law_partial_diameter(dim, kappa):
     """Exact partial diameter of the radial law in the given dimension.
 
     The chi density is log-concave, so the shortest window of mass
@@ -129,7 +131,7 @@ def law_partial_diameter(dim, kappa, tol=1e-13):
     law = gaussian.RadialLaw.of(dim)
     mass = 1.0 - kappa
     if law.m == 1:
-        return law.quantile(mass, tol=tol)
+        return law.quantile(mass, tol=PARTIAL_DIAMETER_TOL)
     r0 = math.sqrt(law.m - 1.0)
 
     def h(r):
@@ -139,7 +141,7 @@ def law_partial_diameter(dim, kappa, tol=1e-13):
         level = h(a)
         # h'' <= -1, so h(r0 + s) <= -s^2 / 2 brackets the right end.
         hi = r0 + math.sqrt(-2.0 * level)
-        return special.bisect(lambda r: h(r) - level, r0, hi, tol=tol)
+        return special.bisect(lambda r: h(r) - level, r0, hi, tol=PARTIAL_DIAMETER_TOL)
 
     def excess(a):
         if a == 0.0:
@@ -147,5 +149,5 @@ def law_partial_diameter(dim, kappa, tol=1e-13):
         F = law.cdf(np.array([a, right_end(a)]))
         return float(F[1] - F[0]) - mass
 
-    a = special.bisect(excess, 0.0, r0, tol=tol)
+    a = special.bisect(excess, 0.0, r0, tol=PARTIAL_DIAMETER_TOL)
     return right_end(a) - a

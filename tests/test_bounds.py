@@ -186,6 +186,15 @@ class TestLBound:
     def test_blows_up_for_large_eps(self):
         assert l_bound_min(8, 0.5) == math.inf or l_bound_min(8, 0.5) > 1.0
 
+    def test_min_is_inf_once_no_sigma_is_admissible(self):
+        # s_{n-1} >= 1, so l_bound raises even at sigma = 1, and l_bound_min
+        # returns inf rather than raising: s_2 is finite at (3, 0.9), the
+        # recursion ends before s_{n-1} at the other three.
+        for n, eps in ((3, 0.9), (4, 0.9), (50, 0.9), (8, 0.5)):
+            with pytest.raises(PreconditionError):
+                l_bound(n, eps, 1.0)
+            assert l_bound_min(n, eps) == math.inf
+
 
 class TestClaimChain:
     def test_first_valid_N_frozen(self):

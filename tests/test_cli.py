@@ -256,9 +256,13 @@ def test_unrunnable_experiment_is_config_error(command, options, message, tmp_pa
         ({"experiment": "nope"}, "unknown experiment 'nope'"),
         ({"experiment": "mbdist", "fields": ("Z",), "N_list": (10,), "samples": 100},
          "unknown field tag 'Z'"),
+        ({"experiment": "mbdist", "fields": (), "N_list": (10,), "samples": 100},
+         "fields and N must each list at least one value"),
+        ({"experiment": "mbdist", "N_list": (), "samples": 100},
+         "fields and N must each list at least one value"),
     ],
     ids=["rule-n", "scheduled-N", "ass-a", "samples", "pushforward-samples", "eps", "kappa",
-         "workers-0", "workers-max", "seed", "experiment", "field"],
+         "workers-0", "workers-max", "seed", "experiment", "field", "no-fields", "no-N"],
 )
 def test_config_record_checks_itself(settings, message):
     # An in-process caller gets the checks and messages of `mmconc run`.

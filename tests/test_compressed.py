@@ -13,8 +13,12 @@ import pytest
 
 from mmconc import sampling, stats
 from mmconc.algebra import field_dim
-from mmconc.concentration import _norms_overlaps, membership_native
-from mmconc.decomp import dist_to_scaled_stiefel_native, singular_values_native
+from mmconc.decomp import (
+    _norms_overlaps,
+    dist_to_scaled_stiefel_native,
+    membership_native,
+    singular_values_native,
+)
 from mmconc.sampling import (
     CHUNK,
     STREAM,

@@ -10,16 +10,14 @@ from mmconc.algebra import FMatrix, _from_native, _to_native, field_dim, frame_r
 from mmconc.bounds import theta
 from mmconc.concentration import (
     ApproxSpaceParams,
-    _norms_overlaps,
     _sorted_quantile,
     lipschitz_experiment,
     membership_mask,
-    membership_native,
     phi_native,
     prok_experiment,
     pushforward_test,
 )
-from mmconc.decomp import dist_to_scaled_stiefel_native, polar
+from mmconc.decomp import _norms_overlaps, dist_to_scaled_stiefel_native, membership_native, polar
 from mmconc.errors import DomainError
 from mmconc.sampling import (
     SamplerConfig,

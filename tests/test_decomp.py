@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from componentwise import comp_adjoint, comp_matmul
 from mmconc import decomp
-from mmconc.algebra import FMatrix, _frobenius, _native, _to_native, comp_mul, realify_comps
+from mmconc.algebra import FMatrix, _frobenius, _to_native, comp_mul, realify_comps
 from mmconc.decomp import (
     dist_to_scaled_stiefel,
     grassmann_dist,
@@ -376,7 +376,7 @@ def _fallback_batch(field, N, n, seed):
     column and entry 7 only one nonzero column; at n = 1, entries 1 and 5
     are columns shorter than RANK_TOL and entries 3 and 7 zero."""
     d = dict(FIELDS)[field]
-    X = np.array(_native(np.random.default_rng(seed).standard_normal((8, N, n, d)), field))
+    X = _to_native(np.random.default_rng(seed).standard_normal((8, N, n, d)), field)
     if n == 1:
         X[[1, 5]] *= 1e-5  # columns shorter than RANK_TOL
         X[[3, 7]] = 0.0

@@ -11,8 +11,7 @@ from componentwise import comp_matmul
 from mmconc import sampling
 from mmconc.algebra import FMatrix, _from_native, _lift, _to_native, field_dim, frame_radius
 from mmconc.bounds import theta
-from mmconc.concentration import membership_native
-from mmconc.decomp import dist_to_scaled_stiefel_native, polar, polar_q_native
+from mmconc.decomp import dist_to_scaled_stiefel_native, membership_native, polar, polar_q_native
 from mmconc.errors import DomainError, InfeasibleError, ShapeMismatchError
 from mmconc.sampling import (
     CHUNK,
