@@ -8,9 +8,9 @@ The statistics run on the native arrays of `algebra` (R (..., N, n), C
 call (`membership_native`, prok's `dist_to_scaled_stiefel_native`) take
 native batches straight from the samplers.  Membership and the distance
 read only the Gram matrix, so fullmeas and prok hand them the compressed
-draws of `sampling.compressed_blocks`, n rows at every N; N, or the
-radius it sets, is therefore an argument of theirs, not read off the row
-count.  `membership_mask` is one conversion around
+draws of `sampling.gaussian_blocks` with p = 0, n rows at every N; N, or
+the radius it sets, is therefore an argument of theirs, not read off the
+row count.  `membership_mask` is one conversion around
 `decomp.membership_native` for batches in the (..., N, n, 4) interchange
 layout.
 """
@@ -243,7 +243,7 @@ def prok_experiment(N, n, field, sample_size=100000, seed=0, workers=1):
     cfg = sampling.SamplerConfig(field, N, n, seed=seed, count=sample_size)
     d = sampling.draws(
         cfg,
-        functools.partial(sampling.compressed_blocks, p=0),
+        functools.partial(sampling.gaussian_blocks, p=0),
         functools.partial(decomp.dist_to_scaled_stiefel_native, field=field, r=cfg.radius),
         workers,
     )

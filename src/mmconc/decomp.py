@@ -9,9 +9,10 @@ The FMatrix functions read the native array of each argument and wrap
 native results, with no conversion or check on the way.  The samplers
 and statistics call the native batched functions (`polar_q_native`,
 `singular_values_native`, `dist_to_scaled_stiefel_native`,
-`membership_native`); `polar` and `dist_to_scaled_stiefel` call them on
-a batch of one.  `_gram_eig` lifts a native batch (over H to the complex
-adjoint of F. Zhang, Linear Algebra Appl. 251, 1997) and solves its
+`membership_native`) on the draws of the one draw generator,
+`sampling.gaussian_blocks`; `polar` and `dist_to_scaled_stiefel` call
+them on a batch of one.  `_gram_eig` lifts a native batch (over H to the
+complex adjoint of F. Zhang, Linear Algebra Appl. 251, 1997) and solves its
 Gram matrix; over H every eigenvalue of a lifted matrix comes twice, on
 the pair {x, Jx}.  Every polar frame comes from `_polar_native`, the one
 home of the rank policy RANK_TOL: an ill-conditioned entry takes its
@@ -304,7 +305,7 @@ def dist_to_scaled_stiefel_native(X, field, r):
     """Distance of each entry of a native batch to the frames scaled by r.
 
     It reads only the singular values, so X may be any batch with the
-    Gram law of the draws, such as sampling.compressed_blocks gives.
+    Gram law of the draws, such as sampling.gaussian_blocks gives with p.
     """
     if X.shape[-1] == 1:
         return np.abs(_frobenius(X) - r)
@@ -349,7 +350,7 @@ def membership_native(X, field, eps, theta_val, N):
 
     Membership reads only the column norms and overlaps, that is the Gram
     matrix, so X may be a full N-row draw or any batch with the same Gram
-    law, such as the compressed draws of sampling.compressed_blocks.  N is
+    law, such as the compressed draws of sampling.gaussian_blocks with p.  N is
     the caller's, never the row count of X, and sets the band's radius.
     """
     n = X.shape[-1]

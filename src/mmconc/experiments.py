@@ -10,9 +10,9 @@ distance); `sampling` alone walks the fixed grid of 1024-draw chunks keyed
 by (seed, chunk) and reduces each sub-block as it draws it, so memory
 does not grow with N.  fullmeas, prok, mbdist and obsdiam read only the
 Gram matrix or the top row of a Haar frame, so they reduce compressed
-draws (`sampling.compressed_blocks`), whose cost does not grow with N
-at all.  A worker pool only changes who reduces a chunk, never its
-content, so output bytes are independent of the worker count.
+draws (`sampling.gaussian_blocks` with p), whose cost does not grow
+with N at all.  A worker pool only changes who reduces a chunk, never
+its content, so output bytes are independent of the worker count.
 """
 
 from __future__ import annotations
@@ -71,8 +71,8 @@ class ExperimentConfig:
                 "unknown experiment %r (choose from %s)"
                 % (self.experiment, ", ".join(sorted(EXPERIMENTS)))
             )
-        if not self.fields or not self.N_list:
-            raise ConfigError("fields and N must each list at least one value")
+        if not self.fields or not self.N_list or not self.kappa_list:
+            raise ConfigError("fields, N and kappa must each list at least one value")
         for f in self.fields:
             if f not in FIELDS:
                 raise ConfigError("unknown field tag %r (expected R, C or H)" % (f,))
@@ -89,6 +89,13 @@ class ExperimentConfig:
                     bounds.check_dimensions(N, n)
                 except PreconditionError as exc:
                     raise ConfigError("%s at N = %d, n = %d: %s" % (self.experiment, N, n, exc))
+            elif self.experiment in ("mbdist", "obsdiam", "prok", "pushforward"):
+                # They sample frames of radius sqrt(N^F - 1), 0 only at R, N = 1.
+                if N == 1 and "R" in self.fields:
+                    raise ConfigError(
+                        "%s at field R, N = 1: the scaled frame radius sqrt(N^F - 1) is 0"
+                        % self.experiment
+                    )
             points.append((N, n))
         object.__setattr__(self, "rule", rule)
         object.__setattr__(self, "points", tuple(points))
@@ -205,7 +212,7 @@ def run_fullmeas(cfg):
         scfg = sampling.SamplerConfig(field, N, n, seed=cfg.seed, count=cfg.samples)
         hits = sampling.draws(
             scfg,
-            functools.partial(sampling.compressed_blocks, p=0),
+            functools.partial(sampling.gaussian_blocks, p=0),
             lambda X: membership_native(X, field, sch.eps_N, sch.theta_N, N),
             cfg.workers,
         )

@@ -31,16 +31,18 @@ on a thread pool if asked.
 The interchange functions (`gaussian_chunk`, `haar_chunk`, `haar_comps`)
 convert sub-blocks to component arrays (..., N, n, 4).
 
-A statistic that reads only the Gram matrix X* X, or only the top p rows
-of the Haar frame, runs on `compressed_blocks` instead: the (p + m) x n
+`gaussian_blocks` is the one draw generator.  A statistic that reads only
+the Gram matrix X* X, or only the top p rows of the Haar frame, runs on
+its compressed draw `gaussian_blocks(cfg, c, p)` instead: the (p + m) x n
 draw [X_p; R], m = min(N - p, n), with X_p the first p rows of the
 Gaussian matrix and R the upper-trapezoidal Bartlett factor of the other
 N - p rows.  Its Gram matrix has the law of X* X, and the top p rows of
 its polar frame (`haar_blocks` with p) the law of the Haar frame's, so a
 draw costs the same at every N.  It fills its draws from the chunk's
-stream as gaussian_blocks does, and the chi-square diagonal of R from the
+stream as the full draw does, and the chi-square diagonal of R from the
 chunk's second stream, spawn_key=(c, 0, 1), so its bytes do not depend
-on the sub-block size either.
+on the sub-block size either.  p = N is the full draw: it has no
+Bartlett rows and opens no second stream.
 
 STREAM names this construction: the generator, the normal transform, the
 native draw layout, the compressed draw with its two keys, and the rank
@@ -130,8 +132,8 @@ class SamplerConfig:
 
 def chunk_generator(seed, chunk_index, stream=0):
     """The SFC64 generator of a chunk: spawn_key (c,) for its draw and
-    (c, 0, s) for its second stream s = 1 (the chi-square diagonal of
-    compressed_blocks)."""
+    (c, 0, s) for its second stream s = 1 (the chi-square diagonal of a
+    compressed draw)."""
     key = (chunk_index, 0, stream) if stream else (chunk_index,)
     ss = np.random.SeedSequence(seed, spawn_key=key)
     return np.random.Generator(np.random.SFC64(ss))
@@ -146,36 +148,17 @@ def block_size(cfg, rows=None):
     return min(CHUNK, max(1, BLOCK_BYTES // (8 * rows * cfg.n * d)))
 
 
-def _normal_blocks(gen, cfg, rows):
-    """Yield one chunk of standard Gaussian rows x n matrices over
-    cfg.field as native sub-blocks (k, ., n), k = block_size(cfg, rows),
-    in order from gen.
+def gaussian_blocks(cfg, chunk_index, p=None):
+    """Yield one chunk of standard Gaussian draws over cfg.field as native
+    sub-blocks (k, ., n), k = block_size(cfg, rows), in order from the
+    chunk's stream: N x n matrices without p, and compressed draws
+    [X_p; R], rows = p + m with m = min(N - p, n), with p.
 
     Each sub-block is drawn in its native layout: R (k, rows, n) reals, C
     (k, rows, n) and H (k, 2 rows, n) complex entries, each the (real,
     imaginary) pair of two consecutive normals.  Over H the lower half is
     -conj Z2 for Z = Z1 + Z2 j, and the negated conjugate of a standard
-    complex normal is one too, so Z is standard Gaussian."""
-    native_rows = 2 * rows if cfg.field == "H" else rows
-    k = block_size(cfg, rows)
-    for start in range(0, CHUNK, k):
-        shape = (min(k, CHUNK - start), native_rows, cfg.n)
-        if cfg.field == "R":
-            yield gen.standard_normal(shape)
-        else:
-            yield gen.standard_normal(shape + (2,)).view(np.complex128)[..., 0]
-
-
-def gaussian_blocks(cfg, chunk_index):
-    """Yield one chunk of standard Gaussian N x n matrices as native
-    sub-blocks (k, rows, n), k = block_size(cfg), in order from the
-    chunk's stream (see _normal_blocks)."""
-    yield from _normal_blocks(chunk_generator(cfg.seed, chunk_index), cfg, cfg.N)
-
-
-def compressed_blocks(cfg, chunk_index, p):
-    """Yield one chunk of compressed Gaussian draws [X_p; R] as native
-    sub-blocks of (p + m) x n matrices, m = min(N - p, n).
+    complex normal is one too, so Z is standard Gaussian.
 
     X_p is p rows of standard F-normals.  R is the m x n upper-trapezoidal
     Bartlett factor of the other N - p rows Y: Y* Y has the law of R* R
@@ -188,31 +171,42 @@ def compressed_blocks(cfg, chunk_index, p):
     [X_p; R] has the law of the full draw's, and the top p rows of its
     polar frame, X_p (X_p* X_p + W)^(-1/2) with W = Y* Y independent of
     X_p, have the law of the Haar frame's.  A draw costs O((p + n) n)
-    numbers whatever N is.
+    numbers whatever N is.  p = N is the full draw: m = 0, no Bartlett
+    rows and no second stream.
 
-    The normals fill whole (p + m) x n draws from the chunk's stream, in
-    the order of gaussian_blocks; the entries of R below its diagonal are
-    then zeroed, and its diagonal is overwritten with the roots of
-    2 Gamma(d(N - p - i) / 2) draws, in (draw, i) order from the chunk's
-    second stream, chunk_generator(seed, chunk, 1).  Both streams
-    are read in draw order, so the bytes do not depend on the sub-block
-    size.
+    The normals fill whole draws from the chunk's stream; the entries of
+    R below its diagonal are then zeroed, and its diagonal is overwritten
+    with the roots of 2 Gamma(d(N - p - i) / 2) draws, in (draw, i) order
+    from the chunk's second stream, chunk_generator(seed, chunk, 1).  Both
+    streams are read in draw order, so the bytes do not depend on the
+    sub-block size.
     """
+    p = cfg.N if p is None else p
     m = min(cfg.N - p, cfg.n)
     rows = p + m
-    shape = field_dim(cfg.field) * (cfg.N - p - np.arange(m)) / 2.0
-    below = np.tri(m, cfg.n, -1, dtype=bool)
-    i = np.arange(m)
-    chi = chunk_generator(cfg.seed, chunk_index, 1)
-    for X in _normal_blocks(chunk_generator(cfg.seed, chunk_index), cfg, rows):
-        R = X[:, p:rows]
-        R[:, below] = 0.0
-        R[:, i, i] = np.sqrt(2.0 * chi.standard_gamma(shape, (len(X), m)))
-        if cfg.field == "H":
-            # The -conj Z2 half of R: zero on and below the diagonal.
-            R = X[:, rows + p :]
+    native_rows = 2 * rows if cfg.field == "H" else rows
+    k = block_size(cfg, rows)
+    gen = chunk_generator(cfg.seed, chunk_index)
+    if m:
+        half_df = field_dim(cfg.field) * (cfg.N - p - np.arange(m)) / 2.0
+        below = np.tri(m, cfg.n, -1, dtype=bool)
+        i = np.arange(m)
+        chi = chunk_generator(cfg.seed, chunk_index, 1)
+    for start in range(0, CHUNK, k):
+        shape = (min(k, CHUNK - start), native_rows, cfg.n)
+        if cfg.field == "R":
+            X = gen.standard_normal(shape)
+        else:
+            X = gen.standard_normal(shape + (2,)).view(np.complex128)[..., 0]
+        if m:
+            R = X[:, p:rows]
             R[:, below] = 0.0
-            R[:, i, i] = 0.0
+            R[:, i, i] = np.sqrt(2.0 * chi.standard_gamma(half_df, (len(X), m)))
+            if cfg.field == "H":
+                # The -conj Z2 half of R: zero on and below the diagonal.
+                R = X[:, rows + p :]
+                R[:, below] = 0.0
+                R[:, i, i] = 0.0
         yield X
 
 
@@ -225,22 +219,17 @@ def gaussian_chunk(cfg, chunk_index):
 
 def haar_blocks(cfg, chunk_index, p=None):
     """Yield one chunk of (scaled) Haar frames as native sub-blocks, the
-    polar frames of gaussian_blocks(cfg, chunk_index).
+    polar frames of gaussian_blocks(cfg, chunk_index, p).
 
     The Gaussian law is invariant under left unitaries and the polar
     frame is equivariant, so the frame law inherits left invariance and
-    is the Haar measure.  With p, the frames are those of
-    compressed_blocks(cfg, chunk_index, p) instead: (p + m)-row frames
+    is the Haar measure.  With p < N the frames are (p + m)-row frames
     whose top p rows have the law of the top p rows of a Haar frame in
     F^N, and whose other rows mean nothing.  An ill-conditioned draw,
     a rank-deficient one included, gets the frame of decomp.polar from
     its SVD (see polar_q_native).
     """
-    if p is None:
-        blocks = gaussian_blocks(cfg, chunk_index)
-    else:
-        blocks = compressed_blocks(cfg, chunk_index, p)
-    for X in blocks:
+    for X in gaussian_blocks(cfg, chunk_index, p):
         q, _ = polar_q_native(X, cfg.field)
         if cfg.scaled:
             q *= cfg.radius

@@ -158,10 +158,10 @@ class TestRun:
 @pytest.mark.parametrize(
     "argv, code, message",
     [
-        (["run", "obsdiam", "--field", "r", "--N", "1", "--n", "const:1"], 1,
-         "error: the scaled frame radius sqrt(N^F - 1) is 0"),
-        (["run", "mbdist", "--field", "r", "--N", "1", "--n", "const:1"], 1,
-         "error: the scaled frame radius sqrt(N^F - 1) is 0"),
+        (["run", "obsdiam", "--field", "r", "--N", "1", "--n", "const:1"], 2,
+         "config error: obsdiam at field R, N = 1: the scaled frame radius sqrt(N^F - 1) is 0"),
+        (["run", "mbdist", "--field", "r", "--N", "1", "--n", "const:1"], 2,
+         "config error: mbdist at field R, N = 1: the scaled frame radius sqrt(N^F - 1) is 0"),
         (["run", "mbdist", "--N", "3", "--n", "const:5"], 2,
          "config error: rule const:5 gives n = 5 at N = 3"),
         (["sample", "--N", "5", "--n", "9"], 2, "config error: need 1 <= n <= N"),
@@ -174,6 +174,11 @@ class TestRun:
         (["run", "mbdist", "--workers", "-2"], 2, "config error: workers must be >= 1"),
         (["run", "mbdist", "--workers", str(experiments.MAX_WORKERS + 1)], 2,
          "config error: workers must be <= %d" % experiments.MAX_WORKERS),
+        (["run", "prok", "--field", "c,r", "--N", "1", "--n", "const:1"], 2,
+         "config error: prok at field R, N = 1: the scaled frame radius sqrt(N^F - 1) is 0"),
+        (["run", "pushforward", "--field", "r", "--N", "1", "--n", "const:1"], 2,
+         "config error: pushforward at field R, N = 1: the scaled frame radius sqrt(N^F - 1) "
+         "is 0"),
     ],
 )
 def test_bad_shape_exit_codes(argv, code, message, tmp_path, capsys):
@@ -216,8 +221,10 @@ def test_unusable_exponent_is_config_error(command, rule, message, tmp_path, cap
          "lipschitz at N = 5, n = 5: need 1 <= n_N <= N - 1"),
         ({"experiment": "pushforward", "N": "20", "n": "const:2", "eps": "0.3",
           "samples": "500"}, "pushforward needs samples >= 1000"),
+        ({"experiment": "mbdist", "field": "r", "N": "1"},
+         "mbdist at field R, N = 1: the scaled frame radius sqrt(N^F - 1) is 0"),
     ],
-    ids=["fullmeas-N", "bounds-N", "lipschitz-n", "pushforward-samples"],
+    ids=["fullmeas-N", "bounds-N", "lipschitz-n", "pushforward-samples", "mbdist-radius"],
 )
 def test_unrunnable_experiment_is_config_error(command, options, message, tmp_path, capsys):
     # Each of these used to pass validate and then fail its run with exit 1.
@@ -257,12 +264,19 @@ def test_unrunnable_experiment_is_config_error(command, options, message, tmp_pa
         ({"experiment": "mbdist", "fields": ("Z",), "N_list": (10,), "samples": 100},
          "unknown field tag 'Z'"),
         ({"experiment": "mbdist", "fields": (), "N_list": (10,), "samples": 100},
-         "fields and N must each list at least one value"),
+         "fields, N and kappa must each list at least one value"),
         ({"experiment": "mbdist", "N_list": (), "samples": 100},
-         "fields and N must each list at least one value"),
+         "fields, N and kappa must each list at least one value"),
+        ({"experiment": "obsdiam", "kappa_list": (), "N_list": (10,), "samples": 100},
+         "fields, N and kappa must each list at least one value"),
+        # N^F = 1 only over R: C at N = 1 has radius 1.
+        *[({"experiment": name, "fields": ("C", "R"), "N_list": (1,), "samples": 1000},
+           "%s at field R, N = 1: the scaled frame radius sqrt(N^F - 1) is 0" % name)
+          for name in ("mbdist", "obsdiam", "prok", "pushforward")],
     ],
     ids=["rule-n", "scheduled-N", "ass-a", "samples", "pushforward-samples", "eps", "kappa",
-         "workers-0", "workers-max", "seed", "experiment", "field", "no-fields", "no-N"],
+         "workers-0", "workers-max", "seed", "experiment", "field", "no-fields", "no-N",
+         "no-kappa", "radius-mbdist", "radius-obsdiam", "radius-prok", "radius-pushforward"],
 )
 def test_config_record_checks_itself(settings, message):
     # An in-process caller gets the checks and messages of `mmconc run`.

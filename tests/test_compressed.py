@@ -1,8 +1,10 @@
-"""sampling.compressed_blocks: the Bartlett-compressed draw [X_p; R].
+"""sampling.gaussian_blocks(cfg, chunk, p): the Bartlett-compressed draw
+[X_p; R].
 
 Its layout, its determinism (bytes independent of the sub-block size and
-of the worker count, one pinned chunk per field) and its law: the Gram
-statistics and the top row of its polar frame against the full draw's.
+of the worker count, one pinned chunk per field, p = N the full draw) and
+its law: the Gram statistics and the top row of its polar frame against
+the full draw's.
 """
 
 import hashlib
@@ -23,7 +25,6 @@ from mmconc.sampling import (
     CHUNK,
     STREAM,
     SamplerConfig,
-    compressed_blocks,
     draws,
     gaussian_blocks,
     haar_blocks,
@@ -47,13 +48,14 @@ def halves(X, field):
 
 class TestLayout:
     @pytest.mark.parametrize("field", FIELDS)
-    @pytest.mark.parametrize("N, n, p", [(9, 3, 0), (9, 3, 1), (4, 4, 1), (5, 4, 2)])
+    @pytest.mark.parametrize("N, n, p", [(9, 3, 0), (9, 3, 1), (4, 4, 1), (5, 4, 2), (6, 3, 6)])
     def test_bartlett_factor_is_upper_trapezoidal(self, field, N, n, p):
         # m = min(N - p, n) rows of R under p rows of normals; R has zeros
         # below its diagonal and a positive real diagonal, and over H its
-        # -conj Z2 half is zero on and below the diagonal too.
+        # -conj Z2 half is zero on and below the diagonal too.  At p = N
+        # there is no R: the draw is N (over H 2N) rows of normals.
         m = min(N - p, n)
-        X = next(compressed_blocks(SamplerConfig(field, N, n, seed=2), 0, p))
+        X = next(gaussian_blocks(SamplerConfig(field, N, n, seed=2), 0, p))
         top, low = halves(X, field)
         assert X.shape == (CHUNK, (p + m) * (2 if field == "H" else 1), n)
         R = top[:, p:]
@@ -73,7 +75,7 @@ class TestLayout:
         # that; bounds of five standard errors over one chunk.
         N, n, p = 30, 3, 1
         d = field_dim(field)
-        X = whole(compressed_blocks(SamplerConfig(field, N, n, seed=4), 0, p))
+        X = whole(gaussian_blocks(SamplerConfig(field, N, n, seed=4), 0, p))
         sq = np.abs(X[:, p + np.arange(n), np.arange(n)]) ** 2
         df = d * (N - p - np.arange(n))
         assert np.all(np.abs(sq.mean(axis=0) - df) < 5.0 * np.sqrt(2.0 * df / CHUNK))
@@ -85,7 +87,7 @@ class TestDeterminism:
         # draw must come with a new STREAM.
         got = {
             field: hashlib.sha256(
-                whole(compressed_blocks(SamplerConfig(field, 6, 3, seed=0), 0, 1)).tobytes()
+                whole(gaussian_blocks(SamplerConfig(field, 6, 3, seed=0), 0, 1)).tobytes()
             ).hexdigest()
             for field in FIELDS
         }
@@ -102,10 +104,27 @@ class TestDeterminism:
         # The diagonal comes from the chunk's second stream, so it is no
         # entry of the chunk's normal stream; the normals are that stream.
         cfg = SamplerConfig("R", 50, 2, seed=3)
-        X = next(compressed_blocks(cfg, 1, 0))
+        X = next(gaussian_blocks(cfg, 1, 0))
         normals = sampling.chunk_generator(3, 1).standard_normal((CHUNK, 2, 2))
         assert X[:, 0, 1].tobytes() == normals[:, 0, 1].tobytes()
         assert not np.isin(X[:, 0, 0], normals).any()
+
+    @pytest.mark.parametrize("field, N", [("R", 300), ("C", 150), ("H", 75)])
+    def test_p_equal_N_is_the_full_draw(self, field, N, monkeypatch):
+        # Five sub-blocks a chunk (see tests/test_sampling.py); the full
+        # draw opens only the chunk's first stream.
+        cfg = SamplerConfig(field, N, 2, seed=5)
+        full = [X.tobytes() for X in gaussian_blocks(cfg, 3)]
+        opened = []
+        real = sampling.chunk_generator
+
+        def counted(seed, chunk_index, stream=0):
+            opened.append(stream)
+            return real(seed, chunk_index, stream)
+
+        monkeypatch.setattr(sampling, "chunk_generator", counted)
+        assert [X.tobytes() for X in gaussian_blocks(cfg, 3, p=N)] == full
+        assert len(full) == 5 and opened == [0]
 
     @pytest.mark.parametrize("field", FIELDS)
     @pytest.mark.parametrize("p", [0, 1])
@@ -115,10 +134,10 @@ class TestDeterminism:
         N, n = 20, 3
         cfg = SamplerConfig(field, N, n, seed=5)
         d = field_dim(field)
-        chunk = whole(compressed_blocks(cfg, 2, p))
+        chunk = whole(gaussian_blocks(cfg, 2, p))
         frames = whole(haar_blocks(cfg, 2, p=p)) if p else None
         monkeypatch.setattr(sampling, "BLOCK_BYTES", 100 * 8 * (p + n) * n * d)
-        blocks = list(compressed_blocks(cfg, 2, p))
+        blocks = list(gaussian_blocks(cfg, 2, p))
         assert [len(X) for X in blocks] == [100] * 10 + [24]
         assert np.concatenate(blocks).tobytes() == chunk.tobytes()
         if p:
@@ -137,9 +156,9 @@ class TestDeterminism:
         d = field_dim(field)
         monkeypatch.setattr(sampling, "BLOCK_BYTES", 300 * 8 * 4 * n * d)
         for blocks, reduce in (
-            (partial(compressed_blocks, p=0),
+            (partial(gaussian_blocks, p=0),
              partial(dist_to_scaled_stiefel_native, field=field, r=cfg.radius)),
-            (partial(compressed_blocks, p=0), lambda X: membership_native(X, field, 0.1, 0.3, N)),
+            (partial(gaussian_blocks, p=0), lambda X: membership_native(X, field, 0.1, 0.3, N)),
             (partial(haar_blocks, p=1), lambda Q: Q[:, 0, 0].real),
         ):
             one = list(draws(cfg, blocks, reduce))
@@ -183,7 +202,7 @@ def test_compressed_law_matches_the_full_draw(field, N, n, p):
     full = SamplerConfig(field, N, n, seed=1, count=S)
     comp = SamplerConfig(field, N, n, seed=2, count=S)
     gram_a = whole(draws(full, gaussian_blocks))
-    gram_b = whole(draws(comp, partial(compressed_blocks, p=p)))
+    gram_b = whole(draws(comp, partial(gaussian_blocks, p=p)))
     a = _statistics(gram_a, whole(draws(full, haar_blocks)) if p else None, field)
     b = _statistics(gram_b, whole(draws(comp, partial(haar_blocks, p=p))) if p else None, field)
     crit = stats.ks_critical(S, S, alpha=ALPHA)

@@ -21,7 +21,6 @@ from mmconc.decomp import _norms_overlaps, dist_to_scaled_stiefel_native, member
 from mmconc.errors import DomainError
 from mmconc.sampling import (
     SamplerConfig,
-    compressed_blocks,
     draws,
     gaussian_blocks,
     gaussian_chunk,
@@ -238,7 +237,7 @@ class TestProk:
         # For one column the manifold distance collapses to | ||Z|| - r |.
         rep = prok_experiment(25, 1, "R", sample_size=2000, seed=1)
         cfg = SamplerConfig("R", 25, 1, seed=1, count=2000)
-        Z = np.concatenate(list(draws(cfg, partial(compressed_blocks, p=0))))
+        Z = np.concatenate(list(draws(cfg, partial(gaussian_blocks, p=0))))
         d = np.abs(np.sqrt(np.sum(np.square(Z), axis=(1, 2))) - cfg.radius)
         assert rep.mean_distance == pytest.approx(float(d.mean()), rel=1e-12, abs=0)
         assert rep.quantiles[50] == pytest.approx(float(np.quantile(d, 0.5)), rel=1e-10, abs=0)
@@ -251,7 +250,7 @@ class TestProk:
         # The distances prok sorts, bit for bit: the level can be one of
         # them, and a route that rounds it an ulp higher puts it on the
         # other side.  test_n1_distance_is_norm_gap checks the values.
-        blocks = draws(cfg, partial(compressed_blocks, p=0))
+        blocks = draws(cfg, partial(gaussian_blocks, p=0))
         r = frame_radius(25, "R")
         d = np.sort(np.concatenate([dist_to_scaled_stiefel_native(X, "R", r) for X in blocks]))
         eps = rep.dP_lower

@@ -32,6 +32,9 @@ def test_runs_cover_every_experiment_and_sample_kind(tmp_path):
     square = [argv for argv in argvs if "square" in argv[-1]]
     assert [argv[argv.index("--field") + 1] for argv in square] == list("rch")
     assert all(argv[argv.index("--N") + 1] == argv[argv.index("--n") + 1] for argv in square)
+    unscaled = [argv for argv in argvs if "--unscaled" in argv]
+    assert [(argv[argv.index("--kind") + 1], argv[argv.index("--field") + 1])
+            for argv in unscaled] == [("haar", f) for f in "rch"]
     assert all(argv[argv.index("--seed") + 1] == "7" for argv in argvs)
     # Every column rule kind, and the ass condition (condi is the default)
     # for both experiments that build schedules; the table is in place.

@@ -236,8 +236,8 @@ class TestSubBlocks:
         clean = whole_chunk(haar_blocks, cfg, 2)
         draw = sampling.gaussian_blocks
 
-        def forced(cfg, chunk_index):
-            for j, X in enumerate(draw(cfg, chunk_index)):
+        def forced(cfg, chunk_index, p=None):
+            for j, X in enumerate(draw(cfg, chunk_index, p)):
                 if j == last:
                     X = X.copy()
                     X[i] = 0.0

@@ -5,8 +5,9 @@
 Runs every `mmconc run` experiment over R, C and H on small fixed
 configurations, fullmeas under the `power:`, `powerlog:` and `table:`
 column rules, fullmeas and bounds under the `ass` growth condition, plus
-`mmconc sample` of both kinds over each field and one square Haar export
-(N = n = 4) a field, in a temporary directory, and prints one
+`mmconc sample` of both kinds over each field, one square Haar export
+(N = n = 4) and one `--unscaled` Haar export a field, in a temporary
+directory, and prints one
 `sha256  file` line per output (the rule table it writes included),
 sorted by file.  The
 first line, `stream  <sampling.STREAM>`, names the random stream, so the
@@ -89,6 +90,12 @@ def runs(out):
     for field in "rch":
         where = os.path.join(out, "sample-haar-square-%s.csv" % field)
         yield ["sample", "--kind", "haar", "--field", field, *SQUARE,
+               "--seed", SEED, "--out", where]
+    # The frames before the radius is applied, as pushforward's negative
+    # control reads them.
+    for field in "rch":
+        where = os.path.join(out, "sample-haar-unscaled-%s.csv" % field)
+        yield ["sample", "--kind", "haar", "--unscaled", "--field", field, *SAMPLES,
                "--seed", SEED, "--out", where]
 
 
