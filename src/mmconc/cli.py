@@ -242,7 +242,11 @@ def _add_run_options(parser):
         parser.add_argument("--condition", choices=("condi", "ass"), default="condi"),
         parser.add_argument("--a", type=float, default=0.5, help="exponent for the ass condition"),
         parser.add_argument(
-            "--workers", type=int, default=min(os.cpu_count() or 1, experiments.MAX_WORKERS)
+            "--workers",
+            type=int,
+            default=min(os.cpu_count() or 1, experiments.MAX_WORKERS),
+            help="threads that reduce chunks, the calling thread counted, in mbdist, "
+            "obsdiam, fullmeas and prok (default: the core count)",
         ),
         parser.add_argument("--out", default="."),
     )

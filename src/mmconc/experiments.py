@@ -11,8 +11,11 @@ by (seed, chunk) and reduces each sub-block as it draws it, so memory
 does not grow with N.  fullmeas, prok, mbdist and obsdiam read only the
 Gram matrix or the top row of a Haar frame, so they reduce compressed
 draws (`sampling.gaussian_blocks` with p), whose cost does not grow
-with N at all.  A worker pool only changes who reduces a chunk, never
-its content, so output bytes are independent of the worker count.
+with N at all.  A run with w workers starts at most w - 1 threads, once:
+every `draws` call of the run hands its chunks to the one pool of
+`run_experiment`, the calling thread being the other worker, and no
+thread outlives the run.  The pool only changes who reduces a chunk,
+never its content, so output bytes are independent of the worker count.
 """
 
 from __future__ import annotations
@@ -34,11 +37,12 @@ from .errors import ConfigError, DomainError, PreconditionError
 # that each (N, n) of their config must have one.
 SCHEDULED = ("fullmeas", "lipschitz", "bounds")
 
-# Each worker is an OS thread, and sampling.draws starts min(workers,
-# chunks) of them at once, each drawing its own sub-blocks; past the
-# machine's cores more of them add only memory and scheduling.  So a
-# worker count above MAX_WORKERS is refused rather than started, and the
-# CLI's default, the core count, is capped at it.  Criterion 12 runs 4.
+# A run with w workers reduces chunks on its calling thread and on at
+# most w - 1 threads it starts once (run_experiment), each drawing its
+# own sub-blocks; past the machine's cores more of them add only memory
+# and scheduling.  So a worker count above MAX_WORKERS is refused rather
+# than started, and the CLI's default, the core count, is capped at it.
+# Criterion 12 runs 4.
 MAX_WORKERS = 64
 
 
@@ -373,6 +377,10 @@ EXPERIMENTS = {
 
 
 def run_experiment(cfg):
+    """Run cfg.experiment.  Every sampling.draws call of the run shares
+    one pool of cfg.workers - 1 threads, started at most once and joined
+    before this returns or raises."""
     if not cfg.experiment:
         raise ConfigError("the run record names no experiment")
-    return EXPERIMENTS[cfg.experiment](cfg)
+    with sampling.worker_pool(cfg.workers):
+        return EXPERIMENTS[cfg.experiment](cfg)

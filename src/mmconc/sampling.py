@@ -26,8 +26,9 @@ rank policy of `decomp` (RANK_TOL): an ill-conditioned draw takes its
 frame from the SVD.
 `draws` is the one walk over the chunk grid: it yields the sub-blocks of
 chunks 0, 1, ... cut to the sample count, each reduced by a per-draw
-function such as a kernel of `decomp` or a statistic of `experiments`,
-on a thread pool if asked.
+function such as a kernel of `decomp` or a statistic of `experiments`;
+with w workers the calling thread reduces every w-th chunk and a thread
+pool the others, one pool for a whole run under `worker_pool`.
 The interchange functions (`gaussian_chunk`, `haar_chunk`, `haar_comps`)
 convert sub-blocks to component arrays (..., N, n, 4).
 
@@ -56,7 +57,8 @@ standard_normal or standard_gamma) must bump it.
 from __future__ import annotations
 
 import contextlib
-from concurrent.futures import ThreadPoolExecutor
+import contextvars
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
 from itertools import chain
 
@@ -99,6 +101,9 @@ ROW_BLOCK_VALUES = 8192
 # larger batches cost fewer GIL switches between the threads (handing on
 # each render pass alone made the export a third slower on 2 vCPUs).
 HANDOFF_BYTES = 1 << 21
+
+# The pool of the enclosing worker_pool block, per thread and context.
+_RUN_POOL = contextvars.ContextVar("mmconc_run_pool", default=None)
 
 
 @dataclass(frozen=True)
@@ -247,10 +252,18 @@ def draws(cfg, blocks, reduce=None, workers=1):
     blocks(cfg, 1), ..., cut to cfg.count draws in all; without reduce,
     yield X.
 
-    No sub-block past cfg.count is drawn.  With one worker each sub-block
-    is drawn as the caller consumes it.  With workers > 1 a thread pool
-    reduces one whole chunk per task, and the results are still yielded
-    in chunk order, so they never depend on the worker count.
+    No sub-block past cfg.count is drawn.  With one worker, or one chunk,
+    each sub-block is drawn on the calling thread as the caller consumes
+    it.  With w = min(workers, chunks) > 1 the calling thread is one of
+    the w workers: it reduces chunks 0, w, 2w, ... as it yields them, and
+    a thread pool reduces each of the others whole.  The pool is the one
+    of the enclosing worker_pool block, or, outside one, a pool of w - 1
+    threads opened for the call.  The caller starts chunk 0 before any
+    chunk goes to the pool, so numpy.random, which numpy loads on first
+    use, loads on this thread alone.  Results are yielded in chunk order,
+    so they never depend on the worker count.  Closing the iterator early,
+    or an error in any chunk, cancels the chunks not yet started and
+    waits for those running.
     """
 
     def chunk(chunk_index):
@@ -261,13 +274,44 @@ def draws(cfg, blocks, reduce=None, workers=1):
             if left <= 0:
                 return
 
-    chunks = range(-(-cfg.count // CHUNK))
+    chunks = -(-cfg.count // CHUNK)
+    workers = min(workers, chunks)
     if workers <= 1:
-        yield from chain.from_iterable(map(chunk, chunks))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for reduced in pool.map(lambda c: list(chunk(c)), chunks):
-                yield from reduced
+        yield from chain.from_iterable(map(chunk, range(chunks)))
+        return
+    with contextlib.ExitStack() as own:
+        pool = _RUN_POOL.get() or own.enter_context(ThreadPoolExecutor(workers - 1))
+        first = chunk(0)
+        head = next(first)
+        pooled = {c: pool.submit(list, chunk(c)) for c in range(chunks) if c % workers}
+        try:
+            yield head
+            yield from first
+            for c in range(1, chunks):
+                yield from pooled.pop(c).result() if c % workers else chunk(c)
+        finally:
+            for future in pooled.values():
+                future.cancel()
+            wait(pooled.values())
+
+
+@contextlib.contextmanager
+def worker_pool(workers):
+    """Run the block with one pool for every draws call it makes on this
+    thread: workers - 1 threads, the calling thread being the other
+    worker, each started when a chunk first needs it and all joined when
+    the block is left.  With one worker the block starts no thread.  The
+    pool is held in a context variable, so a block on another thread
+    neither sees nor closes it."""
+    if workers <= 1:
+        yield
+        return
+    with ThreadPoolExecutor(workers - 1) as pool:
+        token = _RUN_POOL.set(pool)
+        try:
+            yield
+        finally:
+            _RUN_POOL.reset(token)
 
 
 def haar_comps(cfg):

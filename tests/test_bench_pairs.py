@@ -112,6 +112,46 @@ def test_pairs_are_checked_before_any_run(tmp_path, monkeypatch):
     ]
 
 
+def test_traced_items_are_checked_before_any_run(tmp_path, monkeypatch):
+    bench_pairs = _bench_pairs()
+    ran = []
+    monkeypatch.setattr(bench_pairs, "bench", lambda *a: ran.append(a))
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **k: ran.append(a))
+    monkeypatch.setattr(
+        "sys.argv",
+        ["bench_pairs.py", "--parent", "HEAD", "--scratch", str(tmp_path),
+         "--pairs", "gaussian-mass=2", "--traced", "gaussian-mass", "--what", "x",
+         "--out", str(tmp_path / "b.json")],
+    )
+    with pytest.raises(SystemExit, match="--traced item 'gaussian-mass'"):
+        bench_pairs.main()
+    assert ran == [] and not (tmp_path / "b.json").exists()
+
+
+def test_traced_pairs_carry_quartiles(monkeypatch):
+    # Three traced pairs a side: each per-layer figure gets its median and
+    # quartiles, seeds 1..3 alternating which side runs first.
+    bench_pairs = _bench_pairs()
+    ran = []
+
+    def fake(tree, workload, seed, seconds, trace):
+        side = "change" if tree == bench_pairs.ROOT else "parent"
+        ran.append((side, seed, trace))
+        value = seed + (10.0 if side == "parent" else 0.0)
+        return {"correct": True, "failed": 0, "attempted": 2,
+                "metrics": {"trace.run_s": {"value": value, "unit": "s"}}}
+
+    monkeypatch.setattr(bench_pairs, "bench", fake)
+    got = bench_pairs.pairs("/parent", "gaussian-mass", 3, 1, trace=1)
+    assert ran == [("parent", 1, 1), ("change", 1, 1), ("change", 2, 1), ("parent", 2, 1),
+                   ("parent", 3, 1), ("change", 3, 1)]
+    metric = got["metrics"]["trace.run_s"]
+    assert metric["change"] == bench_pairs.summary([1.0, 2.0, 3.0])
+    assert metric["parent"] == bench_pairs.summary([11.0, 12.0, 13.0])
+    assert {"median", "q1", "q3"} <= set(metric["parent"])
+    assert "claim_met" not in metric
+
+
 def _side(runs):
     return _bench_pairs().summary(runs)
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from statistics import NormalDist
 
 import numpy as np
@@ -602,20 +603,105 @@ class TestSamplePipeline:
         assert len(calls) <= 30
 
 
-def test_one_worker_runs_start_no_thread(tmp_path, monkeypatch):
-    started = []
+@pytest.fixture
+def started(monkeypatch):
+    """The names of the threads started while the test runs."""
+    names = []
     real = threading.Thread.start
 
     def counted(self):
-        started.append(self.name)
+        names.append(self.name)
         real(self)
 
     monkeypatch.setattr(threading.Thread, "start", counted)
+    return names
+
+
+def test_one_worker_runs_start_no_thread(tmp_path, started):
     assert run_cli(["run", "bounds", "--field", "r", "--N", "50", "--n", "const:2",
                     "--out", str(tmp_path / "b")]) == 0
     assert run_cli(["run", "mbdist", "--field", "r", "--N", "20", "--samples", "2000",
                     "--workers", "1", "--out", str(tmp_path / "m")]) == 0
     assert started == []
+
+
+# Two fields, two N and three chunks a point: six draws calls a run.
+POOLED = ["--field", "r,c", "--N", "30,40", "--n", "const:2", "--samples", "3000",
+          "--seed", "5"]
+
+
+class TestRunPool:
+    """A run hands every sampling.draws call to one pool of workers - 1
+    threads, the calling thread being the other worker; none outlives
+    the run."""
+
+    @pytest.mark.parametrize("experiment", ["mbdist", "obsdiam", "fullmeas", "prok"])
+    def test_a_run_starts_its_threads_once(self, experiment, tmp_path, started):
+        before = threading.enumerate()
+        assert run_cli(["run", experiment, *POOLED, "--workers", "3",
+                        "--out", str(tmp_path)]) == 0
+        assert len(started) <= 2
+        assert threading.enumerate() == before
+
+    def test_draws_outside_a_run_opens_a_pool_for_the_call(self, started):
+        before = threading.enumerate()
+        cfg = sampling.SamplerConfig("R", 30, 2, seed=5, count=3 * sampling.CHUNK + 5)
+        got = list(sampling.draws(cfg, sampling.gaussian_blocks, lambda X: X[:, 0, 0], workers=3))
+        assert sum(map(len, got)) == cfg.count
+        assert len(started) <= 2
+        assert threading.enumerate() == before
+
+    def test_concurrent_runs_keep_their_own_pools(self, tmp_path):
+        before = threading.enumerate()
+        run = ["run", "fullmeas", *POOLED, "--samples", "6000"]
+        assert run_cli(run + ["--workers", "1", "--out", str(tmp_path / "w1")]) == 0
+        codes = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads as often as possible
+        try:
+            callers = [
+                threading.Thread(
+                    target=lambda k=k: codes.update({k: cli.main(
+                        run + ["--workers", "2", "--out", str(tmp_path / k)])}),
+                    daemon=True,
+                )
+                for k in ("a", "b")
+            ]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(60.0)
+                assert not caller.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert codes == {"a": 0, "b": 0}
+        assert threading.enumerate() == before
+        want = (tmp_path / "w1" / "fullmeas.csv").read_bytes()
+        for k in ("a", "b"):
+            assert (tmp_path / k / "fullmeas.csv").read_bytes() == want
+
+    def test_pool_chunk_failure_cancels_the_rest(self, tmp_path, monkeypatch, capsys):
+        # Chunk 1 is the pool's first; it fails at once, and each other
+        # chunk takes at least 10 ms, so the caller sees the failure before
+        # the pool has reached more than a few of the 15 others.
+        real = sampling.gaussian_blocks
+        begun = []
+
+        def failing(cfg, chunk_index, p=None):
+            begun.append(chunk_index)
+            if chunk_index == 1:
+                raise InfeasibleError("injected in chunk 1")
+            time.sleep(0.01)
+            yield from real(cfg, chunk_index, p)
+
+        monkeypatch.setattr(sampling, "gaussian_blocks", failing)
+        before = threading.enumerate()
+        assert run_cli(["run", "fullmeas", "--field", "r", "--N", "30",
+                        "--samples", str(16 * sampling.CHUNK), "--workers", "2",
+                        "--out", str(tmp_path)]) == 3
+        assert threading.enumerate() == before
+        assert "infeasible: injected in chunk 1" in capsys.readouterr().err
+        assert 1 in begun and len(begun) < 16
 
 
 # Minor page faults of 50 format_block passes of 8192 values in a fresh

@@ -1,28 +1,30 @@
 """Benchmark a change against a parent commit and write one BENCH_*.json.
 
     python3 tools/bench_pairs.py --parent <git-ref> --scratch <dir> \
-        --pairs sample-export=10,haar-polar=6 --traced sample-export \
+        --pairs sample-export=10,haar-polar=6 --traced sample-export=4 \
         --what "<one line>" --out BENCH_<tag>.json
 
 The parent ref is resolved to its commit, which the JSON records as
 `parent_commit`, so a ref such as HEAD still names the commit measured
 once HEAD moves.  That commit's tree is exported with `git archive` into
 <dir>/parent; the change is the checkout this script runs from.  For
-each traced workload both sides run `perfbench/run.py --seed 1 --trace 1`
-once.  For each workload in --pairs, seeds 1..P run `--trace 0` on both
-sides, the parent first on odd seeds and the change first on even ones.
-The JSON keeps every run's figures, their medians and quartiles, how many pairs the
-change won (lower is better for every end-to-end metric), and `claim_met`: whether
-the change won at least nine tenths of the pairs and its median beats the parent's
-by more than the parent's quartile spread.  Each end-to-end metric of
+each workload=P in --pairs, seeds 1..P run `perfbench/run.py --trace 0`
+on both sides, the parent first on odd seeds and the change first on
+even ones; each workload=P in --traced runs P pairs the same way with
+`--trace 1`, for the per-layer figures.  The JSON keeps every run's
+figures and their medians and quartiles per side.  For the untraced
+pairs it also keeps how many pairs the change won (lower is better for
+every end-to-end metric), and `claim_met`: whether the change won at
+least nine tenths of the pairs and its median beats the parent's by
+more than the parent's quartile spread.  Each end-to-end metric of
 BENCHMARK.json (read, never written) also gets its `bound`, `within_bound`:
 whether the change's median is at most the parent's times (1 + bound), and
 `unresolved`: whether the parent's quartile spread exceeds bound times the
 parent's median, so that the runs cannot tell a regression of that size.
---pairs is checked before any run: each item is workload=count with
-count >= 2, as quartiles need two runs.  A run that fails stops the
-script with exit code 1 and writes no JSON: one that exits non-zero,
-reports failed operations or reads `correct: false`.
+--pairs and --traced are checked before any run: each item is
+workload=count with count >= 2, as quartiles need two runs.  A run that
+fails stops the script with exit code 1 and writes no JSON: one that
+exits non-zero, reports failed operations or reads `correct: false`.
 The script then prints the run's side, workload, seed and exit code with
 its stderr from the first FAILED line on (or, when it printed no JSON
 result, say after an import error, the end of its stderr).
@@ -85,14 +87,14 @@ def summary(runs):
     return {"median": statistics.median(runs), "q1": q1, "q3": q3, "runs": runs}
 
 
-def parse_pairs(text):
-    """[(workload, count)] of a --pairs value; exits naming the first bad
-    item."""
+def parse_pairs(text, option="--pairs"):
+    """[(workload, count)] of a --pairs or --traced value; exits naming
+    the first bad item."""
     out = []
     for item in text.split(","):
         workload, sep, count = item.partition("=")
         if not (workload and sep and count.isdigit() and int(count) >= 2):
-            sys.exit("--pairs item %r is not workload=count with count >= 2" % item)
+            sys.exit("%s item %r is not workload=count with count >= 2" % (option, item))
         out.append((workload, int(count)))
     return out
 
@@ -122,12 +124,14 @@ def regression(parent, change, bound):
     }
 
 
-def pairs(parent, workload, count, seconds):
+def pairs(parent, workload, count, seconds, trace=0):
+    """count alternating pairs of runs; each metric's figures per side,
+    and for untraced runs the pairs the change won and the bounds."""
     sides = {"parent": [], "change": []}
     for seed in range(1, count + 1):
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         for side in order:
-            sides[side].append(bench(parent if side == "parent" else ROOT, workload, seed, seconds, 0))
+            sides[side].append(bench(parent if side == "parent" else ROOT, workload, seed, seconds, trace))
     everything = sides["parent"] + sides["change"]
     bounds = end_to_end_bounds()
     out = {
@@ -138,16 +142,13 @@ def pairs(parent, workload, count, seconds):
     for name, meta in sides["change"][0]["metrics"].items():
         p = [r["metrics"][name]["value"] for r in sides["parent"]]
         c = [r["metrics"][name]["value"] for r in sides["change"]]
-        wins = int(sum(b < a for a, b in zip(p, c)))
         ps, cs = summary(p), summary(c)
-        out["metrics"][name] = {
-            "unit": meta["unit"],
-            "parent": ps,
-            "change": cs,
-            "pairs": count,
-            "change_wins": wins,
-            "claim_met": claim_met(ps, cs, wins, count),
-        }
+        out["metrics"][name] = {"unit": meta["unit"], "parent": ps, "change": cs, "pairs": count}
+        if trace:
+            # Per-layer figures: some are better higher, and none carries a claim.
+            continue
+        wins = int(sum(b < a for a, b in zip(p, c)))
+        out["metrics"][name].update(change_wins=wins, claim_met=claim_met(ps, cs, wins, count))
         if name in bounds:
             out["metrics"][name].update(regression(ps, cs, bounds[name]))
     return out
@@ -158,12 +159,13 @@ def main():
     ap.add_argument("--parent", required=True, help="git ref of the parent commit")
     ap.add_argument("--scratch", required=True, help="directory for the parent tree")
     ap.add_argument("--pairs", required=True, help="workload=count,...")
-    ap.add_argument("--traced", default="", help="workloads to trace, comma-separated")
+    ap.add_argument("--traced", default="", help="workload=count,... of traced pairs")
     ap.add_argument("--seconds", type=float, default=20)
     ap.add_argument("--what", required=True)
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
     todo = parse_pairs(args.pairs)
+    traced = parse_pairs(args.traced, "--traced") if args.traced else []
 
     parent = os.path.join(os.path.abspath(args.scratch), "parent")
     shutil.rmtree(parent, ignore_errors=True)
@@ -172,7 +174,6 @@ def main():
     archive = subprocess.run(["git", "archive", commit], cwd=ROOT, capture_output=True, check=True)
     subprocess.run(["tar", "-x", "-C", parent], input=archive.stdout, check=True)
 
-    traced = [w for w in args.traced.split(",") if w]
     result = {
         "what": args.what,
         "parent_commit": commit,
@@ -181,15 +182,15 @@ def main():
         # The scratch location does not affect the figures.
         "command": shlex.join(["python3", "tools/bench_pairs.py"]
                               + ["<dir>" if a == args.scratch else a for a in sys.argv[1:]]),
-        "traced_command": "python3 perfbench/run.py --workload <w> --seed 1 --seconds %g --trace 1" % args.seconds,
+        "traced_command": "python3 perfbench/run.py --workload <w> --seed <s> --seconds %g --trace 1, "
+        "parent and change alternating which runs first" % args.seconds,
         "untraced_command": "python3 perfbench/run.py --workload <w> --seed <s> --seconds %g --trace 0, "
         "parent and change alternating which runs first" % args.seconds,
-        "traced": {"parent": {}, "change": {}},
+        "traced_pairs": {},
         "untraced_pairs": {},
     }
-    for workload in traced:
-        result["traced"]["parent"][workload] = bench(parent, workload, 1, args.seconds, 1)
-        result["traced"]["change"][workload] = bench(ROOT, workload, 1, args.seconds, 1)
+    for workload, count in traced:
+        result["traced_pairs"][workload] = pairs(parent, workload, count, args.seconds, 1)
     for workload, count in todo:
         result["untraced_pairs"][workload] = pairs(parent, workload, count, args.seconds)
     with open(args.out, "w") as fh:
