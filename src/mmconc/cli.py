@@ -245,8 +245,8 @@ def _add_run_options(parser):
             "--workers",
             type=int,
             default=min(os.cpu_count() or 1, experiments.MAX_WORKERS),
-            help="threads that reduce chunks, the calling thread counted, in mbdist, "
-            "obsdiam, fullmeas and prok (default: the core count)",
+            help="threads that reduce chunks, the calling thread counted, in mbdist, obsdiam, "
+            "fullmeas, prok and pushforward's reference sample (default: the core count)",
         ),
         parser.add_argument("--out", default="."),
     )

@@ -12,7 +12,9 @@ draws of `sampling.gaussian_blocks` with p = 0, n rows at every N; N, or
 the radius it sets, is therefore an argument of theirs, not read off the
 row count.  `membership_mask` is one conversion around
 `decomp.membership_native` for batches in the (..., N, n, 4) interchange
-layout.
+layout.  Prok's distances and pushforward's Haar reference sample take
+the threads of an enclosing `sampling.worker_pool` block through
+`sampling.draws`; the rejection sampler runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -231,7 +233,7 @@ def prok_report(d):
     )
 
 
-def prok_experiment(N, n, field, sample_size=100000, seed=0, workers=1):
+def prok_experiment(N, n, field, sample_size=100000, seed=0):
     """Concentration of the distance to the scaled frame manifold.
 
     dP_lower is the smallest eps with an empirical (1 - eps) fraction of
@@ -245,6 +247,5 @@ def prok_experiment(N, n, field, sample_size=100000, seed=0, workers=1):
         cfg,
         functools.partial(sampling.gaussian_blocks, p=0),
         functools.partial(decomp.dist_to_scaled_stiefel_native, field=field, r=cfg.radius),
-        workers,
     )
     return prok_report(np.concatenate(list(d)))

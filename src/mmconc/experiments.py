@@ -12,10 +12,11 @@ does not grow with N.  fullmeas, prok, mbdist and obsdiam read only the
 Gram matrix or the top row of a Haar frame, so they reduce compressed
 draws (`sampling.gaussian_blocks` with p), whose cost does not grow
 with N at all.  A run with w workers starts at most w - 1 threads, once:
-every `draws` call of the run hands its chunks to the one pool of
-`run_experiment`, the calling thread being the other worker, and no
-thread outlives the run.  The pool only changes who reduces a chunk,
-never its content, so output bytes are independent of the worker count.
+`run_experiment` opens `sampling.worker_pool(w)`, whose pool every
+`draws` call of the run uses, the calling thread being the other worker,
+and no thread outlives the run.  The pool only changes who reduces a
+chunk, never its content, so output bytes are independent of the worker
+count.
 """
 
 from __future__ import annotations
@@ -177,7 +178,6 @@ def _haar_coordinates(cfg, field, N):
         scfg,
         functools.partial(sampling.haar_blocks, p=1),
         lambda Q: Q[:, 0, 0].real,
-        cfg.workers,
     )
     return np.concatenate(list(coords))
 
@@ -218,7 +218,6 @@ def run_fullmeas(cfg):
             scfg,
             functools.partial(sampling.gaussian_blocks, p=0),
             lambda X: membership_native(X, field, sch.eps_N, sch.theta_N, N),
-            cfg.workers,
         )
         mass = float(np.concatenate(list(hits)).mean())
         lower = bounds.v_bound(N, n, sch, field=field).product_lower
@@ -231,9 +230,7 @@ def run_fullmeas(cfg):
 
 def run_prok(cfg):
     def point(field, N, n):
-        rep = concentration.prok_experiment(
-            N, n, field, sample_size=cfg.samples, seed=cfg.seed, workers=cfg.workers
-        )
+        rep = concentration.prok_experiment(N, n, field, sample_size=cfg.samples, seed=cfg.seed)
         named = [("dP_lower", rep.dP_lower)] + [("q%02d" % p, q) for p, q in rep.quantiles.items()]
         rows = [[rep.sample_size, stat, value] for stat, value in named]
         return rows, ["dP_lower=%.4f" % rep.dP_lower]

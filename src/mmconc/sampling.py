@@ -27,8 +27,8 @@ frame from the SVD.
 `draws` is the one walk over the chunk grid: it yields the sub-blocks of
 chunks 0, 1, ... cut to the sample count, each reduced by a per-draw
 function such as a kernel of `decomp` or a statistic of `experiments`;
-with w workers the calling thread reduces every w-th chunk and a thread
-pool the others, one pool for a whole run under `worker_pool`.
+inside a `worker_pool(w)` block the calling thread reduces every w-th
+chunk and the block's pool the others.
 The interchange functions (`gaussian_chunk`, `haar_chunk`, `haar_comps`)
 convert sub-blocks to component arrays (..., N, n, 4).
 
@@ -102,8 +102,8 @@ ROW_BLOCK_VALUES = 8192
 # each render pass alone made the export a third slower on 2 vCPUs).
 HANDOFF_BYTES = 1 << 21
 
-# The pool of the enclosing worker_pool block, per thread and context.
-_RUN_POOL = contextvars.ContextVar("mmconc_run_pool", default=None)
+# (pool, workers) of the enclosing worker_pool block, per thread and context.
+_RUN_POOL = contextvars.ContextVar("mmconc_run_pool", default=(None, 1))
 
 
 @dataclass(frozen=True)
@@ -247,23 +247,21 @@ def haar_chunk(cfg, chunk_index):
     return _from_native(np.concatenate(list(haar_blocks(cfg, chunk_index))), cfg.field)
 
 
-def draws(cfg, blocks, reduce=None, workers=1):
+def draws(cfg, blocks, reduce=None):
     """Yield reduce(X) for each sub-block X of blocks(cfg, 0), then
     blocks(cfg, 1), ..., cut to cfg.count draws in all; without reduce,
     yield X.
 
-    No sub-block past cfg.count is drawn.  With one worker, or one chunk,
-    each sub-block is drawn on the calling thread as the caller consumes
-    it.  With w = min(workers, chunks) > 1 the calling thread is one of
-    the w workers: it reduces chunks 0, w, 2w, ... as it yields them, and
-    a thread pool reduces each of the others whole.  The pool is the one
-    of the enclosing worker_pool block, or, outside one, a pool of w - 1
-    threads opened for the call.  The caller starts chunk 0 before any
-    chunk goes to the pool, so numpy.random, which numpy loads on first
-    use, loads on this thread alone.  Results are yielded in chunk order,
-    so they never depend on the worker count.  Closing the iterator early,
-    or an error in any chunk, cancels the chunks not yet started and
-    waits for those running.
+    No sub-block past cfg.count is drawn.  Outside a worker_pool block,
+    or with one chunk, the calling thread draws each sub-block as the
+    caller consumes it.  Inside worker_pool(workers), with
+    w = min(workers, chunks) > 1, the calling thread reduces chunks 0, w,
+    2w, ... as it yields them, and the block's pool each of the others
+    whole.  Chunk 0 starts before any chunk goes to the pool, so
+    numpy.random, which numpy loads on first use, loads on this thread
+    alone.  Results come in chunk order, so they never depend on the
+    worker count.  Closing the iterator early, or an error in any chunk,
+    cancels the chunks not yet started and waits for those running.
     """
 
     def chunk(chunk_index):
@@ -275,39 +273,38 @@ def draws(cfg, blocks, reduce=None, workers=1):
                 return
 
     chunks = -(-cfg.count // CHUNK)
+    pool, workers = _RUN_POOL.get()
     workers = min(workers, chunks)
     if workers <= 1:
         yield from chain.from_iterable(map(chunk, range(chunks)))
         return
-    with contextlib.ExitStack() as own:
-        pool = _RUN_POOL.get() or own.enter_context(ThreadPoolExecutor(workers - 1))
-        first = chunk(0)
-        head = next(first)
-        pooled = {c: pool.submit(list, chunk(c)) for c in range(chunks) if c % workers}
-        try:
-            yield head
-            yield from first
-            for c in range(1, chunks):
-                yield from pooled.pop(c).result() if c % workers else chunk(c)
-        finally:
-            for future in pooled.values():
-                future.cancel()
-            wait(pooled.values())
+    first = chunk(0)
+    head = next(first)
+    pooled = {c: pool.submit(list, chunk(c)) for c in range(chunks) if c % workers}
+    try:
+        yield head
+        yield from first
+        for c in range(1, chunks):
+            yield from pooled.pop(c).result() if c % workers else chunk(c)
+    finally:
+        for future in pooled.values():
+            future.cancel()
+        wait(pooled.values())
 
 
 @contextlib.contextmanager
 def worker_pool(workers):
-    """Run the block with one pool for every draws call it makes on this
-    thread: workers - 1 threads, the calling thread being the other
-    worker, each started when a chunk first needs it and all joined when
-    the block is left.  With one worker the block starts no thread.  The
-    pool is held in a context variable, so a block on another thread
-    neither sees nor closes it."""
+    """Run the block with workers threads for every draws call it makes on
+    this thread: a pool of workers - 1 threads, each started when a chunk
+    first needs it and all joined when the block is left, and the calling
+    thread.  With one worker the block starts no thread.  The pool is
+    held in a context variable, so a block on another thread neither sees
+    nor closes it."""
     if workers <= 1:
         yield
         return
     with ThreadPoolExecutor(workers - 1) as pool:
-        token = _RUN_POOL.set(pool)
+        token = _RUN_POOL.set((pool, workers))
         try:
             yield
         finally:

@@ -635,7 +635,8 @@ class TestRunPool:
     threads, the calling thread being the other worker; none outlives
     the run."""
 
-    @pytest.mark.parametrize("experiment", ["mbdist", "obsdiam", "fullmeas", "prok"])
+    @pytest.mark.parametrize("experiment",
+                             ["mbdist", "obsdiam", "fullmeas", "prok", "pushforward"])
     def test_a_run_starts_its_threads_once(self, experiment, tmp_path, started):
         before = threading.enumerate()
         assert run_cli(["run", experiment, *POOLED, "--workers", "3",
@@ -643,13 +644,54 @@ class TestRunPool:
         assert len(started) <= 2
         assert threading.enumerate() == before
 
-    def test_draws_outside_a_run_opens_a_pool_for_the_call(self, started):
-        before = threading.enumerate()
+    @staticmethod
+    def _draw_four_chunks():
+        """draws over 3 chunks and 5 draws; the threads that drew each chunk."""
+        threads = {}
+
+        def recorded(cfg, chunk_index):
+            for X in sampling.gaussian_blocks(cfg, chunk_index):
+                threads.setdefault(chunk_index, set()).add(threading.get_ident())
+                yield X
+
         cfg = sampling.SamplerConfig("R", 30, 2, seed=5, count=3 * sampling.CHUNK + 5)
-        got = list(sampling.draws(cfg, sampling.gaussian_blocks, lambda X: X[:, 0, 0], workers=3))
+        got = list(sampling.draws(cfg, recorded, lambda X: X[:, 0, 0]))
         assert sum(map(len, got)) == cfg.count
+        return threads
+
+    def test_draws_outside_a_pool_starts_no_thread(self, started):
+        threads = self._draw_four_chunks()
+        assert started == []
+        assert threads == {c: {threading.get_ident()} for c in range(4)}
+
+    def test_draws_in_a_pool_shares_chunks_with_the_caller(self, started):
+        before = threading.enumerate()
+        with sampling.worker_pool(3):
+            threads = self._draw_four_chunks()
         assert len(started) <= 2
         assert threading.enumerate() == before
+        me = {threading.get_ident()}
+        assert threads[0] == threads[3] == me
+        assert not me & (threads[1] | threads[2])
+
+    def test_pushforward_reference_sample_uses_the_pool(self, tmp_path, monkeypatch):
+        # The reference Haar frames go through sampling.draws, so at two
+        # workers the pool reduces every other chunk of them, with the
+        # bytes of one worker.
+        real = sampling.haar_blocks
+        threads = set()
+
+        def recorded(cfg, chunk_index, p=None):
+            threads.add(threading.get_ident())
+            yield from real(cfg, chunk_index, p)
+
+        run = ["run", "pushforward", *POOLED]
+        assert run_cli(run + ["--workers", "1", "--out", str(tmp_path / "w1")]) == 0
+        monkeypatch.setattr(sampling, "haar_blocks", recorded)
+        assert run_cli(run + ["--workers", "2", "--out", str(tmp_path / "w2")]) == 0
+        assert threads - {threading.get_ident()}
+        assert ((tmp_path / "w2" / "pushforward.csv").read_bytes()
+                == (tmp_path / "w1" / "pushforward.csv").read_bytes())
 
     def test_concurrent_runs_keep_their_own_pools(self, tmp_path):
         before = threading.enumerate()

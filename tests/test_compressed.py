@@ -162,7 +162,8 @@ class TestDeterminism:
             (partial(haar_blocks, p=1), lambda Q: Q[:, 0, 0].real),
         ):
             one = list(draws(cfg, blocks, reduce))
-            three = list(draws(cfg, blocks, reduce, workers=3))
+            with sampling.worker_pool(3):
+                three = list(draws(cfg, blocks, reduce))
             assert len(one) > 3  # several sub-blocks a chunk
             assert [x.tobytes() for x in one] == [x.tobytes() for x in three]
 

@@ -289,7 +289,8 @@ class TestDraws:
         # its first sub-block of 218.
         cfg = SamplerConfig("R", 300, 2, seed=9, count=2 * CHUNK + 37)
         one = list(draws(cfg, blocks, reduce))
-        three = list(draws(cfg, blocks, reduce, workers=3))
+        with sampling.worker_pool(3):
+            three = list(draws(cfg, blocks, reduce))
         assert [len(x) for x in one] == [218] * 4 + [152] + [218] * 4 + [152] + [37]
         assert [x.tobytes() for x in one] == [x.tobytes() for x in three]
         whole = np.concatenate(list(draws(cfg, blocks)))
@@ -307,7 +308,8 @@ class TestDraws:
                 got.append(chunk_index)
                 yield X
 
-        out = list(draws(cfg, counted, workers=workers))
+        with sampling.worker_pool(workers):
+            out = list(draws(cfg, counted))
         assert sorted(got) == asked  # two workers draw the chunks at once
         assert sum(map(len, out)) == count
 
